@@ -1,0 +1,304 @@
+"""Command-line front end.
+
+Subcommands: compute (certified radius of one graph), construct (named
+families), enumerate (connected graphs up to isomorphism), verify (one
+claim instance), sweep (a full grid of claim instances).
+
+JSON goes to standard output, graph6 one per line, diagnostics to the
+error stream.  Exit codes: 0 success and every report PASS, 1 at least
+one FAIL, 2 usage or input error, 3 INCONCLUSIVE reports but no FAIL.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+
+from .enumeration import EnumFilter, connected_graphs, filtered_graphs
+from .graph6 import decode_graph6, encode_graph6
+from .graphs import GraphError, build_graph
+from .spectral import DEFAULT_BRACKET_WIDTH, DEFAULT_COMPARE_WIDTH, perron_json, perron_of
+from .transforms import (
+    GraftSite,
+    HypothesisError,
+    RelocationSpec,
+    component_without,
+    graft,
+    g_nk,
+    k_nk,
+    make_base,
+)
+from .verify import (
+    pendant_report_for_site,
+    report_json,
+    sweep_graft,
+    sweep_min_cut_edges,
+    sweep_min_cut_vertices,
+    sweep_monotonicity,
+    sweep_pendant,
+    sweep_perturbation,
+    sweep_relocation,
+    verify_distance_monotonicity,
+    verify_graft_monotonicity,
+    verify_min_cut_edges,
+    verify_min_cut_vertices,
+    verify_perturbation_bound,
+    verify_relocation,
+)
+
+EXIT_PASS = 0
+EXIT_FAIL = 1
+EXIT_ERROR = 2
+EXIT_INCONCLUSIVE = 3
+
+THEOREMS = ("1", "2", "3", "4", "cor1", "bound", "mono")
+
+
+def _read_graph(args, flag="--g6"):
+    if getattr(args, "g6", None) is not None:
+        return decode_graph6(args.g6)
+    if getattr(args, "input", None) is None:
+        raise GraphError(f"provide {flag} or --input")
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.input, "r", encoding="ascii") as fh:
+            text = fh.read()
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise GraphError("empty input")
+    if args.format == "graph6":
+        return decode_graph6(lines[0])
+    n = int(lines[0])
+    edges = []
+    for ln in lines[1:]:
+        a, b = ln.split()
+        edges.append((int(a), int(b)))
+    return build_graph(n, edges)
+
+
+def _emit_reports(reports) -> int:
+    if isinstance(reports, list):
+        print("[" + ", ".join(report_json(r) for r in reports) + "]")
+        outcomes = {r.outcome for r in reports}
+    else:
+        print(report_json(reports))
+        outcomes = {reports.outcome}
+    if "FAIL" in outcomes:
+        return EXIT_FAIL
+    if "INCONCLUSIVE" in outcomes:
+        return EXIT_INCONCLUSIVE
+    return EXIT_PASS
+
+
+def _cmd_compute(args) -> int:
+    g = _read_graph(args)
+    print(perron_json(perron_of(g, args.tol)))
+    return EXIT_PASS
+
+
+def _cmd_construct(args) -> int:
+    fam = args.family
+    if fam in ("complete", "path", "cycle"):
+        g = make_base(fam, _req(args, "n"))
+    elif fam == "gnk":
+        g = g_nk(_req(args, "n"), _req(args, "k"))
+    elif fam == "knk":
+        g = k_nk(_req(args, "n"), _req(args, "k"))
+    else:
+        if args.base is None:
+            raise GraphError("--family gkl needs --base")
+        site = GraftSite(
+            base=decode_graph6(args.base),
+            u=_req(args, "u"),
+            v=_req(args, "v"),
+            k=_req(args, "k"),
+            l=_req(args, "l"),
+        )
+        g = graft(site)
+    print(encode_graph6(g))
+    return EXIT_PASS
+
+
+def _cmd_enumerate(args) -> int:
+    if args.cut_vertices is not None or args.cut_edges is not None:
+        filt = EnumFilter(
+            cut_vertex_count=args.cut_vertices, cut_edge_count=args.cut_edges
+        )
+        stream = filtered_graphs(args.n, filt)
+    else:
+        stream = connected_graphs(args.n)
+    for g in stream:
+        print(encode_graph6(g))
+    return EXIT_PASS
+
+
+def _req(args, name: str) -> int:
+    val = getattr(args, name, None)
+    if val is None:
+        raise GraphError(f"missing required flag --{name}")
+    return val
+
+
+def _site_from(args) -> GraftSite:
+    if args.base is None:
+        raise GraphError("missing required flag --base")
+    return GraftSite(
+        base=decode_graph6(args.base),
+        u=_req(args, "u"),
+        v=_req(args, "v"),
+        k=_req(args, "k"),
+        l=_req(args, "l"),
+    )
+
+
+def _cmd_verify(args) -> int:
+    t = args.theorem
+    if t == "1":
+        rep = verify_graft_monotonicity(_site_from(args), args.width)
+    elif t == "cor1":
+        rep = pendant_report_for_site(_site_from(args), args.width)
+    elif t == "2":
+        g = _read_graph(args)
+        targets = tuple(int(s) for s in _reqs(args, "targets").split(","))
+        # Unvalidated on purpose: verify_relocation reports a failed
+        # hypothesis as INCONCLUSIVE instead of erroring out.
+        spec = RelocationSpec(
+            g=g,
+            u=_req(args, "u"),
+            v=_req(args, "v"),
+            c1=component_without(g, args.u, args.v),
+            targets=tuple(sorted(set(targets))),
+            witness=args.witness,
+        )
+        rep = verify_relocation(spec, args.width)
+    elif t == "3":
+        rep = verify_min_cut_vertices(_req(args, "n"), _req(args, "k"), args.width, args.jobs)
+    elif t == "4":
+        rep = verify_min_cut_edges(_req(args, "n"), _req(args, "k"), args.width, args.jobs)
+    elif t == "bound":
+        if args.old is None or args.new is None:
+            raise GraphError("--theorem bound needs --old and --new graph6 strings")
+        rep = verify_perturbation_bound(
+            decode_graph6(args.old), decode_graph6(args.new), args.width, args.tol
+        )
+    else:
+        rep = verify_distance_monotonicity(_read_graph(args), args.width)
+    return _emit_reports(rep)
+
+
+def _reqs(args, name: str) -> str:
+    val = getattr(args, name, None)
+    if val is None:
+        raise GraphError(f"missing required flag --{name}")
+    return val
+
+
+def _cmd_sweep(args) -> int:
+    t = args.theorem
+    if t == "1":
+        reps = sweep_graft(args.max_base_n, args.max_total, args.width, args.jobs)
+    elif t == "cor1":
+        reps = sweep_pendant(args.max_base_n, args.max_total, args.width, args.jobs)
+    elif t == "2":
+        reps = sweep_relocation(args.max_n, args.width, args.jobs)
+    elif t == "3":
+        reps = sweep_min_cut_vertices(_req(args, "n"), args.width, args.jobs)
+    elif t == "4":
+        reps = sweep_min_cut_edges(_req(args, "n"), args.width, args.jobs)
+    elif t == "bound":
+        reps = sweep_perturbation(args.max_n, args.width, args.jobs)
+    else:
+        reps = sweep_monotonicity(args.max_n, args.width, args.jobs)
+    return _emit_reports(reps)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="distspec",
+        description="Certified distance spectral radius computations and "
+        "extremal-graph verification.",
+    )
+    sub = p.add_subparsers(dest="subcommand", required=True)
+
+    def add_graph_flags(sp):
+        sp.add_argument("--g6", help="graph as an inline graph6 string")
+        sp.add_argument("--input", help="path to a graph file, or - for stdin")
+        sp.add_argument(
+            "--format",
+            choices=("graph6", "edges"),
+            default="graph6",
+            help="input file format (edges: first line n, then 'u v' lines)",
+        )
+
+    sp = sub.add_parser("compute", help="certified radius of one graph")
+    add_graph_flags(sp)
+    sp.add_argument("--tol", type=float, default=DEFAULT_BRACKET_WIDTH,
+                    help="bracket width for the certified value")
+    sp.set_defaults(func=_cmd_compute)
+
+    sp = sub.add_parser("construct", help="emit a named family member as graph6")
+    sp.add_argument("--family", required=True,
+                    choices=("gnk", "knk", "gkl", "complete", "path", "cycle"))
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--k", type=int)
+    sp.add_argument("--l", type=int)
+    sp.add_argument("--base", help="graph6 of the base graph (gkl)")
+    sp.add_argument("--u", type=int)
+    sp.add_argument("--v", type=int)
+    sp.set_defaults(func=_cmd_construct)
+
+    sp = sub.add_parser("enumerate", help="connected graphs up to isomorphism")
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--cut-vertices", type=int, dest="cut_vertices")
+    sp.add_argument("--cut-edges", type=int, dest="cut_edges")
+    sp.set_defaults(func=_cmd_enumerate)
+
+    def add_verify_common(sp):
+        sp.add_argument("--width", type=float, default=DEFAULT_COMPARE_WIDTH,
+                        help="bracket width for certified comparisons")
+        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                        help="parallel worker processes")
+
+    sp = sub.add_parser("verify", help="verify one claim instance")
+    sp.add_argument("--theorem", required=True, choices=THEOREMS)
+    add_graph_flags(sp)
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--k", type=int)
+    sp.add_argument("--l", type=int)
+    sp.add_argument("--base", help="graph6 of the base graph (theorem 1, cor1)")
+    sp.add_argument("--u", type=int)
+    sp.add_argument("--v", type=int)
+    sp.add_argument("--targets", help="comma-separated target vertices (theorem 2)")
+    sp.add_argument("--witness", type=int, help="witness vertex override (theorem 2)")
+    sp.add_argument("--old", help="graph6 before perturbation (bound)")
+    sp.add_argument("--new", help="graph6 after perturbation (bound)")
+    sp.add_argument("--tol", type=float, default=1e-8,
+                    help="slack for the perturbation bound")
+    add_verify_common(sp)
+    sp.set_defaults(func=_cmd_verify)
+
+    sp = sub.add_parser("sweep", help="verify a grid of claim instances")
+    sp.add_argument("--theorem", required=True, choices=THEOREMS)
+    sp.add_argument("--n", type=int, help="order for theorem 3/4 sweeps")
+    sp.add_argument("--max-base-n", type=int, default=6, dest="max_base_n")
+    sp.add_argument("--max-total", type=int, default=4, dest="max_total")
+    sp.add_argument("--max-n", type=int, default=6, dest="max_n")
+    add_verify_common(sp)
+    sp.set_defaults(func=_cmd_sweep)
+    return p
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (GraphError, HypothesisError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+
+
+if __name__ == "__main__":
+    sys.exit(main())
