@@ -17,21 +17,38 @@ from functools import lru_cache
 from typing import Iterator
 
 from .graph6 import decode_graph6, encode_graph6
-from .graphs import Graph, GraphError, build_graph, cut_edges, cut_vertices, key_from_masks
+from .graphs import (
+    MAX_CANONICAL_N,
+    Graph,
+    GraphError,
+    build_graph,
+    cut_edges,
+    cut_vertices,
+    key_from_masks,
+)
 
 DEFAULT_MAX_N = 9
 ENV_MAX_N = "DISTSPEC_MAX_N"
 
 
 def max_order() -> int:
-    """Enumeration cap: 9 by default, overridable via DISTSPEC_MAX_N."""
+    """Enumeration cap: 9 by default, overridable via DISTSPEC_MAX_N.
+
+    The override may not exceed MAX_CANONICAL_N, the largest order whose
+    levels canonical keys can deduplicate.
+    """
     raw = os.environ.get(ENV_MAX_N)
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise GraphError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
+    if cap > MAX_CANONICAL_N:
+        raise GraphError(
+            f"{ENV_MAX_N} must be at most {MAX_CANONICAL_N} (canonical key limit), got {cap}"
+        )
+    return cap
 
 
 @lru_cache(maxsize=None)

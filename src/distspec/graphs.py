@@ -271,6 +271,8 @@ def pendant_paths(g: Graph) -> list[PendantPath]:
 
 
 MAX_CANONICAL_N = 10
+# Frontier states pack a vertex id into the low 4 bits of an int.
+MAX_KEY_N = 16
 
 
 def canonical_key(g: Graph, max_n: int = MAX_CANONICAL_N) -> bytes:
@@ -335,6 +337,8 @@ def key_from_masks(n: int, masks) -> bytes:
     placed vertices, earliest placement most significant.  Integer order on
     a column therefore equals lexicographic order on the key string.
     """
+    if n > MAX_KEY_N:
+        raise GraphError(f"key_from_masks packs vertex ids in 4 bits: n <= {MAX_KEY_N}, got {n}")
     if n == 1:
         return bytes([1, 0])
     colors = _refinement_classes(n, masks)

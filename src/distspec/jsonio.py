@@ -8,6 +8,7 @@ byte-identical output regardless of how they were scheduled.
 from __future__ import annotations
 
 import math
+from json.encoder import encode_basestring
 
 
 def fmt_float(x: float) -> str:
@@ -32,7 +33,8 @@ def _emit(obj, parts: list[str]) -> None:
     elif obj is False:
         parts.append("false")
     elif isinstance(obj, str):
-        parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        # escapes the quote, the backslash and U+0000-U+001F (RFC 8259) only
+        parts.append(encode_basestring(obj))
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):

@@ -1,17 +1,26 @@
 """Distance matrices and the certified distance spectral radius.
 
-The spectral radius of a distance matrix is bracketed with Collatz-Wielandt
-bounds: for any positive vector x, min_i (Dx)_i/x_i and max_i (Dx)_i/x_i
-enclose the Perron value.  Power iteration tightens the bracket until it is
-narrower than the requested width, so every reported value carries a
-certificate rather than a bare floating-point estimate.  Comparisons are
-then made only between disjoint brackets; overlapping brackets are reported
-as indistinguishable instead of being resolved by an epsilon.
+For an irreducible nonnegative matrix D and any positive vector x, the
+Collatz-Wielandt ratios (Dx)_i/x_i enclose the Perron value from both sides.
+perron() takes x from a dense symmetric eigensolver, scales |x| to a positive
+integer vector X with max X = 2^50, and forms Y = DX exactly: in int64 for
+n <= 64, where D holds hop counts below 64 and no sum can overflow, and in
+Python ints beyond.  Each ratio Y_i/X_i is then rounded once, so widening
+min and max of the ratios outward by two ulps gives a rigorous bracket a few
+ulps wide: one certification step, with no tolerance behind it (Rump,
+"Verification methods", Acta Numerica 19, 2010).  When that bracket is wider
+than requested, power iteration only refines the vector; each refined
+vector is certified the same way, so every bracket perron() returns, or
+carries in a BracketError, is rigorous.
+Comparisons are then made only between disjoint brackets; overlapping
+brackets are reported as indistinguishable instead of being resolved by an
+epsilon.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -25,10 +34,13 @@ DEFAULT_BRACKET_WIDTH = 1e-10
 DEFAULT_COMPARE_WIDTH = 1e-9
 MIN_BRACKET_WIDTH = 1e-12
 MAX_ITER = 100000
+# Largest order whose step is exact in int64 (64 * 63 * 2^50 < 2^63); larger
+# orders take the step in Python ints.
+INT64_MAX_N = 64
 
 
 class BracketError(RuntimeError):
-    """Power iteration ran out of iterations; carries the best bracket."""
+    """No certified step reached the requested width; carries their intersection."""
 
     def __init__(self, lower: float, upper: float, iterations: int):
         super().__init__(
@@ -65,8 +77,8 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 class PerronResult:
     """Certified bracket around the distance spectral radius.
 
-    value is the Rayleigh quotient of the final iterate clamped into
-    [lower, upper]; vector is that iterate (positive, unit 2-norm).
+    value is the Rayleigh quotient of the certified vector clamped into
+    [lower, upper]; vector is that vector (positive, unit 2-norm).
     """
 
     value: float
@@ -86,39 +98,57 @@ def perron(
     bracket_width: float = DEFAULT_BRACKET_WIDTH,
     max_iter: int = MAX_ITER,
 ) -> PerronResult:
-    """Power iteration from the all-ones vector with certified brackets.
+    """Certified bracket from exact Collatz-Wielandt steps.
 
-    Each step evaluates y = Dx and the Collatz-Wielandt bounds
-    min_i y_i/x_i <= radius <= max_i y_i/x_i, valid for any positive x.
-    Stops once the bracket is narrower than bracket_width.
+    The first step certifies the top eigenvector of a dense symmetric
+    solver.  While the bracket is wider than bracket_width, power iteration
+    refines the vector and every new vector is certified the same way; the
+    result carries the intersection of the step brackets and iterations
+    counts the steps.  After max_iter steps BracketError carries that
+    intersection instead.
     """
     if bracket_width <= 0:
         raise ValueError(f"bracket width must be positive, got {bracket_width}")
-    n = dm.n
-    if n == 1:
+    if dm.n == 1:
         vec = np.ones(1)
         vec.setflags(write=False)
         return PerronResult(0.0, 0.0, 0.0, 0.0, 0, vec)
-    d = dm.d.astype(np.float64)
-    x = np.full(n, 1.0 / math.sqrt(n))
-    best_lower = -math.inf
-    best_upper = math.inf
+    # exact products: int64 up to INT64_MAX_N, Python ints beyond
+    d = dm.d if dm.n <= INT64_MAX_N else dm.d.astype(object)
+    x = np.abs(np.linalg.eigh(dm.d)[1][:, -1])
+    lower, upper = -math.inf, math.inf
     for it in range(1, max_iter + 1):
-        y = d @ x
-        ratios = y / x
-        lower = float(ratios.min())
-        upper = float(ratios.max())
-        best_lower = max(best_lower, lower)
-        best_upper = min(best_upper, upper)
-        if upper - lower <= bracket_width:
-            lam = float(x @ y)
-            lam = min(max(lam, lower), upper)
-            residual = float(np.max(np.abs(y - lam * x)))
-            x = x.copy()
-            x.setflags(write=False)
-            return PerronResult(lam, lower, upper, residual, it, x)
-        x = y / float(np.linalg.norm(y))
-    raise BracketError(best_lower, best_upper, max_iter)
+        # truncation keeps X <= 2^50; any positive integer vector certifies
+        big = (x / x.max() * 2.0**50).astype(np.int64)
+        if big.min() >= 1:
+            xs = big.tolist()
+            ys = (d @ big.astype(d.dtype, copy=False)).tolist()
+            # each Python int quotient is correctly rounded, so two ulps
+            # outward more than cover the one rounding
+            ratios = [yi / xi for yi, xi in zip(ys, xs)]
+            lower = max(lower, _ulps(min(ratios), -math.inf))
+            upper = min(upper, _ulps(max(ratios), math.inf))
+            if upper - lower <= bracket_width:
+                return _result(xs, ys, lower, upper, it)
+        x = dm.d @ x
+        x /= x.max()
+    raise BracketError(lower, upper, max_iter)
+
+
+def _result(xs: list, ys: list, lower: float, upper: float, iterations: int) -> PerronResult:
+    """Result for the certified vector X with Y = DX, clamped into the bracket."""
+    sq = sum(map(operator.mul, xs, xs))
+    lam = min(max(sum(map(operator.mul, xs, ys)) / sq, lower), upper)
+    norm = math.sqrt(sq)
+    residual = max([abs(y - lam * x) for x, y in zip(xs, ys)]) / norm
+    vec = np.array(xs, dtype=np.float64) / norm
+    vec.setflags(write=False)
+    return PerronResult(lam, lower, upper, residual, iterations, vec)
+
+
+def _ulps(x: float, toward: float) -> float:
+    """x moved two ulps toward +-inf."""
+    return math.nextafter(math.nextafter(x, toward), toward)
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,8 @@ Every verifier returns a VerificationReport with outcome PASS, FAIL, or
 INCONCLUSIVE.  PASS and FAIL are only issued on certificates: disjoint
 Collatz-Wielandt brackets, an isomorphism between compared graphs, or an
 exact entrywise matrix comparison.  A hypothesis that does not hold, or
-brackets that still overlap at the minimum width, yield INCONCLUSIVE; that
-marks the claim as untested here, never as falsified.
+brackets that overlap, yield INCONCLUSIVE; that marks the claim as untested
+here, never as falsified.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .graphs import Graph, GraphError, PendantPath, build_graph, canonical_key
 from .jsonio import dumps
 from .spectral import (
     DEFAULT_COMPARE_WIDTH,
-    MIN_BRACKET_WIDTH,
     PerronResult,
     Relation,
     certified_compare,
@@ -82,32 +81,20 @@ def _bracket(res: PerronResult) -> dict:
     return {"lambda": res.value, "lower": res.lower, "upper": res.upper}
 
 
-def _compare_tightened(a: Graph, b: Graph, width: float):
-    """Compare radii, shrinking the bracket width down to the floor on ties."""
-    w = width
-    ra = perron_of(a, w)
-    rb = perron_of(b, w)
-    order = certified_compare(ra, rb)
-    while order.relation is Relation.INDISTINGUISHABLE and w > MIN_BRACKET_WIDTH:
-        w = max(w / 10.0, MIN_BRACKET_WIDTH)
-        ra = perron_of(a, w)
-        rb = perron_of(b, w)
-        order = certified_compare(ra, rb)
-    return order, ra, rb, w
+def _compare(a: Graph, b: Graph, width: float):
+    """Certified order of the two radii, with both brackets."""
+    ra = perron_of(a, width)
+    rb = perron_of(b, width)
+    return certified_compare(ra, rb), ra, rb
 
 
-def _perron_worker(args):
-    g, width = args
-    return perron_of(g, width)
-
-
-def _perron_bulk(graphs: list[Graph], width: float, jobs: int) -> list[PerronResult]:
-    """Results in input order; jobs > 1 fans out over processes."""
-    if jobs <= 1 or len(graphs) < 2:
-        return [perron_of(g, width) for g in graphs]
-    chunk = max(1, len(graphs) // (jobs * 8))
+def _map(fn, calls: list[tuple], jobs: int) -> list:
+    """[fn(*args) for args in calls] in input order; jobs > 1 fans out over processes."""
+    if jobs <= 1 or len(calls) < 2:
+        return [fn(*args) for args in calls]
+    chunk = max(1, len(calls) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(_perron_worker, [(g, width) for g in graphs], chunksize=chunk))
+        return list(ex.map(fn, *zip(*calls), chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +137,7 @@ def verify_graft_monotonicity(
         if canonical_key(shifted) == member_key:
             witness[f"{name}_isomorphic_to_member"] = True
             continue
-        order, rm, rs, w = _compare_tightened(fam.member, shifted, width)
+        order, rm, rs = _compare(fam.member, shifted, width)
         witness[f"{name}_member_bracket"] = _bracket(rm)
         witness[f"{name}_shift_bracket"] = _bracket(rs)
         if order.relation is Relation.LESS:
@@ -204,10 +191,6 @@ def verify_pendant_sum(
     res = perron_of(g, width)
     tol = g.n * (res.width + res.residual)
     diff = _mass(res, p_long) - _mass(res, p_short)
-    if abs(diff) <= tol and width > MIN_BRACKET_WIDTH:
-        res = perron_of(g, MIN_BRACKET_WIDTH)
-        tol = g.n * (res.width + res.residual)
-        diff = _mass(res, p_long) - _mass(res, p_short)
     if diff > tol:
         outcome = PASS
     elif diff < -tol:
@@ -284,7 +267,7 @@ def verify_relocation(
             witness={"failed_clause": "witness", "detail": "no qualifying witness vertex"},
             wall_time=time.perf_counter() - t0,
         )
-    order, ro, rn, _ = _compare_tightened(spec.g, relocated, width)
+    order, ro, rn = _compare(spec.g, relocated, width)
     witness = {
         "relocated": encode_graph6(relocated),
         "witness_vertex": w,
@@ -365,12 +348,12 @@ def verify_distance_monotonicity(
     closure = block_clique_closure(g)
     dominated = distance_dominates(distance_matrix(closure), distance_matrix(g))
     idempotent = block_clique_closure(closure).edges == closure.edges
-    order, rg, rc, _ = (None, None, None, None)
+    rg = rc = None
     if closure.edges == g.edges:
         relation = "EQUAL"
         gap = 0.0
     else:
-        order, rg, rc, _ = _compare_tightened(g, closure, width)
+        order, rg, rc = _compare(g, closure, width)
         relation = order.relation.value
         gap = order.gap_lower_bound if order.relation is Relation.GREATER else 0.0
     ok = dominated and idempotent and relation != "LESS"
@@ -411,24 +394,10 @@ def _verify_min(
     t0 = time.perf_counter()
     if not members:
         raise GraphError(f"no connected graphs on {n} vertices match k={k}")
-    results = _perron_bulk(members, width, jobs)
+    results = _map(perron_of, [(g, width) for g in members], jobs)
     keys = [canonical_key(g) for g in members]
     target_key = canonical_key(target)
-
-    w = width
-    while True:
-        cand = min(range(len(members)), key=lambda i: (results[i].value, keys[i]))
-        overlapping = [
-            i
-            for i in range(len(members))
-            if i != cand and results[i].lower <= results[cand].upper
-        ]
-        if not overlapping or w <= MIN_BRACKET_WIDTH:
-            break
-        w = max(w / 10.0, MIN_BRACKET_WIDTH)
-        for i in overlapping + [cand]:
-            results[i] = perron_of(members[i], w)
-
+    cand = min(range(len(members)), key=lambda i: (results[i].value, keys[i]))
     instance = {"n": n, "k": k, "class_size": len(members)}
     witness = {
         "target": encode_graph6(target),
@@ -509,11 +478,6 @@ def graft_sites(max_base_n: int, max_total: int, equal_only: bool | None = None)
                             yield GraftSite(base=base, u=a, v=b, k=k, l=l)
 
 
-def _graft_worker(args):
-    site, width = args
-    return verify_graft_monotonicity(site, width)
-
-
 def sweep_graft(
     max_base_n: int = 6,
     max_total: int = 4,
@@ -521,17 +485,8 @@ def sweep_graft(
     jobs: int = 1,
     equal_only: bool | None = None,
 ) -> list[VerificationReport]:
-    sites = list(graft_sites(max_base_n, max_total, equal_only))
-    if jobs <= 1:
-        return [verify_graft_monotonicity(s, width) for s in sites]
-    chunk = max(1, len(sites) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(_graft_worker, [(s, width) for s in sites], chunksize=chunk))
-
-
-def _pendant_worker(args):
-    site, width = args
-    return pendant_report_for_site(site, width)
+    sites = graft_sites(max_base_n, max_total, equal_only)
+    return _map(verify_graft_monotonicity, [(s, width) for s in sites], jobs)
 
 
 def pendant_report_for_site(site: GraftSite, width: float = DEFAULT_COMPARE_WIDTH):
@@ -555,12 +510,8 @@ def sweep_pendant(
     width: float = DEFAULT_COMPARE_WIDTH,
     jobs: int = 1,
 ) -> list[VerificationReport]:
-    sites = list(graft_sites(max_base_n, max_total, equal_only=False))
-    if jobs <= 1:
-        return [pendant_report_for_site(s, width) for s in sites]
-    chunk = max(1, len(sites) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(_pendant_worker, [(s, width) for s in sites], chunksize=chunk))
+    sites = graft_sites(max_base_n, max_total, equal_only=False)
+    return _map(pendant_report_for_site, [(s, width) for s in sites], jobs)
 
 
 def relocation_specs(max_n: int):
@@ -584,20 +535,10 @@ def relocation_specs(max_n: int):
                     )
 
 
-def _relocation_worker(args):
-    spec, width = args
-    return verify_relocation(spec, width)
-
-
 def sweep_relocation(
     max_n: int = 6, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
 ) -> list[VerificationReport]:
-    specs = list(relocation_specs(max_n))
-    if jobs <= 1:
-        return [verify_relocation(s, width) for s in specs]
-    chunk = max(1, len(specs) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(_relocation_worker, [(s, width) for s in specs], chunksize=chunk))
+    return _map(verify_relocation, [(s, width) for s in relocation_specs(max_n)], jobs)
 
 
 def edge_addition_pairs(max_n: int):
@@ -610,37 +551,18 @@ def edge_addition_pairs(max_n: int):
                         yield g, build_graph(g.n, list(g.edges) + [(a, b)])
 
 
-def _bound_worker(args):
-    a, b, width = args
-    return verify_perturbation_bound(a, b, width)
-
-
 def sweep_perturbation(
     max_n: int = 6, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
 ) -> list[VerificationReport]:
-    pairs = list(edge_addition_pairs(max_n))
-    if jobs <= 1:
-        return [verify_perturbation_bound(a, b, width) for a, b in pairs]
-    work = [(a, b, width) for a, b in pairs]
-    chunk = max(1, len(work) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(_bound_worker, work, chunksize=chunk))
-
-
-def _mono_worker(args):
-    g, width = args
-    return verify_distance_monotonicity(g, width)
+    pairs = edge_addition_pairs(max_n)
+    return _map(verify_perturbation_bound, [(a, b, width) for a, b in pairs], jobs)
 
 
 def sweep_monotonicity(
     max_n: int = 7, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
 ) -> list[VerificationReport]:
     graphs = [g for n in range(1, max_n + 1) for g in connected_graphs(n)]
-    if jobs <= 1:
-        return [verify_distance_monotonicity(g, width) for g in graphs]
-    chunk = max(1, len(graphs) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(_mono_worker, [(g, width) for g in graphs], chunksize=chunk))
+    return _map(verify_distance_monotonicity, [(g, width) for g in graphs], jobs)
 
 
 def sweep_min_cut_vertices(

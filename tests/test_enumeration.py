@@ -17,7 +17,13 @@ from distspec.enumeration import (
     max_order,
 )
 from distspec.graph6 import encode_graph6
-from distspec.graphs import GraphError, build_graph, canonical_key, is_connected
+from distspec.graphs import (
+    MAX_CANONICAL_N,
+    GraphError,
+    build_graph,
+    canonical_key,
+    is_connected,
+)
 
 
 def brute_force_count(n):
@@ -115,5 +121,12 @@ def test_cap_override(monkeypatch):
     assert max_order() == 4
     with pytest.raises(GraphError):
         list(connected_graphs(5))
-    monkeypatch.setenv(ENV_MAX_N, "12")
-    assert max_order() == 12
+    monkeypatch.setenv(ENV_MAX_N, "10")
+    assert max_order() == 10
+
+
+def test_cap_override_limited_by_canonical_keys(monkeypatch):
+    # levels above MAX_CANONICAL_N could not be keyed, so the cap refuses them
+    monkeypatch.setenv(ENV_MAX_N, str(MAX_CANONICAL_N + 1))
+    with pytest.raises(GraphError, match=ENV_MAX_N):
+        max_order()

@@ -17,6 +17,7 @@ from distspec.graphs import (
     cut_edges,
     cut_vertices,
     is_connected,
+    key_from_masks,
     pendant_paths,
     relabel,
 )
@@ -199,3 +200,13 @@ def test_canonical_key_order_cap():
     g = build_graph(11, [(i, i + 1) for i in range(10)])
     with pytest.raises(GraphError, match="supports n"):
         canonical_key(g)
+
+
+def test_key_from_masks_order_limit():
+    # vertex ids are packed into 4 bits, so a 17th vertex would alias vertex 0
+    def path(n):
+        return [(1 << v - 1 if v else 0) | (1 << v + 1 if v < n - 1 else 0) for v in range(n)]
+
+    assert key_from_masks(16, path(16))
+    with pytest.raises(GraphError, match="16"):
+        key_from_masks(17, path(17))

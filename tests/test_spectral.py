@@ -1,9 +1,11 @@
-"""Certified radius: closed forms, bracket invariants, dense-solver parity."""
+"""Certified radius: closed forms, bracket invariants, dense-solver parity,
+50-digit enclosure and power-iteration refinement."""
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import networkx as nx
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ import pytest
 from distspec.enumeration import connected_graphs
 from distspec.graphs import GraphError, build_graph
 from distspec.spectral import (
+    MIN_BRACKET_WIDTH,
+    BracketError,
     Relation,
     certified_compare,
     distance_matrix,
@@ -28,6 +32,20 @@ def eig_radius(g):
     h.add_edges_from(g.edges)
     d = np.array(nx.floyd_warshall_numpy(h), dtype=float)
     return float(np.linalg.eigvalsh(d)[-1])
+
+
+def mp_radius(dm):
+    """Largest eigenvalue of the distance matrix to 50 digits."""
+    with mpmath.workdps(50):
+        return max(mpmath.eigsy(mpmath.matrix(dm.d.tolist()), eigvals_only=True))
+
+
+def encloses(res, lam):
+    """lam in [lower, upper], up to the 1e-40 error of the 50-digit eigensolver
+    (a bracket can be exact, e.g. [6, 6] for the 5-cycle)."""
+    with mpmath.workdps(50):
+        slack = mpmath.mpf("1e-40") * max(1, lam)
+        return mpmath.mpf(res.lower) - slack <= lam <= mpmath.mpf(res.upper) + slack
 
 
 def test_distance_matrix_values():
@@ -162,3 +180,69 @@ def test_edge_addition_never_raises_radius():
                         perron_of(bigger, 1e-10), perron_of(g, 1e-10)
                     )
                     assert rel.relation is not Relation.GREATER
+
+
+def test_bracket_encloses_high_precision_radius():
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    assert len(graphs) == 143
+    for g in graphs:
+        dm = distance_matrix(g)
+        assert encloses(perron(dm), mp_radius(dm)), g.edges
+
+
+def test_one_certification_step_to_ulp_width():
+    for n in range(2, 8):
+        for g in connected_graphs(n):
+            res = perron(distance_matrix(g), bracket_width=MIN_BRACKET_WIDTH)
+            assert res.iterations == 1
+            assert res.width <= 1e-12
+
+
+def alternating_eigh(real_eigh):
+    """eigh whose top eigenvector is replaced by +1, -1, +1, ...; |v| is then
+    the all-ones vector, a Perron vector only when every row of D has the
+    same sum."""
+
+    def eigh(a):
+        w, v = real_eigh(a)
+        v[:, -1] = [(-1) ** i for i in range(len(w))]
+        return w, v
+
+    return eigh
+
+
+def test_refinement_on_sign_mixed_eigenvector(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", alternating_eigh(np.linalg.eigh))
+    refined = 0
+    for g in connected_graphs(5):
+        dm = distance_matrix(g)
+        res = perron(dm)
+        if len(set(dm.d.sum(axis=1).tolist())) > 1:
+            assert res.iterations > 1
+            refined += 1
+        assert res.width <= 1e-10
+        assert encloses(res, mp_radius(dm)), g.edges
+    assert refined == 19
+
+
+def test_exact_step_beyond_int64_order(monkeypatch):
+    dm = distance_matrix(make_base("path", 65))
+    lam = mp_radius(dm)
+    res = perron(dm)
+    assert res.iterations == 1
+    assert res.width <= 1e-10
+    assert encloses(res, lam)
+    monkeypatch.setattr(np.linalg, "eigh", alternating_eigh(np.linalg.eigh))
+    res = perron(dm)
+    assert res.iterations > 1
+    assert res.width <= 1e-10
+    assert encloses(res, lam)
+
+
+def test_unreachable_width_raises_certified_bracket():
+    dm = distance_matrix(make_base("path", 7))
+    with pytest.raises(BracketError) as err:
+        perron(dm, bracket_width=1e-300, max_iter=3)
+    assert err.value.iterations == 3
+    assert 0 < err.value.upper - err.value.lower < 1e-12
+    assert encloses(err.value, mp_radius(dm))
