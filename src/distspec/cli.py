@@ -107,16 +107,7 @@ def _cmd_construct(args) -> int:
     elif fam == "knk":
         g = k_nk(_req(args, "n"), _req(args, "k"))
     else:
-        if args.base is None:
-            raise GraphError("--family gkl needs --base")
-        site = GraftSite(
-            base=decode_graph6(args.base),
-            u=_req(args, "u"),
-            v=_req(args, "v"),
-            k=_req(args, "k"),
-            l=_req(args, "l"),
-        )
-        g = graft(site)
+        g = graft(_site_from(args))
     print(encode_graph6(g))
     return EXIT_PASS
 
@@ -134,7 +125,7 @@ def _cmd_enumerate(args) -> int:
     return EXIT_PASS
 
 
-def _req(args, name: str) -> int:
+def _req(args, name: str):
     val = getattr(args, name, None)
     if val is None:
         raise GraphError(f"missing required flag --{name}")
@@ -161,7 +152,7 @@ def _cmd_verify(args) -> int:
         rep = pendant_report_for_site(_site_from(args), args.width)
     elif t == "2":
         g = _read_graph(args)
-        targets = tuple(int(s) for s in _reqs(args, "targets").split(","))
+        targets = tuple(int(s) for s in _req(args, "targets").split(","))
         # Unvalidated on purpose: verify_relocation reports a failed
         # hypothesis as INCONCLUSIVE instead of erroring out.
         spec = RelocationSpec(
@@ -186,13 +177,6 @@ def _cmd_verify(args) -> int:
     else:
         rep = verify_distance_monotonicity(_read_graph(args), args.width)
     return _emit_reports(rep)
-
-
-def _reqs(args, name: str) -> str:
-    val = getattr(args, name, None)
-    if val is None:
-        raise GraphError(f"missing required flag --{name}")
-    return val
 
 
 def _cmd_sweep(args) -> int:

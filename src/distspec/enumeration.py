@@ -4,28 +4,25 @@ Level n is generated by augmenting every level n-1 representative with a new
 vertex joined to each nonempty subset of the old vertices (which preserves
 connectivity), deduplicating by canonical key.  Every connected graph on n
 vertices has a non-cut vertex, and removing it leaves a connected graph that
-the previous level already covers, so the sweep is exhaustive.  Levels are
-cached as graph6 strings and streamed back in sorted-key order, so repeated
-sweeps are cheap and deterministic.
+the previous level already covers, so the sweep is exhaustive.
+
+Each order is built once into a Level, the catalog of that order: the
+graph6 string of one representative per isomorphism class with the
+canonical key that deduplicated it, sorted by key, so repeated sweeps are
+cheap and deterministic.  The first filtered query decodes the order once
+and takes cut-vertex and cut-edge counts from one blocks() pass per graph;
+plain enumeration never pays for them.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graph6 import decode_graph6, encode_graph6
-from .graphs import (
-    MAX_CANONICAL_N,
-    Graph,
-    GraphError,
-    build_graph,
-    cut_edges,
-    cut_vertices,
-    key_from_masks,
-)
+from .graphs import MAX_CANONICAL_N, Graph, GraphError, blocks, build_graph, key_from_masks
 
 DEFAULT_MAX_N = 9
 ENV_MAX_N = "DISTSPEC_MAX_N"
@@ -51,15 +48,49 @@ def max_order() -> int:
     return cap
 
 
+@dataclass(eq=False)
+class Level:
+    """Catalog of one order: a representative per isomorphism class, sorted by key.
+
+    keys[i] is the canonical key of the graph graph6[i] encodes.  Graphs stay
+    graph6 text, a few bytes per class, until a filtered query analyses the
+    order: that decodes every graph once and keeps the graphs with their cut
+    counts here, so clearing the level cache drops them too.
+    """
+
+    keys: tuple[bytes, ...]
+    graph6: tuple[str, ...]
+    _analysed: tuple[tuple[Graph, ...], list[tuple[int, int]]] | None = field(
+        default=None, repr=False
+    )
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def graphs(self) -> Iterable[Graph]:
+        """The graphs in key order, decoded on the fly until the order is analysed."""
+        if self._analysed is not None:
+            return self._analysed[0]
+        return map(decode_graph6, self.graph6)
+
+    def analysed(self) -> tuple[tuple[Graph, ...], list[tuple[int, int]]]:
+        """The decoded graphs and their (cut vertices, cut edges), one blocks() pass each."""
+        if self._analysed is None:
+            graphs = tuple(map(decode_graph6, self.graph6))
+            cuts = [(len(b.cut_vertices), len(b.cut_edges)) for b in map(blocks, graphs)]
+            self._analysed = graphs, cuts
+        return self._analysed
+
+
 @lru_cache(maxsize=None)
-def _level(n: int) -> tuple[str, ...]:
-    """graph6 strings of all connected graphs on n vertices, sorted by key."""
+def _level(n: int) -> Level:
+    """Catalog of all connected graphs on n vertices."""
     if n == 1:
-        return (encode_graph6(build_graph(1, [])),)
+        # the key key_from_masks gives the one-vertex graph
+        return Level(keys=(bytes([1, 0]),), graph6=(encode_graph6(build_graph(1, [])),))
     reps: dict[bytes, str] = {}
     new = n - 1
-    for parent6 in _level(n - 1):
-        parent = decode_graph6(parent6)
+    for parent in _level(n - 1).graphs():
         pmasks = [0] * n
         for u, v in parent.edges:
             pmasks[u] |= 1 << v
@@ -81,27 +112,29 @@ def _level(n: int) -> tuple[str, ...]:
                     m &= m - 1
                     edges.append((i, new))
                 reps[key] = encode_graph6(build_graph(n, edges))
-    return tuple(reps[key] for key in sorted(reps))
+    keys = tuple(sorted(reps))
+    return Level(keys=keys, graph6=tuple(reps[key] for key in keys))
 
 
-def connected_graphs(n: int) -> Iterator[Graph]:
-    """Stream one representative per isomorphism class, sorted by key."""
+def catalog(n: int) -> Level:
+    """The catalog of order n, built on first use."""
     cap = max_order()
     if not 1 <= n <= cap:
         raise GraphError(
             f"enumeration supports 1 <= n <= {cap} "
             f"(raise the cap with {ENV_MAX_N}), got {n}"
         )
-    for g6 in _level(n):
-        yield decode_graph6(g6)
+    return _level(n)
+
+
+def connected_graphs(n: int) -> Iterator[Graph]:
+    """Stream one representative per isomorphism class, sorted by key."""
+    yield from catalog(n).graphs()
 
 
 def count_connected(n: int) -> int:
     """Number of isomorphism classes of connected graphs on n vertices."""
-    cap = max_order()
-    if not 1 <= n <= cap:
-        raise GraphError(f"enumeration supports 1 <= n <= {cap}, got {n}")
-    return len(_level(n))
+    return len(catalog(n))
 
 
 @dataclass(frozen=True)
@@ -114,9 +147,6 @@ class EnumFilter:
 
 def filtered_graphs(n: int, filt: EnumFilter) -> Iterator[Graph]:
     """Stream the enumerated graphs matching the filter, order preserved."""
-    for g in connected_graphs(n):
-        if filt.cut_vertex_count is not None and len(cut_vertices(g)) != filt.cut_vertex_count:
-            continue
-        if filt.cut_edge_count is not None and len(cut_edges(g)) != filt.cut_edge_count:
-            continue
-        yield g
+    for g, (cv, ce) in zip(*catalog(n).analysed()):
+        if filt.cut_vertex_count in (None, cv) and filt.cut_edge_count in (None, ce):
+            yield g

@@ -2,10 +2,10 @@
 
 Simple undirected graphs on vertices 0..n-1, kept immutable so that every
 operation downstream is a pure function of its inputs.  Algorithms here are
-the standard linear-time ones (BFS for distances and connectivity, one DFS
-lowpoint pass for cut vertices, bridges and blocks); canonical labeling is a
-refined permutation search that is exact for the small orders this package
-enumerates.
+the standard linear-time ones (BFS for distances and connectivity, one
+edge-stack DFS for the blocks, from which cut vertices and bridges follow);
+canonical labeling is a refined permutation search that is exact for the
+small orders this package enumerates.
 """
 
 from __future__ import annotations
@@ -98,71 +98,6 @@ def _require_connected(g: Graph) -> None:
         raise GraphError("graph is not connected")
 
 
-def _dfs_lowpoint(g: Graph):
-    """Iterative DFS from vertex 0 returning (order, disc, low, parent).
-
-    Assumes g connected.  disc is the discovery index, low the classic
-    lowpoint (smallest discovery index reachable via tree edges plus at most
-    one back edge), parent the DFS tree parent (-1 at the root).
-    """
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    order: list[int] = []
-    counter = 0
-    stack: list[tuple[int, int]] = [(0, 0)]
-    while stack:
-        u, i = stack[-1]
-        if i == 0:
-            disc[u] = low[u] = counter
-            counter += 1
-            order.append(u)
-        if i < len(g.adjacency[u]):
-            stack[-1] = (u, i + 1)
-            w = g.adjacency[u][i]
-            if disc[w] < 0:
-                parent[w] = u
-                stack.append((w, 0))
-            elif w != parent[u]:
-                if disc[w] < low[u]:
-                    low[u] = disc[w]
-        else:
-            stack.pop()
-            p = parent[u]
-            if p >= 0 and low[u] < low[p]:
-                low[p] = low[u]
-    return order, disc, low, parent
-
-
-def cut_vertices(g: Graph) -> frozenset[int]:
-    """Vertices whose removal disconnects the graph."""
-    _require_connected(g)
-    if g.n == 1:
-        return frozenset()
-    _, disc, low, parent = _dfs_lowpoint(g)
-    root_children = sum(1 for v in range(g.n) if parent[v] == 0)
-    cuts = set()
-    if root_children >= 2:
-        cuts.add(0)
-    for v in range(1, g.n):
-        p = parent[v]
-        if p > 0 and low[v] >= disc[p]:
-            cuts.add(p)
-    return frozenset(cuts)
-
-
-def cut_edges(g: Graph) -> frozenset[tuple[int, int]]:
-    """Bridges: edges whose removal disconnects the graph."""
-    _require_connected(g)
-    _, disc, low, parent = _dfs_lowpoint(g)
-    out = set()
-    for v in range(g.n):
-        p = parent[v]
-        if p >= 0 and low[v] > disc[p]:
-            out.add((min(p, v), max(p, v)))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Blocks (maximal 2-connected subgraphs plus bridges) and cut structure."""
@@ -230,6 +165,16 @@ def blocks(g: Graph) -> BlockDecomposition:
         (min(bs), max(bs)) for bs in block_sets if len(bs) == 2
     )
     return BlockDecomposition(cut_vs, cut_es, tuple(block_sets))
+
+
+def cut_vertices(g: Graph) -> frozenset[int]:
+    """Vertices whose removal disconnects the graph."""
+    return blocks(g).cut_vertices
+
+
+def cut_edges(g: Graph) -> frozenset[tuple[int, int]]:
+    """Bridges: edges whose removal disconnects the graph."""
+    return blocks(g).cut_edges
 
 
 @dataclass(frozen=True)

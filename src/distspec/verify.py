@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .enumeration import EnumFilter, connected_graphs, filtered_graphs
+from .enumeration import catalog, connected_graphs
 from .graph6 import encode_graph6
 from .graphs import Graph, GraphError, PendantPath, build_graph, canonical_key
 from .jsonio import dumps
@@ -311,10 +311,14 @@ def verify_perturbation_bound(
     t0 = time.perf_counter()
     margins = {}
     ok = True
-    for name, a, b in (("forward", g_old, g_new), ("reverse", g_new, g_old)):
+    d_old, d_new = distance_matrix(g_old), distance_matrix(g_new)
+    for name, a, b, da, db in (
+        ("forward", g_old, g_new, d_old, d_new),
+        ("reverse", g_new, g_old, d_new, d_old),
+    ):
         ra = perron_of(a, width)
         rb = perron_of(b, width)
-        bound = quadratic_form_delta(distance_matrix(a), distance_matrix(b), ra.vector)
+        bound = quadratic_form_delta(da, db, ra.vector)
         actual = rb.value - ra.value
         margins[name] = {"bound": bound, "actual": actual, "margin": actual - bound}
         if actual < bound - tol:
@@ -382,20 +386,32 @@ def verify_distance_monotonicity(
 # edges, are the unique radius minimizers at desk scale.
 
 
+# theorem -> (index of its count in a Level's cut counts, target family, noun)
+_MIN_CLAIMS = {
+    "min-cut-vertices": (0, g_nk, "vertices"),
+    "min-cut-edges": (1, k_nk, "edges"),
+}
+
+
 def _verify_min(
-    theorem: str,
-    n: int,
-    k: int,
-    members: list[Graph],
-    target: Graph,
-    width: float,
-    jobs: int,
+    theorem: str, n: int, k: int, width: float, jobs: int
 ) -> VerificationReport:
+    """Certify the claim's target as the unique minimizer of its class.
+
+    The class members and their canonical keys are read from the order's
+    catalog; only the target is keyed here.
+    """
     t0 = time.perf_counter()
-    if not members:
-        raise GraphError(f"no connected graphs on {n} vertices match k={k}")
+    which, target_of, noun = _MIN_CLAIMS[theorem]
+    target = target_of(n, k)
+    level = catalog(n)
+    graphs, cuts = level.analysed()
+    picked = [i for i, c in enumerate(cuts) if c[which] == k]
+    if not picked:
+        raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
+    members = [graphs[i] for i in picked]
+    keys = [level.keys[i] for i in picked]
     results = _map(perron_of, [(g, width) for g in members], jobs)
-    keys = [canonical_key(g) for g in members]
     target_key = canonical_key(target)
     cand = min(range(len(members)), key=lambda i: (results[i].value, keys[i]))
     instance = {"n": n, "k": k, "class_size": len(members)}
@@ -440,18 +456,14 @@ def verify_min_cut_vertices(
     n: int, k: int, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
 ) -> VerificationReport:
     """Unique radius minimizer among n-vertex graphs with k cut vertices."""
-    members = list(filtered_graphs(n, EnumFilter(cut_vertex_count=k)))
-    return _verify_min("min-cut-vertices", n, k, members, g_nk(n, k), width, jobs)
+    return _verify_min("min-cut-vertices", n, k, width, jobs)
 
 
 def verify_min_cut_edges(
     n: int, k: int, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
 ) -> VerificationReport:
     """Unique radius minimizer among n-vertex graphs with k cut edges."""
-    members = list(filtered_graphs(n, EnumFilter(cut_edge_count=k)))
-    if not members:
-        raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut edges")
-    return _verify_min("min-cut-edges", n, k, members, k_nk(n, k), width, jobs)
+    return _verify_min("min-cut-edges", n, k, width, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -565,19 +577,20 @@ def sweep_monotonicity(
     return _map(verify_distance_monotonicity, [(g, width) for g in graphs], jobs)
 
 
+def _sweep_min(theorem: str, n: int, ks: range, width: float, jobs: int):
+    """One report per k in ks whose class the catalog shows non-empty."""
+    which = _MIN_CLAIMS[theorem][0]
+    present = {c[which] for c in catalog(n).analysed()[1]}
+    return [_verify_min(theorem, n, k, width, jobs) for k in ks if k in present]
+
+
 def sweep_min_cut_vertices(
     n: int, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
 ) -> list[VerificationReport]:
-    return [verify_min_cut_vertices(n, k, width, jobs) for k in range(0, n - 1)]
+    return _sweep_min("min-cut-vertices", n, range(n - 1), width, jobs)
 
 
 def sweep_min_cut_edges(
     n: int, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
 ) -> list[VerificationReport]:
-    out = []
-    for k in range(0, n):
-        members = list(filtered_graphs(n, EnumFilter(cut_edge_count=k)))
-        if not members:
-            continue
-        out.append(_verify_min("min-cut-edges", n, k, members, k_nk(n, k), width, jobs))
-    return out
+    return _sweep_min("min-cut-edges", n, range(n), width, jobs)

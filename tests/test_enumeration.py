@@ -11,6 +11,8 @@ from distspec.enumeration import (
     DEFAULT_MAX_N,
     ENV_MAX_N,
     EnumFilter,
+    _level,
+    catalog,
     connected_graphs,
     count_connected,
     filtered_graphs,
@@ -20,6 +22,7 @@ from distspec.graph6 import encode_graph6
 from distspec.graphs import (
     MAX_CANONICAL_N,
     GraphError,
+    blocks,
     build_graph,
     canonical_key,
     is_connected,
@@ -130,3 +133,39 @@ def test_cap_override_limited_by_canonical_keys(monkeypatch):
     monkeypatch.setenv(ENV_MAX_N, str(MAX_CANONICAL_N + 1))
     with pytest.raises(GraphError, match=ENV_MAX_N):
         max_order()
+
+
+def brute_force_cut_counts(g):
+    """Cut vertices and bridges counted by deleting each and testing connectivity."""
+    cv = 0
+    if g.n > 2:
+        for v in range(g.n):
+            keep = [x for x in range(g.n) if x != v]
+            rest = [(keep.index(a), keep.index(b)) for a, b in g.edges if v not in (a, b)]
+            cv += not is_connected(build_graph(g.n - 1, rest))
+    ce = sum(not is_connected(build_graph(g.n, g.edges - {e})) for e in g.edges)
+    return cv, ce
+
+
+def test_catalog_keys_and_cut_counts():
+    for n in range(1, 8):
+        level = catalog(n)
+        assert len(_level(n)) == count_connected(n) == len(level.keys)
+        graphs, cuts = level.analysed()
+        assert list(graphs) == list(connected_graphs(n))
+        for key, g, counts in zip(level.keys, graphs, cuts):
+            assert key == canonical_key(g)
+            dec = blocks(g)
+            assert counts == (len(dec.cut_vertices), len(dec.cut_edges))
+            if n <= 6:
+                assert counts == brute_force_cut_counts(g)
+
+
+def test_cache_clear_drops_the_catalog():
+    filt = EnumFilter(cut_vertex_count=1, cut_edge_count=1)
+    before = [encode_graph6(g) for g in filtered_graphs(6, filt)]
+    assert before
+    _level.cache_clear()
+    assert _level.cache_info().currsize == 0
+    assert [encode_graph6(g) for g in filtered_graphs(6, filt)] == before
+    assert _level.cache_info().currsize == 6

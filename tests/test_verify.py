@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -205,3 +206,14 @@ def test_jobs_do_not_change_reports():
     seq_min = verify_min_cut_vertices(6, 2, jobs=1)
     par_min = verify_min_cut_vertices(6, 2, jobs=4)
     assert report_json(seq_min) == report_json(par_min)
+
+
+def test_min_sweep_reports_golden_bytes():
+    # sha256 of the claim 3/4 sweep reports for n = 4..7, one per line: pins
+    # their bytes, which no refactor of the sweeps may change
+    lines = []
+    for n in range(4, 8):
+        lines += [report_json(r) for r in sweep_min_cut_vertices(n)]
+        lines += [report_json(r) for r in sweep_min_cut_edges(n)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "db39163ce5ca68489f589deb0de89d0364656ed1d2f61c3a383d506c7c8ba783"
