@@ -22,16 +22,13 @@ def encode_graph6(g: Graph) -> str:
         prefix = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     else:
         raise GraphError(f"graph6 encoding supports n <= 258047, got {n}")
+    # Edge (i, j), i < j, is bit j(j-1)/2 + i of the column-major upper
+    # triangle, counted from the most significant end of the padded body.
+    padded = (n * (n - 1) // 2 + 5) // 6 * 6
+    top = padded - 1
     bits = 0
-    nbits = n * (n - 1) // 2
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if g.has_edge(i, j):
-                bits |= 1 << (nbits - 1 - pos)
-            pos += 1
-    padded = (nbits + 5) // 6 * 6
-    bits <<= padded - nbits
+    for i, j in g.edges:
+        bits |= 1 << (top - (j * (j - 1) // 2 + i))
     chunks = [((bits >> (padded - 6 * (k + 1))) & 63) + 63 for k in range(padded // 6)]
     return bytes(prefix + chunks).decode("ascii")
 

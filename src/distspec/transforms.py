@@ -9,7 +9,7 @@ are deterministic and easy to cross-reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, bfs_distances, blocks, build_graph, is_connected
 
@@ -89,7 +89,19 @@ def graft(site: GraftSite) -> Graph:
     ascending from the root outward, the v-side path the l after that.
     """
     _check_site(site)
-    return attach_path(attach_path(site.base, site.u, site.k), site.v, site.l)
+    return _grafted(site.base, site.u, site.v, site.k, site.l)
+
+
+def _grafted(base: Graph, u: int, v: int, k: int, l: int) -> Graph:
+    """G_{k,l} in graft's labels, built with one build_graph call."""
+    nb = base.n
+    edges = list(base.edges)
+    for root, first, length in ((u, nb, k), (v, nb + k, l)):
+        prev = root
+        for new in range(first, first + length):
+            edges.append((prev, new))
+            prev = new
+    return build_graph(nb + k + l, edges)
 
 
 @dataclass(frozen=True)
@@ -106,12 +118,14 @@ class GraftFamily:
 
 
 def graft_family(site: GraftSite) -> GraftFamily:
-    """Build G_{k,l} and its defined shifts."""
+    """Build G_{k,l} and its defined shifts, checking the site once."""
     _check_site(site)
-    member = graft(site)
-    to_u = graft(replace(site, k=site.k + 1, l=site.l - 1)) if site.l >= 1 else None
-    to_v = graft(replace(site, k=site.k - 1, l=site.l + 1)) if site.k >= 1 else None
-    return GraftFamily(member=member, shift_to_u=to_u, shift_to_v=to_v)
+    base, u, v, k, l = site.base, site.u, site.v, site.k, site.l
+    return GraftFamily(
+        member=_grafted(base, u, v, k, l),
+        shift_to_u=_grafted(base, u, v, k + 1, l - 1) if l >= 1 else None,
+        shift_to_v=_grafted(base, u, v, k - 1, l + 1) if k >= 1 else None,
+    )
 
 
 def g_nk(n: int, k: int) -> Graph:

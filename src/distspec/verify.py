@@ -109,8 +109,10 @@ def verify_graft_monotonicity(
 
     For k > l the shifted graph G_{k+1,l-1} must have a strictly larger
     radius than G_{k,l}; for k = l one of the two opposite shifts must.
-    When the compared graphs are isomorphic the strict claim is refuted
-    exactly, without numerics.
+    Isomorphic graphs have equal radii, so disjoint certified brackets
+    already prove a shift non-isomorphic to the member.  Only when the
+    brackets overlap are canonical keys computed: equal keys refute the
+    strict claim exactly, unequal ones leave the disjunct unresolved.
     """
     if not site.k >= site.l >= 1:
         raise GraphError(f"graft verification needs k >= l >= 1, got k={site.k}, l={site.l}")
@@ -126,7 +128,7 @@ def verify_graft_monotonicity(
     shifts = [("shift_to_u", fam.shift_to_u)]
     if site.k == site.l:
         shifts.append(("shift_to_v", fam.shift_to_v))
-    member_key = canonical_key(fam.member)
+    member_key = None
 
     outcome = None
     gap = None
@@ -134,10 +136,13 @@ def verify_graft_monotonicity(
     indistinguishable = False
     for name, shifted in shifts:
         witness[name] = encode_graph6(shifted)
-        if canonical_key(shifted) == member_key:
-            witness[f"{name}_isomorphic_to_member"] = True
-            continue
         order, rm, rs = _compare(fam.member, shifted, width)
+        if order.relation is Relation.INDISTINGUISHABLE:
+            if member_key is None:
+                member_key = canonical_key(fam.member)
+            if canonical_key(shifted) == member_key:
+                witness[f"{name}_isomorphic_to_member"] = True
+                continue
         witness[f"{name}_member_bracket"] = _bracket(rm)
         witness[f"{name}_shift_bracket"] = _bracket(rs)
         if order.relation is Relation.LESS:
@@ -190,27 +195,29 @@ def verify_pendant_sum(
     t0 = time.perf_counter()
     res = perron_of(g, width)
     tol = g.n * (res.width + res.residual)
-    diff = _mass(res, p_long) - _mass(res, p_short)
+    long_mass, short_mass = _mass(res, p_long), _mass(res, p_short)
+    diff = long_mass - short_mass
     if diff > tol:
         outcome = PASS
     elif diff < -tol:
         outcome = FAIL
     else:
         outcome = INCONCLUSIVE
+    g6 = encode_graph6(g)
     witness = {
-        "graph": encode_graph6(g),
+        "graph": g6,
         "long_root": p_long.root,
         "short_root": p_short.root,
-        "long_sum_with_root": _mass(res, p_long),
-        "short_sum_with_root": _mass(res, p_short),
-        "long_sum_without_root": _mass(res, p_long) - float(res.vector[p_long.root]),
-        "short_sum_without_root": _mass(res, p_short) - float(res.vector[p_short.root]),
+        "long_sum_with_root": long_mass,
+        "short_sum_with_root": short_mass,
+        "long_sum_without_root": long_mass - float(res.vector[p_long.root]),
+        "short_sum_without_root": short_mass - float(res.vector[p_short.root]),
         "tolerance": tol,
     }
     return VerificationReport(
         theorem="pendant-mass",
         instance={
-            "graph": encode_graph6(g),
+            "graph": g6,
             "long_length": p_long.length,
             "short_length": p_short.length,
         },

@@ -6,7 +6,10 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distspec.enumeration import connected_graphs
 from distspec.graph6 import decode_graph6, encode_graph6
 from distspec.graphs import GraphError, build_graph, is_connected
 
@@ -23,6 +26,49 @@ def random_graph(rng, n, p=0.4):
         (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p
     ]
     return build_graph(n, edges)
+
+
+def scan_graph6(g):
+    """The pair-by-pair has_edge scan that encode_graph6 replaced."""
+    n = g.n
+    if n <= 62:
+        prefix = [n + 63]
+    else:
+        prefix = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    bits = 0
+    nbits = n * (n - 1) // 2
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if g.has_edge(i, j):
+                bits |= 1 << (nbits - 1 - pos)
+            pos += 1
+    padded = (nbits + 5) // 6 * 6
+    bits <<= padded - nbits
+    chunks = [((bits >> (padded - 6 * (k + 1))) & 63) + 63 for k in range(padded // 6)]
+    return bytes(prefix + chunks).decode("ascii")
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.one_of(st.integers(1, 12), st.integers(63, 70)))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    if not pairs:
+        return build_graph(n, [])
+    picks = draw(st.lists(st.integers(0, len(pairs) - 1), max_size=3 * n, unique=True))
+    return build_graph(n, [pairs[p] for p in picks])
+
+
+def test_encode_matches_scan_on_catalog():
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            assert encode_graph6(g) == scan_graph6(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_encode_matches_scan(g):
+    assert encode_graph6(g) == scan_graph6(g)
 
 
 def test_hand_checked_strings():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 
 import pytest
 
+from distspec import verify
 from distspec.graph6 import decode_graph6
 from distspec.graphs import GraphError, PendantPath, build_graph
 from distspec.transforms import GraftSite, RelocationSpec, make_base, make_relocation_spec
@@ -17,6 +19,7 @@ from distspec.verify import (
     sweep_graft,
     sweep_min_cut_edges,
     sweep_min_cut_vertices,
+    sweep_pendant,
     verify_distance_monotonicity,
     verify_graft_monotonicity,
     verify_min_cut_edges,
@@ -217,3 +220,64 @@ def test_min_sweep_reports_golden_bytes():
         lines += [report_json(r) for r in sweep_min_cut_edges(n)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "db39163ce5ca68489f589deb0de89d0364656ed1d2f61c3a383d506c7c8ba783"
+
+
+def test_graft_sweep_reports_golden_bytes():
+    # sha256 of the graft-shift and pendant-mass reports over bases n <= 5,
+    # one per line: the bracket-first isomorphism test must not move a byte
+    lines = [report_json(r) for r in sweep_graft(5, 4)]
+    lines += [report_json(r) for r in sweep_pendant(5, 4)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1b3d58e4e4ca8c95ca92721e06e794a87af29e4dac8c89b5ab5384ed08c219e1"
+
+
+@pytest.fixture
+def overlapping_brackets(monkeypatch):
+    """Widen every bracket the verifier sees so that no two are disjoint."""
+    real = verify.perron_of
+
+    def wide(g, width):
+        res = real(g, width)
+        return dataclasses.replace(res, lower=res.lower - 1.0, upper=res.upper + 1.0)
+
+    monkeypatch.setattr(verify, "perron_of", wide)
+
+
+def test_graft_overlap_isomorphic_shift_fails(overlapping_brackets):
+    site = GraftSite(base=make_base("complete", 2), u=0, v=1, k=1, l=1)
+    rep = verify_graft_monotonicity(site)
+    assert rep.outcome == "FAIL"
+    assert list(rep.witness) == [
+        "member",
+        "shift_to_u",
+        "shift_to_u_isomorphic_to_member",
+        "shift_to_v",
+        "shift_to_v_isomorphic_to_member",
+    ]
+
+
+def test_graft_overlap_distinct_shift_inconclusive(overlapping_brackets):
+    site = GraftSite(base=make_base("complete", 3), u=0, v=1, k=2, l=1)
+    rep = verify_graft_monotonicity(site)
+    assert rep.outcome == "INCONCLUSIVE"
+    assert rep.certified_gap is None
+    assert rep.witness["shift_to_u_needs_exact_followup"] is True
+    assert "shift_to_u_isomorphic_to_member" not in rep.witness
+    assert rep.witness["shift_to_u_member_bracket"]["upper"] > rep.witness["shift_to_u_shift_bracket"]["lower"]
+
+
+def test_graft_sweep_keys_only_overlapping_brackets(monkeypatch):
+    calls = []
+    real = verify.canonical_key
+
+    def counting(g, *args):
+        calls.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(verify, "canonical_key", counting)
+    reports = sweep_graft(5, 4)
+    flags = sum(
+        key.endswith("_isomorphic_to_member") for r in reports for key in r.witness
+    )
+    assert flags > 0
+    assert len(calls) <= 2 * flags
