@@ -12,13 +12,12 @@ one FAIL, 2 usage or input error, 3 INCONCLUSIVE reports but no FAIL.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .enumeration import EnumFilter, connected_graphs, filtered_graphs
 from .graph6 import decode_graph6, encode_graph6
 from .graphs import GraphError, build_graph
-from .spectral import DEFAULT_BRACKET_WIDTH, DEFAULT_COMPARE_WIDTH, perron_json, perron_of
+from .spectral import DEFAULT_BRACKET_WIDTH, BracketError, perron_json, perron_of
 from .transforms import (
     GraftSite,
     HypothesisError,
@@ -147,9 +146,9 @@ def _site_from(args) -> GraftSite:
 def _cmd_verify(args) -> int:
     t = args.theorem
     if t == "1":
-        rep = verify_graft_monotonicity(_site_from(args), args.width)
+        rep = verify_graft_monotonicity(_site_from(args))
     elif t == "cor1":
-        rep = pendant_report_for_site(_site_from(args), args.width)
+        rep = pendant_report_for_site(_site_from(args))
     elif t == "2":
         g = _read_graph(args)
         targets = tuple(int(s) for s in _req(args, "targets").split(","))
@@ -163,38 +162,38 @@ def _cmd_verify(args) -> int:
             targets=tuple(sorted(set(targets))),
             witness=args.witness,
         )
-        rep = verify_relocation(spec, args.width)
+        rep = verify_relocation(spec)
     elif t == "3":
-        rep = verify_min_cut_vertices(_req(args, "n"), _req(args, "k"), args.width, args.jobs)
+        rep = verify_min_cut_vertices(_req(args, "n"), _req(args, "k"))
     elif t == "4":
-        rep = verify_min_cut_edges(_req(args, "n"), _req(args, "k"), args.width, args.jobs)
+        rep = verify_min_cut_edges(_req(args, "n"), _req(args, "k"))
     elif t == "bound":
         if args.old is None or args.new is None:
             raise GraphError("--theorem bound needs --old and --new graph6 strings")
         rep = verify_perturbation_bound(
-            decode_graph6(args.old), decode_graph6(args.new), args.width, args.tol
+            decode_graph6(args.old), decode_graph6(args.new), tol=args.tol
         )
     else:
-        rep = verify_distance_monotonicity(_read_graph(args), args.width)
+        rep = verify_distance_monotonicity(_read_graph(args))
     return _emit_reports(rep)
 
 
 def _cmd_sweep(args) -> int:
     t = args.theorem
     if t == "1":
-        reps = sweep_graft(args.max_base_n, args.max_total, args.width, args.jobs)
+        reps = sweep_graft(args.max_base_n, args.max_total)
     elif t == "cor1":
-        reps = sweep_pendant(args.max_base_n, args.max_total, args.width, args.jobs)
+        reps = sweep_pendant(args.max_base_n, args.max_total)
     elif t == "2":
-        reps = sweep_relocation(args.max_n, args.width, args.jobs)
+        reps = sweep_relocation(args.max_n)
     elif t == "3":
-        reps = sweep_min_cut_vertices(_req(args, "n"), args.width, args.jobs)
+        reps = sweep_min_cut_vertices(_req(args, "n"))
     elif t == "4":
-        reps = sweep_min_cut_edges(_req(args, "n"), args.width, args.jobs)
+        reps = sweep_min_cut_edges(_req(args, "n"))
     elif t == "bound":
-        reps = sweep_perturbation(args.max_n, args.width, args.jobs)
+        reps = sweep_perturbation(args.max_n)
     else:
-        reps = sweep_monotonicity(args.max_n, args.width, args.jobs)
+        reps = sweep_monotonicity(args.max_n)
     return _emit_reports(reps)
 
 
@@ -240,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_enumerate)
 
     def add_verify_common(sp):
-        sp.add_argument("--width", type=float, default=DEFAULT_COMPARE_WIDTH,
-                        help="bracket width for certified comparisons")
-        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallel worker processes")
+        sp.add_argument("--width", type=float,
+                        help="deprecated and ignored: brackets are a few ulps wide")
+        sp.add_argument("--jobs", type=int,
+                        help="deprecated and ignored: claims run serially")
 
     sp = sub.add_parser("verify", help="verify one claim instance")
     sp.add_argument("--theorem", required=True, choices=THEOREMS)
@@ -279,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, HypothesisError, ValueError, OSError) as exc:
+    except (GraphError, HypothesisError, BracketError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

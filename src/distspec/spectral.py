@@ -31,8 +31,6 @@ from .graphs import Graph, GraphError, bfs_distances
 from .jsonio import dumps
 
 DEFAULT_BRACKET_WIDTH = 1e-10
-DEFAULT_COMPARE_WIDTH = 1e-9
-MIN_BRACKET_WIDTH = 1e-12
 MAX_ITER = 100000
 # Largest order whose step is exact in int64 (64 * 63 * 2^50 < 2^63); larger
 # orders take the step in Python ints.
@@ -107,7 +105,7 @@ def perron(
     counts the steps.  After max_iter steps BracketError carries that
     intersection instead.
     """
-    if bracket_width <= 0:
+    if not bracket_width > 0:
         raise ValueError(f"bracket width must be positive, got {bracket_width}")
     if dm.n == 1:
         vec = np.ones(1)

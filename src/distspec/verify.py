@@ -6,12 +6,16 @@ Collatz-Wielandt brackets, an isomorphism between compared graphs, or an
 exact entrywise matrix comparison.  A hypothesis that does not hold, or
 brackets that overlap, yield INCONCLUSIVE; that marks the claim as untested
 here, never as falsified.
+
+Every radius comes from spectral.perron_of at its default width, whose one
+certification step already brackets it within a few ulps, and sweeps run
+serially in one process.  The width and jobs parameters of the public
+verifiers and sweeps are deprecated: accepted for compatibility, ignored.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .enumeration import catalog, connected_graphs
@@ -19,7 +23,6 @@ from .graph6 import encode_graph6
 from .graphs import Graph, GraphError, PendantPath, build_graph, canonical_key
 from .jsonio import dumps
 from .spectral import (
-    DEFAULT_COMPARE_WIDTH,
     PerronResult,
     Relation,
     certified_compare,
@@ -81,20 +84,11 @@ def _bracket(res: PerronResult) -> dict:
     return {"lambda": res.value, "lower": res.lower, "upper": res.upper}
 
 
-def _compare(a: Graph, b: Graph, width: float):
+def _compare(a: Graph, b: Graph):
     """Certified order of the two radii, with both brackets."""
-    ra = perron_of(a, width)
-    rb = perron_of(b, width)
+    ra = perron_of(a)
+    rb = perron_of(b)
     return certified_compare(ra, rb), ra, rb
-
-
-def _map(fn, calls: list[tuple], jobs: int) -> list:
-    """[fn(*args) for args in calls] in input order; jobs > 1 fans out over processes."""
-    if jobs <= 1 or len(calls) < 2:
-        return [fn(*args) for args in calls]
-    chunk = max(1, len(calls) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, *zip(*calls), chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +96,7 @@ def _map(fn, calls: list[tuple], jobs: int) -> list:
 # longer side strictly increases the radius (longer side u, k >= l >= 1).
 
 
-def verify_graft_monotonicity(
-    site: GraftSite, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
-) -> VerificationReport:
+def verify_graft_monotonicity(site: GraftSite, width=None, jobs=1) -> VerificationReport:
     """Check the strict shift inequality at one graft site.
 
     For k > l the shifted graph G_{k+1,l-1} must have a strictly larger
@@ -113,6 +105,7 @@ def verify_graft_monotonicity(
     already prove a shift non-isomorphic to the member.  Only when the
     brackets overlap are canonical keys computed: equal keys refute the
     strict claim exactly, unequal ones leave the disjunct unresolved.
+    width and jobs are deprecated and ignored.
     """
     if not site.k >= site.l >= 1:
         raise GraphError(f"graft verification needs k >= l >= 1, got k={site.k}, l={site.l}")
@@ -136,7 +129,7 @@ def verify_graft_monotonicity(
     indistinguishable = False
     for name, shifted in shifts:
         witness[name] = encode_graph6(shifted)
-        order, rm, rs = _compare(fam.member, shifted, width)
+        order, rm, rs = _compare(fam.member, shifted)
         if order.relation is Relation.INDISTINGUISHABLE:
             if member_key is None:
                 member_key = canonical_key(fam.member)
@@ -173,17 +166,14 @@ def verify_graft_monotonicity(
 
 
 def verify_pendant_sum(
-    g: Graph,
-    p_long: PendantPath,
-    p_short: PendantPath,
-    width: float = DEFAULT_COMPARE_WIDTH,
+    g: Graph, p_long: PendantPath, p_short: PendantPath, width=None
 ) -> VerificationReport:
     """Perron mass on the longer of two root-adjacent pendant paths wins.
 
     Sums the Perron vector over each path including its root and requires
     the longer path's sum to exceed the shorter's by more than a first-order
     allowance for bracket width and residual.  Root-excluded sums are
-    reported alongside for reference.
+    reported alongside for reference.  width is deprecated and ignored.
     """
     if not g.has_edge(p_long.root, p_short.root):
         raise GraphError(f"roots {p_long.root} and {p_short.root} must be adjacent")
@@ -193,7 +183,7 @@ def verify_pendant_sum(
             f"{p_long.length} and {p_short.length}"
         )
     t0 = time.perf_counter()
-    res = perron_of(g, width)
+    res = perron_of(g)
     tol = g.n * (res.width + res.residual)
     long_mass, short_mass = _mass(res, p_long), _mass(res, p_short)
     diff = long_mass - short_mass
@@ -238,13 +228,11 @@ def _mass(res: PerronResult, path: PendantPath) -> float:
 # relocated target.
 
 
-def verify_relocation(
-    spec: RelocationSpec, width: float = DEFAULT_COMPARE_WIDTH
-) -> VerificationReport:
+def verify_relocation(spec: RelocationSpec, width=None) -> VerificationReport:
     """Check the strict relocation inequality for one spec.
 
     A failed hypothesis or a missing witness vertex makes the claim
-    inapplicable (INCONCLUSIVE), not false.
+    inapplicable (INCONCLUSIVE), not false.  width is deprecated and ignored.
     """
     t0 = time.perf_counter()
     instance = {
@@ -274,7 +262,7 @@ def verify_relocation(
             witness={"failed_clause": "witness", "detail": "no qualifying witness vertex"},
             wall_time=time.perf_counter() - t0,
         )
-    order, ro, rn = _compare(spec.g, relocated, width)
+    order, ro, rn = _compare(spec.g, relocated)
     witness = {
         "relocated": encode_graph6(relocated),
         "witness_vertex": w,
@@ -303,15 +291,13 @@ def verify_relocation(
 
 
 def verify_perturbation_bound(
-    g_old: Graph,
-    g_new: Graph,
-    width: float = DEFAULT_COMPARE_WIDTH,
-    tol: float = 1e-8,
+    g_old: Graph, g_new: Graph, width=None, tol: float = 1e-8
 ) -> VerificationReport:
     """Radius change dominates the Perron quadratic form of the change.
 
     Checks value(new) - value(old) >= x.(D_new - D_old).x - tol with x the
-    unit Perron vector of the old graph, in both directions.
+    unit Perron vector of the old graph, in both directions.  width is
+    deprecated and ignored.
     """
     if g_old.n != g_new.n:
         raise GraphError(f"orders differ: {g_old.n} vs {g_new.n}")
@@ -323,8 +309,8 @@ def verify_perturbation_bound(
         ("forward", g_old, g_new, d_old, d_new),
         ("reverse", g_new, g_old, d_new, d_old),
     ):
-        ra = perron_of(a, width)
-        rb = perron_of(b, width)
+        ra = perron_of(a)
+        rb = perron_of(b)
         bound = quadratic_form_delta(da, db, ra.vector)
         actual = rb.value - ra.value
         margins[name] = {"bound": bound, "actual": actual, "margin": actual - bound}
@@ -345,15 +331,13 @@ def verify_perturbation_bound(
     )
 
 
-def verify_distance_monotonicity(
-    g: Graph, width: float = DEFAULT_COMPARE_WIDTH
-) -> VerificationReport:
+def verify_distance_monotonicity(g: Graph, width=None) -> VerificationReport:
     """Completing every block never increases distances nor the radius.
 
     The entrywise matrix comparison is exact and proves the radius cannot
     grow; the certified comparison corroborates it and must not certify the
     closure as strictly larger.  Idempotence of the closure is checked as
-    part of the same claim.
+    part of the same claim.  width is deprecated and ignored.
     """
     t0 = time.perf_counter()
     closure = block_clique_closure(g)
@@ -364,7 +348,7 @@ def verify_distance_monotonicity(
         relation = "EQUAL"
         gap = 0.0
     else:
-        order, rg, rc = _compare(g, closure, width)
+        order, rg, rc = _compare(g, closure)
         relation = order.relation.value
         gap = order.gap_lower_bound if order.relation is Relation.GREATER else 0.0
     ok = dominated and idempotent and relation != "LESS"
@@ -400,9 +384,7 @@ _MIN_CLAIMS = {
 }
 
 
-def _verify_min(
-    theorem: str, n: int, k: int, width: float, jobs: int
-) -> VerificationReport:
+def _verify_min(theorem: str, n: int, k: int) -> VerificationReport:
     """Certify the claim's target as the unique minimizer of its class.
 
     The class members and their canonical keys are read from the order's
@@ -418,7 +400,7 @@ def _verify_min(
         raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
     members = [graphs[i] for i in picked]
     keys = [level.keys[i] for i in picked]
-    results = _map(perron_of, [(g, width) for g in members], jobs)
+    results = [perron_of(g) for g in members]
     target_key = canonical_key(target)
     cand = min(range(len(members)), key=lambda i: (results[i].value, keys[i]))
     instance = {"n": n, "k": k, "class_size": len(members)}
@@ -459,23 +441,25 @@ def _verify_min(
     )
 
 
-def verify_min_cut_vertices(
-    n: int, k: int, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
-) -> VerificationReport:
-    """Unique radius minimizer among n-vertex graphs with k cut vertices."""
-    return _verify_min("min-cut-vertices", n, k, width, jobs)
+def verify_min_cut_vertices(n: int, k: int, width=None, jobs=1) -> VerificationReport:
+    """Unique radius minimizer among n-vertex graphs with k cut vertices.
+
+    width and jobs are deprecated and ignored.
+    """
+    return _verify_min("min-cut-vertices", n, k)
 
 
-def verify_min_cut_edges(
-    n: int, k: int, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
-) -> VerificationReport:
-    """Unique radius minimizer among n-vertex graphs with k cut edges."""
-    return _verify_min("min-cut-edges", n, k, width, jobs)
+def verify_min_cut_edges(n: int, k: int, width=None, jobs=1) -> VerificationReport:
+    """Unique radius minimizer among n-vertex graphs with k cut edges.
+
+    width and jobs are deprecated and ignored.
+    """
+    return _verify_min("min-cut-edges", n, k)
 
 
 # ---------------------------------------------------------------------------
-# Sweeps: finite exhaustive grids of the verifiers above, deterministic
-# order, optionally fanned out over processes.
+# Sweeps: finite exhaustive grids of the verifiers above, run serially in
+# deterministic order.
 
 
 def graft_sites(max_base_n: int, max_total: int, equal_only: bool | None = None):
@@ -500,16 +484,19 @@ def graft_sites(max_base_n: int, max_total: int, equal_only: bool | None = None)
 def sweep_graft(
     max_base_n: int = 6,
     max_total: int = 4,
-    width: float = DEFAULT_COMPARE_WIDTH,
-    jobs: int = 1,
+    width=None,
+    jobs=1,
     equal_only: bool | None = None,
 ) -> list[VerificationReport]:
     sites = graft_sites(max_base_n, max_total, equal_only)
-    return _map(verify_graft_monotonicity, [(s, width) for s in sites], jobs)
+    return [verify_graft_monotonicity(s) for s in sites]
 
 
-def pendant_report_for_site(site: GraftSite, width: float = DEFAULT_COMPARE_WIDTH):
-    """Mass comparison on the grafted member's two attached paths (k > l)."""
+def pendant_report_for_site(site: GraftSite, width=None):
+    """Mass comparison on the grafted member's two attached paths (k > l).
+
+    width is deprecated and ignored.
+    """
     if not site.k > site.l >= 1:
         raise GraphError(f"pendant mass needs k > l >= 1, got k={site.k}, l={site.l}")
     member = graft(site)
@@ -520,17 +507,14 @@ def pendant_report_for_site(site: GraftSite, width: float = DEFAULT_COMPARE_WIDT
     short_path = PendantPath(
         root=site.v, vertices=tuple(range(nb + site.k, nb + site.k + site.l)), length=site.l
     )
-    return verify_pendant_sum(member, long_path, short_path, width)
+    return verify_pendant_sum(member, long_path, short_path)
 
 
 def sweep_pendant(
-    max_base_n: int = 6,
-    max_total: int = 4,
-    width: float = DEFAULT_COMPARE_WIDTH,
-    jobs: int = 1,
+    max_base_n: int = 6, max_total: int = 4, width=None, jobs=1
 ) -> list[VerificationReport]:
     sites = graft_sites(max_base_n, max_total, equal_only=False)
-    return _map(pendant_report_for_site, [(s, width) for s in sites], jobs)
+    return [pendant_report_for_site(s) for s in sites]
 
 
 def relocation_specs(max_n: int):
@@ -554,10 +538,8 @@ def relocation_specs(max_n: int):
                     )
 
 
-def sweep_relocation(
-    max_n: int = 6, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
-) -> list[VerificationReport]:
-    return _map(verify_relocation, [(s, width) for s in relocation_specs(max_n)], jobs)
+def sweep_relocation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
+    return [verify_relocation(s) for s in relocation_specs(max_n)]
 
 
 def edge_addition_pairs(max_n: int):
@@ -570,34 +552,25 @@ def edge_addition_pairs(max_n: int):
                         yield g, build_graph(g.n, list(g.edges) + [(a, b)])
 
 
-def sweep_perturbation(
-    max_n: int = 6, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
-) -> list[VerificationReport]:
-    pairs = edge_addition_pairs(max_n)
-    return _map(verify_perturbation_bound, [(a, b, width) for a, b in pairs], jobs)
+def sweep_perturbation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
+    return [verify_perturbation_bound(a, b) for a, b in edge_addition_pairs(max_n)]
 
 
-def sweep_monotonicity(
-    max_n: int = 7, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
-) -> list[VerificationReport]:
-    graphs = [g for n in range(1, max_n + 1) for g in connected_graphs(n)]
-    return _map(verify_distance_monotonicity, [(g, width) for g in graphs], jobs)
+def sweep_monotonicity(max_n: int = 7, width=None, jobs=1) -> list[VerificationReport]:
+    graphs = (g for n in range(1, max_n + 1) for g in connected_graphs(n))
+    return [verify_distance_monotonicity(g) for g in graphs]
 
 
-def _sweep_min(theorem: str, n: int, ks: range, width: float, jobs: int):
+def _sweep_min(theorem: str, n: int, ks: range):
     """One report per k in ks whose class the catalog shows non-empty."""
     which = _MIN_CLAIMS[theorem][0]
     present = {c[which] for c in catalog(n).analysed()[1]}
-    return [_verify_min(theorem, n, k, width, jobs) for k in ks if k in present]
+    return [_verify_min(theorem, n, k) for k in ks if k in present]
 
 
-def sweep_min_cut_vertices(
-    n: int, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
-) -> list[VerificationReport]:
-    return _sweep_min("min-cut-vertices", n, range(n - 1), width, jobs)
+def sweep_min_cut_vertices(n: int, width=None, jobs=1) -> list[VerificationReport]:
+    return _sweep_min("min-cut-vertices", n, range(n - 1))
 
 
-def sweep_min_cut_edges(
-    n: int, width: float = DEFAULT_COMPARE_WIDTH, jobs: int = 1
-) -> list[VerificationReport]:
-    return _sweep_min("min-cut-edges", n, range(n), width, jobs)
+def sweep_min_cut_edges(n: int, width=None, jobs=1) -> list[VerificationReport]:
+    return _sweep_min("min-cut-edges", n, range(n))

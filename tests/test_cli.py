@@ -9,8 +9,10 @@ import sys
 
 import pytest
 
+from distspec import cli
 from distspec.cli import main
 from distspec.graph6 import decode_graph6
+from distspec.spectral import BracketError
 from distspec.transforms import GraftSite, graft, make_base
 
 
@@ -53,6 +55,19 @@ def test_compute_rejects_bad_graph6(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_unreachable_bracket_is_an_input_error(capsys, monkeypatch):
+    """A width no certified step reaches is the caller's error (exit 2), not a FAIL."""
+
+    def unreachable(g, width):
+        raise BracketError(4.0, 4.0000001, 100000)
+
+    monkeypatch.setattr(cli, "perron_of", unreachable)
+    code, out, err = run(capsys, ["compute", "--g6", "D~{", "--tol", "1e-300"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bracket [4.0, 4.0000001] still wider")
 
 
 def test_construct_known_families(capsys):
@@ -161,9 +176,11 @@ def test_sweep_relocation_small_orders_inconclusive_only(capsys):
 
 def test_repeated_runs_identical(capsys):
     argv = ["sweep", "--theorem", "3", "--n", "5"]
-    _, first, _ = run(capsys, argv)
-    _, second, _ = run(capsys, argv)
-    assert first == second
+    first = run(capsys, argv)[:2]
+    second = run(capsys, argv)[:2]
+    # --jobs and --width are deprecated no-ops
+    third = run(capsys, argv + ["--jobs", "4", "--width", "1e-3"])[:2]
+    assert first == second == third
 
 
 def test_console_script_installed():

@@ -13,7 +13,6 @@ import pytest
 from distspec.enumeration import connected_graphs
 from distspec.graphs import GraphError, build_graph
 from distspec.spectral import (
-    MIN_BRACKET_WIDTH,
     BracketError,
     Relation,
     certified_compare,
@@ -120,6 +119,12 @@ def test_bracket_width_request():
     assert wide.lower <= tight.value <= wide.upper
 
 
+def test_nan_width_rejected():
+    dm = distance_matrix(make_base("path", 4))
+    with pytest.raises(ValueError, match="positive"):
+        perron(dm, bracket_width=float("nan"), max_iter=3)
+
+
 def test_certified_compare():
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     p4 = make_base("path", 4)
@@ -193,7 +198,7 @@ def test_bracket_encloses_high_precision_radius():
 def test_one_certification_step_to_ulp_width():
     for n in range(2, 8):
         for g in connected_graphs(n):
-            res = perron(distance_matrix(g), bracket_width=MIN_BRACKET_WIDTH)
+            res = perron(distance_matrix(g), bracket_width=1e-12)
             assert res.iterations == 1
             assert res.width <= 1e-12
 

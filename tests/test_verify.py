@@ -236,8 +236,8 @@ def overlapping_brackets(monkeypatch):
     """Widen every bracket the verifier sees so that no two are disjoint."""
     real = verify.perron_of
 
-    def wide(g, width):
-        res = real(g, width)
+    def wide(g, *args):
+        res = real(g, *args)
         return dataclasses.replace(res, lower=res.lower - 1.0, upper=res.upper + 1.0)
 
     monkeypatch.setattr(verify, "perron_of", wide)
