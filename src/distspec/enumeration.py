@@ -6,6 +6,17 @@ connectivity), deduplicating by canonical key.  Every connected graph on n
 vertices has a non-cut vertex, and removing it leaves a connected graph that
 the previous level already covers, so the sweep is exhaustive.
 
+Subsets that a parent's twins prove already seen are skipped.  Vertices u
+and w of a parent are twins when N(u) - {w} == N(w) - {u} (adjacent or
+not); swapping them is an automorphism of the parent, and twinship is an
+equivalence.  Only the subsets whose members inside each twin class are
+that class's lowest-indexed vertices are visited, still in ascending
+integer order.  Any other subset S of the same parent maps, by swapping a
+member for a lower twin outside S, to a smaller subset whose child is
+isomorphic to S's and that the loop has already visited; so a skipped
+subset is never the first encounter of its class, and each class keeps the
+representative the unpruned loop would give it.
+
 Each order is built once into a Level, the catalog of that order: the
 graph6 string of one representative per isomorphism class with the
 canonical key that deduplicated it, sorted by key, so repeated sweeps are
@@ -19,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graph6 import decode_graph6, encode_graph6
 from .graphs import MAX_CANONICAL_N, Graph, GraphError, blocks, build_graph, key_from_masks
@@ -82,6 +93,40 @@ class Level:
         return self._analysed
 
 
+def twin_classes(masks: Sequence[int]) -> list[list[int]]:
+    """Partition of the vertices into twin classes, each ascending, by lowest member.
+
+    masks[v] is the adjacency bitmask of v.  u and w are twins when
+    masks[u] and masks[w] agree outside bits u and w, which covers adjacent
+    (true) and non-adjacent (false) twins alike.  Twinship is an
+    equivalence, so each vertex is tested against class leaders only.
+    """
+    classes = []
+    placed = 0
+    for u, mu in enumerate(masks):
+        if placed >> u & 1:
+            continue
+        cls = [u]
+        for w in range(u + 1, len(masks)):
+            if not placed >> w & 1 and mu & ~(1 << w) == masks[w] & ~(1 << u):
+                cls.append(w)
+                placed |= 1 << w
+        classes.append(cls)
+    return classes
+
+
+def _twin_pruned_subsets(classes: list[list[int]]) -> list[int]:
+    """Nonempty subsets, ascending, whose members in each class are its lowest ones."""
+    subs = [0]
+    for cls in classes:
+        prefixes = [0]
+        for v in cls:
+            prefixes.append(prefixes[-1] | 1 << v)
+        subs = [s | p for s in subs for p in prefixes]
+    subs.sort()
+    return subs[1:]
+
+
 @lru_cache(maxsize=None)
 def _level(n: int) -> Level:
     """Catalog of all connected graphs on n vertices."""
@@ -95,7 +140,7 @@ def _level(n: int) -> Level:
         for u, v in parent.edges:
             pmasks[u] |= 1 << v
             pmasks[v] |= 1 << u
-        for sub in range(1, 1 << new):
+        for sub in _twin_pruned_subsets(twin_classes(pmasks[:new])):
             masks = pmasks.copy()
             masks[new] = sub
             m = sub

@@ -15,6 +15,7 @@ verifiers and sweeps are deprecated: accepted for compatibility, ignored.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -296,9 +297,12 @@ def verify_perturbation_bound(
     """Radius change dominates the Perron quadratic form of the change.
 
     Checks value(new) - value(old) >= x.(D_new - D_old).x - tol with x the
-    unit Perron vector of the old graph, in both directions.  width is
-    deprecated and ignored.
+    unit Perron vector of the old graph, in both directions.  tol must be
+    finite and >= 0, or ValueError is raised before anything is computed.
+    width is deprecated and ignored.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if g_old.n != g_new.n:
         raise GraphError(f"orders differ: {g_old.n} vs {g_new.n}")
     t0 = time.perf_counter()

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from distspec import cli
+from distspec import cli, verify
 from distspec.cli import main
 from distspec.graph6 import decode_graph6
 from distspec.spectral import BracketError
@@ -142,6 +142,21 @@ def test_verify_bound_and_monotonicity(capsys):
     code, out, _ = run(capsys, ["verify", "--theorem", "mono", "--g6", "Dhc"])
     assert code == 0
     assert json.loads(out)["witness"]["relation_original_vs_closure"] == "GREATER"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_bound_rejects_unchecked_tolerance(capsys, monkeypatch, tol):
+    def untouched(*args):
+        raise AssertionError("computed before the tolerance was checked")
+
+    monkeypatch.setattr(verify, "perron_of", untouched)
+    code, out, err = run(
+        capsys,
+        ["verify", "--theorem", "bound", "--old", "Cs", "--new", "C~", "--tol", tol],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "tol" in err
 
 
 def test_verify_missing_flag_is_usage_error(capsys):

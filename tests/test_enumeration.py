@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import networkx as nx
 import pytest
 
+from distspec import enumeration
 from distspec.enumeration import (
     DEFAULT_MAX_N,
     ENV_MAX_N,
     EnumFilter,
+    Level,
     _level,
     catalog,
     connected_graphs,
     count_connected,
     filtered_graphs,
     max_order,
+    twin_classes,
 )
 from distspec.graph6 import encode_graph6
 from distspec.graphs import (
@@ -26,6 +30,8 @@ from distspec.graphs import (
     build_graph,
     canonical_key,
     is_connected,
+    key_from_masks,
+    relabel,
 )
 
 
@@ -169,3 +175,95 @@ def test_cache_clear_drops_the_catalog():
     assert _level.cache_info().currsize == 0
     assert [encode_graph6(g) for g in filtered_graphs(6, filt)] == before
     assert _level.cache_info().currsize == 6
+
+
+def test_catalog_golden_bytes():
+    # sha256 of every level's keys and graph6 for n = 1..7, recorded before
+    # twin pruning: pruning may skip subsets but never move a byte
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        level = _level(n)
+        for key, g6 in zip(level.keys, level.graph6):
+            h.update(key + b"\0" + g6.encode() + b"\n")
+        h.update(b"--\n")
+    assert h.hexdigest() == "e6046a39ae7c3a353fe99b891a9c27e5fefdd44f7060b4be530e572457915828"
+
+
+def masks_of(g):
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def unpruned_level(parents, n):
+    """The level build without twin pruning: every nonempty subset of every parent."""
+    reps = {}
+    new = n - 1
+    for parent in parents.graphs():
+        pmasks = masks_of(parent) + [0]
+        for sub in range(1, 1 << new):
+            masks = pmasks.copy()
+            masks[new] = sub
+            for i in range(new):
+                if sub >> i & 1:
+                    masks[i] |= 1 << new
+            key = key_from_masks(n, masks)
+            if key not in reps:
+                edges = list(parent.edges) + [(i, new) for i in range(new) if sub >> i & 1]
+                reps[key] = encode_graph6(build_graph(n, edges))
+    keys = tuple(sorted(reps))
+    return Level(keys=keys, graph6=tuple(reps[key] for key in keys))
+
+
+def test_twin_pruning_matches_unpruned_build():
+    reference = _level(1)
+    for n in range(2, 8):
+        reference = unpruned_level(reference, n)
+        level = _level(n)
+        assert level.keys == reference.keys
+        assert level.graph6 == reference.graph6
+
+
+def test_twin_pruning_key_calls(monkeypatch):
+    calls = {}
+    real = enumeration.key_from_masks
+
+    def counted(n, masks):
+        calls[n] = calls.get(n, 0) + 1
+        return real(n, masks)
+
+    _level.cache_clear()
+    monkeypatch.setattr(enumeration, "key_from_masks", counted)
+    try:
+        _level(7)
+    finally:
+        _level.cache_clear()
+    # the unpruned loop makes 1, 3, 14, 90, 651 and 7,056 calls (7,815 in all)
+    assert calls == {2: 1, 3: 2, 4: 8, 5: 53, 6: 417, 7: 4818}
+    assert sum(calls.values()) == 5299
+
+
+def test_twin_classes_examples():
+    k4 = build_graph(4, itertools.combinations(range(4), 2))
+    assert twin_classes(masks_of(k4)) == [[0, 1, 2, 3]]
+    star = build_graph(5, [(0, i) for i in range(1, 5)])
+    assert twin_classes(masks_of(star)) == [[0], [1, 2, 3, 4]]
+    p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert twin_classes(masks_of(p4)) == [[0], [1], [2], [3]]
+    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert twin_classes(masks_of(c4)) == [[0, 2], [1, 3]]
+
+
+def test_twin_swaps_are_automorphisms():
+    # the pruning rests on this: every pair inside a class swaps to the same graph
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            classes = twin_classes(masks_of(g))
+            assert sorted(v for cls in classes for v in cls) == list(range(n))
+            for cls in classes:
+                for u, w in itertools.combinations(cls, 2):
+                    perm = list(range(n))
+                    perm[u], perm[w] = w, u
+                    assert relabel(g, perm).edges == g.edges

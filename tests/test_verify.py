@@ -152,6 +152,18 @@ def test_perturbation_bound_both_directions():
         verify_perturbation_bound(p4, make_base("path", 5))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_perturbation_bound_rejects_unchecked_tolerance(tol, monkeypatch):
+    # a non-finite or negative tolerance is refused before any radius is computed
+    def untouched(*args):
+        raise AssertionError("computed before the tolerance was checked")
+
+    monkeypatch.setattr(verify, "perron_of", untouched)
+    monkeypatch.setattr(verify, "distance_matrix", untouched)
+    with pytest.raises(ValueError, match="tol"):
+        verify_perturbation_bound(make_base("path", 4), make_base("cycle", 4), tol=tol)
+
+
 def test_monotonicity_reports():
     rep = verify_distance_monotonicity(make_base("cycle", 5))
     assert rep.outcome == "PASS"
