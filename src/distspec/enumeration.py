@@ -42,8 +42,9 @@ ENV_MAX_N = "DISTSPEC_MAX_N"
 def max_order() -> int:
     """Enumeration cap: 9 by default, overridable via DISTSPEC_MAX_N.
 
-    The override may not exceed MAX_CANONICAL_N, the largest order whose
-    levels canonical keys can deduplicate.
+    The override must lie in 1..MAX_CANONICAL_N: no order below 1 exists,
+    and MAX_CANONICAL_N is the largest order whose levels canonical keys
+    can deduplicate.
     """
     raw = os.environ.get(ENV_MAX_N)
     if raw is None:
@@ -52,9 +53,10 @@ def max_order() -> int:
         cap = int(raw)
     except ValueError:
         raise GraphError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
-    if cap > MAX_CANONICAL_N:
+    if not 1 <= cap <= MAX_CANONICAL_N:
         raise GraphError(
-            f"{ENV_MAX_N} must be at most {MAX_CANONICAL_N} (canonical key limit), got {cap}"
+            f"{ENV_MAX_N} must be in 1..{MAX_CANONICAL_N} "
+            f"(canonical keys stop at {MAX_CANONICAL_N}), got {cap}"
         )
     return cap
 

@@ -2,16 +2,24 @@
 
 For an irreducible nonnegative matrix D and any positive vector x, the
 Collatz-Wielandt ratios (Dx)_i/x_i enclose the Perron value from both sides.
-perron() takes x from a dense symmetric eigensolver, scales |x| to a positive
-integer vector X with max X = 2^50, and forms Y = DX exactly: in int64 for
-n <= 64, where D holds hop counts below 64 and no sum can overflow, and in
-Python ints beyond.  Each ratio Y_i/X_i is then rounded once, so widening
-min and max of the ratios outward by two ulps gives a rigorous bracket a few
-ulps wide: one certification step, with no tolerance behind it (Rump,
+The certification step scales |x| of a dense symmetric eigensolver's top
+eigenvector to a positive integer vector X with max X = 2^50 and forms
+Y = DX exactly: in int64 for n <= 64, where D holds hop counts below 64 and
+no sum can overflow, and in Python ints beyond.  Each ratio Y_i/X_i is then
+rounded once, so widening min and max of the ratios outward by two ulps
+gives a rigorous bracket a few ulps wide, with no tolerance behind it (Rump,
 "Verification methods", Acta Numerica 19, 2010).  When that bracket is wider
-than requested, power iteration only refines the vector; each refined
-vector is certified the same way, so every bracket perron() returns, or
-carries in a BracketError, is rigorous.
+than requested, perron() refines the vector by power iteration; each
+refined vector is certified the same way, so every bracket perron()
+returns, or carries in a BracketError, is rigorous.
+
+Distance matrices are built for many graphs at once, one stack per order,
+by a breadth-first search that advances every source of every graph
+together.  perron_many() brackets a batch the same way: one stacked eigh,
+one stacked exact product Y = DX and the same certification step per
+graph, so its brackets are bit-identical to perron()'s (the stacked eigh
+makes the same LAPACK call on each matrix and the step is exact).  It fills
+the cache that perron_of() reads.
 Comparisons are then made only between disjoint brackets; overlapping
 brackets are reported as indistinguishable instead of being resolved by an
 epsilon.
@@ -21,13 +29,14 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError, bfs_distances
+from .graphs import Graph, GraphError
 from .jsonio import dumps
 
 DEFAULT_BRACKET_WIDTH = 1e-10
@@ -58,17 +67,48 @@ class DistanceMatrix:
     d: np.ndarray
 
 
+def distance_matrices(graphs: Sequence[Graph]) -> list[DistanceMatrix]:
+    """Distance matrices of many graphs, built once each as one stack per order.
+
+    Raises GraphError if any of the graphs is disconnected.
+    """
+    built = {}
+    for n, gs in _by_order(dict.fromkeys(graphs)).items():
+        built.update(zip(gs, (DistanceMatrix(n=n, d=d) for d in _distance_stack(gs, n))))
+    return [built[g] for g in graphs]
+
+
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """All-pairs BFS distances; raises on a disconnected graph."""
-    rows = []
-    for s in range(g.n):
-        dist = bfs_distances(g, s)
-        if min(dist) < 0:
-            raise GraphError("distance matrix undefined: graph is not connected")
-        rows.append(dist)
-    d = np.array(rows, dtype=np.int64)
+    """Hop-count matrix of one graph; raises on a disconnected graph."""
+    return distance_matrices([g])[0]
+
+
+def _distance_stack(graphs: Sequence[Graph], n: int) -> np.ndarray:
+    """Read-only int64 stack of the hop-count matrices of order-n graphs.
+
+    Every source of every graph advances together: the vertices first
+    reached at hop k are the neighbours of those first reached at hop k-1
+    (a boolean product with the stacked adjacency) that no earlier hop
+    reached.
+    """
+    a = np.zeros((len(graphs), n, n), dtype=bool)
+    a.flat[[(i * n + u) * n + v for i, g in enumerate(graphs) for u, v in g.edges]] = True
+    a = a | a.transpose(0, 2, 1)
+    d = a.astype(np.int64)
+    reached = a | np.eye(n, dtype=bool)
+    frontier = a
+    hop = 1
+    while True:
+        hop += 1
+        frontier = frontier @ a & ~reached
+        if not frontier.any():
+            break
+        d[frontier] = hop
+        reached |= frontier
+    if not reached.all():
+        raise GraphError("distance matrix undefined: graph is not connected")
     d.setflags(write=False)
-    return DistanceMatrix(n=g.n, d=d)
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,26 +151,46 @@ def perron(
         vec = np.ones(1)
         vec.setflags(write=False)
         return PerronResult(0.0, 0.0, 0.0, 0.0, 0, vec)
-    # exact products: int64 up to INT64_MAX_N, Python ints beyond
-    d = dm.d if dm.n <= INT64_MAX_N else dm.d.astype(object)
+    d = _exact(dm.d[None])
     x = np.abs(np.linalg.eigh(dm.d)[1][:, -1])
     lower, upper = -math.inf, math.inf
     for it in range(1, max_iter + 1):
-        # truncation keeps X <= 2^50; any positive integer vector certifies
-        big = (x / x.max() * 2.0**50).astype(np.int64)
-        if big.min() >= 1:
-            xs = big.tolist()
-            ys = (d @ big.astype(d.dtype, copy=False)).tolist()
-            # each Python int quotient is correctly rounded, so two ulps
-            # outward more than cover the one rounding
-            ratios = [yi / xi for yi, xi in zip(ys, xs)]
-            lower = max(lower, _ulps(min(ratios), -math.inf))
-            upper = min(upper, _ulps(max(ratios), math.inf))
+        step = next(_steps(d, x[None]))
+        if step is not None:
+            xs, ys, step_lower, step_upper = step
+            lower, upper = max(lower, step_lower), min(upper, step_upper)
             if upper - lower <= bracket_width:
                 return _result(xs, ys, lower, upper, it)
         x = dm.d @ x
         x /= x.max()
     raise BracketError(lower, upper, max_iter)
+
+
+def _exact(d: np.ndarray) -> np.ndarray:
+    """d in a dtype whose products are exact: int64 up to INT64_MAX_N, Python ints beyond."""
+    return d if d.shape[-1] <= INT64_MAX_N else d.astype(object)
+
+
+def _steps(d: np.ndarray, x: np.ndarray) -> Iterator[tuple | None]:
+    """One exact Collatz-Wielandt step per matrix of the stack d, at the rows of x.
+
+    Each row of x is scaled to max 2^50 and truncated to an integer vector
+    X, which keeps X <= 2^50 (any positive integer vector certifies), and
+    Y = DX is formed exactly in d's dtype.  Each Python int quotient
+    Y_i/X_i is correctly rounded, so two ulps outward more than cover the
+    one rounding.  Yields a step (X, Y, lower, upper) per matrix, or None
+    where truncation left a zero in X.
+    """
+    big = (x / x.max(axis=1, keepdims=True) * 2.0**50).astype(np.int64)
+    positive = (big.min(axis=1) >= 1).tolist()
+    y = np.matmul(d, big.astype(d.dtype, copy=False)[:, :, None])[:, :, 0]
+    for ok, xrow, yrow in zip(positive, big, y):
+        if not ok:
+            yield None
+            continue
+        xs, ys = xrow.tolist(), yrow.tolist()
+        ratios = [yi / xi for yi, xi in zip(ys, xs)]
+        yield xs, ys, _ulps(min(ratios), -math.inf), _ulps(max(ratios), math.inf)
 
 
 def _result(xs: list, ys: list, lower: float, upper: float, iterations: int) -> PerronResult:
@@ -149,10 +209,96 @@ def _ulps(x: float, toward: float) -> float:
     return math.nextafter(math.nextafter(x, toward), toward)
 
 
-@lru_cache(maxsize=None)
+def _perron_stack(d: np.ndarray) -> list[PerronResult]:
+    """perron() at the default width for every matrix of a same-order stack.
+
+    One eigh over the stack and one exact product give each matrix its
+    first step; a matrix whose step misses the width, and order 1, take
+    perron() itself, which redoes that step before refining.
+    """
+    n = d.shape[-1]
+    if n == 1:
+        return [perron(DistanceMatrix(n=n, d=m)) for m in d]
+    x = np.abs(np.linalg.eigh(d)[1][:, :, -1])
+    out = []
+    for m, step in zip(d, _steps(_exact(d), x)):
+        if step is not None and step[3] - step[2] <= DEFAULT_BRACKET_WIDTH:
+            out.append(_result(*step, 1))
+        else:
+            out.append(perron(DistanceMatrix(n=n, d=m)))
+    return out
+
+
+# perron_of's cache, shared with cache_radii and perron_many: (graph,
+# width) -> result.  hits counts perron_of lookups it answered, misses every
+# radius computed into it.
+_radii: dict[tuple[Graph, float], PerronResult] = {}
+_tally = {"hits": 0, "misses": 0}
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
 def perron_of(g: Graph, bracket_width: float = DEFAULT_BRACKET_WIDTH) -> PerronResult:
-    """Cached certified radius of a graph's distance matrix."""
-    return perron(distance_matrix(g), bracket_width=bracket_width)
+    """Cached certified radius of a graph's distance matrix.
+
+    The cache is unbounded and shared with perron_many and cache_radii;
+    cache_info() and cache_clear() work as on functools.lru_cache.
+    """
+    key = (g, bracket_width)
+    res = _radii.get(key)
+    if res is None:
+        res = _radii[key] = perron(distance_matrix(g), bracket_width=bracket_width)
+        _tally["misses"] += 1
+    else:
+        _tally["hits"] += 1
+    return res
+
+
+def _cache_info() -> CacheInfo:
+    return CacheInfo(_tally["hits"], _tally["misses"], None, len(_radii))
+
+
+def _cache_clear() -> None:
+    _radii.clear()
+    _tally.update(hits=0, misses=0)
+
+
+perron_of.cache_info = _cache_info
+perron_of.cache_clear = _cache_clear
+
+
+def cache_radii(graphs: Sequence[Graph], dms: Sequence[DistanceMatrix]) -> None:
+    """Bracket graphs from their built distance matrices into perron_of's cache.
+
+    Graphs already cached, and repeats, are skipped; the rest are bracketed
+    one stack per order, each exactly as perron_of would bracket it.
+    """
+    todo: dict[Graph, np.ndarray] = {}
+    for g, dm in zip(graphs, dms):
+        if (g, DEFAULT_BRACKET_WIDTH) not in _radii:
+            todo.setdefault(g, dm.d)
+    for gs in _by_order(todo).values():
+        for g, res in zip(gs, _perron_stack(np.stack([todo[g] for g in gs]))):
+            _radii[(g, DEFAULT_BRACKET_WIDTH)] = res
+    _tally["misses"] += len(todo)
+
+
+def perron_many(graphs: Iterable[Graph]) -> list[PerronResult]:
+    """perron_of(g) for every graph, with the uncached ones computed as a batch.
+
+    Their distance matrices are built and bracketed one stack per order
+    (cache_radii); the results land in perron_of's cache.
+    """
+    graphs = list(graphs)
+    todo = [g for g in dict.fromkeys(graphs) if (g, DEFAULT_BRACKET_WIDTH) not in _radii]
+    cache_radii(todo, distance_matrices(todo))
+    return [_radii[(g, DEFAULT_BRACKET_WIDTH)] for g in graphs]
+
+
+def _by_order(graphs: Iterable[Graph]) -> dict[int, list[Graph]]:
+    by_order: dict[int, list[Graph]] = {}
+    for g in graphs:
+        by_order.setdefault(g.n, []).append(g)
+    return by_order
 
 
 def rayleigh_quotient(dm: DistanceMatrix, x: np.ndarray) -> float:

@@ -93,15 +93,28 @@ def graft(site: GraftSite) -> Graph:
 
 
 def _grafted(base: Graph, u: int, v: int, k: int, l: int) -> Graph:
-    """G_{k,l} in graft's labels, built with one build_graph call."""
+    """G_{k,l} in graft's labels, extended from the base's adjacency.
+
+    Each new vertex exceeds every label before it, so appending keeps every
+    adjacency list sorted: the result equals build_graph on the same edges,
+    without re-validating the base.
+    """
     nb = base.n
-    edges = list(base.edges)
+    adj = list(base.adjacency)
+    path = []
     for root, first, length in ((u, nb, k), (v, nb + k, l)):
         prev = root
         for new in range(first, first + length):
-            edges.append((prev, new))
+            path.append((prev, new))
+            adj[prev] += (new,)
+            adj.append((prev,))
             prev = new
-    return build_graph(nb + k + l, edges)
+    return Graph(
+        n=len(adj),
+        edges=base.edges.union(path),
+        adjacency=tuple(adj),
+        degrees=tuple(map(len, adj)),
+    )
 
 
 @dataclass(frozen=True)

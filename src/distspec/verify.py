@@ -8,9 +8,15 @@ brackets that overlap, yield INCONCLUSIVE; that marks the claim as untested
 here, never as falsified.
 
 Every radius comes from spectral.perron_of at its default width, whose one
-certification step already brackets it within a few ulps, and sweeps run
-serially in one process.  The width and jobs parameters of the public
-verifiers and sweeps are deprecated: accepted for compatibility, ignored.
+certification step already brackets it within a few ulps.  Each claim has
+one internal function that reports on a batch of instances: it builds the
+instances' graphs once, has their radii bracketed together
+(spectral.perron_many, or spectral.cache_radii on distance matrices the
+claim needs anyway), and then reads every radius from perron_of's cache.
+A single verifier call is a batch of one; sweeps run serially in one
+process and feed it one unit at a time (a graft base graph, a claim 3/4
+class, an order).  The width and jobs parameters of the public verifiers
+and sweeps are deprecated: accepted for compatibility, ignored.
 """
 
 from __future__ import annotations
@@ -18,20 +24,25 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import groupby
 
 from .enumeration import catalog, connected_graphs
 from .graph6 import encode_graph6
 from .graphs import Graph, GraphError, PendantPath, build_graph, canonical_key
 from .jsonio import dumps
 from .spectral import (
+    DistanceMatrix,
     PerronResult,
     Relation,
+    cache_radii,
     certified_compare,
-    distance_matrix,
+    distance_matrices,
+    perron_many,
     perron_of,
     quadratic_form_delta,
 )
 from .transforms import (
+    GraftFamily,
     GraftSite,
     HypothesisError,
     RelocationSpec,
@@ -48,6 +59,9 @@ from .transforms import (
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# Default allowance of the perturbation-bound check.
+BOUND_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,22 @@ def verify_graft_monotonicity(site: GraftSite, width=None, jobs=1) -> Verificati
     """
     if not site.k >= site.l >= 1:
         raise GraphError(f"graft verification needs k >= l >= 1, got k={site.k}, l={site.l}")
+    return _graft_reports([site])[0]
+
+
+def _graft_reports(sites: list[GraftSite]) -> list[VerificationReport]:
+    """Graft-shift reports for sites with k >= l >= 1.
+
+    Each family is built once; members and their shifts to u are bracketed
+    as one batch.  A shift to v is needed only when the shift to u does
+    not certify, so it is bracketed on demand.
+    """
+    fams = [graft_family(s) for s in sites]
+    perron_many([g for f in fams for g in (f.member, f.shift_to_u)])
+    return [_graft_report(s, f) for s, f in zip(sites, fams)]
+
+
+def _graft_report(site: GraftSite, fam: GraftFamily) -> VerificationReport:
     t0 = time.perf_counter()
     instance = {
         "base": encode_graph6(site.base),
@@ -118,7 +148,6 @@ def verify_graft_monotonicity(site: GraftSite, width=None, jobs=1) -> Verificati
         "k": site.k,
         "l": site.l,
     }
-    fam = graft_family(site)
     shifts = [("shift_to_u", fam.shift_to_u)]
     if site.k == site.l:
         shifts.append(("shift_to_v", fam.shift_to_v))
@@ -235,6 +264,29 @@ def verify_relocation(spec: RelocationSpec, width=None) -> VerificationReport:
     A failed hypothesis or a missing witness vertex makes the claim
     inapplicable (INCONCLUSIVE), not false.  width is deprecated and ignored.
     """
+    return _relocation_reports([spec])[0]
+
+
+def _relocation_reports(specs: list[RelocationSpec]) -> list[VerificationReport]:
+    """Relocation reports; every compared pair is bracketed in one batch."""
+    cases = [(s, *_relocated(s)) for s in specs]
+    perron_many([g for s, r, _ in cases if r is not None for g in (s.g, r)])
+    return [_relocation_report(*c) for c in cases]
+
+
+def _relocated(spec: RelocationSpec):
+    """(relocated graph, witness vertex), or (None, why the claim does not apply)."""
+    try:
+        relocated = relocate_edges(spec)
+    except HypothesisError as exc:
+        return None, {"failed_clause": exc.clause, "detail": str(exc)}
+    w = spec.witness if spec.witness is not None else find_witness(spec, relocated)
+    if w is None:
+        return None, {"failed_clause": "witness", "detail": "no qualifying witness vertex"}
+    return relocated, w
+
+
+def _relocation_report(spec: RelocationSpec, relocated, w) -> VerificationReport:
     t0 = time.perf_counter()
     instance = {
         "graph": encode_graph6(spec.g),
@@ -242,25 +294,13 @@ def verify_relocation(spec: RelocationSpec, width=None) -> VerificationReport:
         "v": spec.v,
         "targets": list(spec.targets),
     }
-    try:
-        relocated = relocate_edges(spec)
-    except HypothesisError as exc:
+    if relocated is None:
         return VerificationReport(
             theorem="edge-relocation",
             instance=instance,
             outcome=INCONCLUSIVE,
             certified_gap=None,
-            witness={"failed_clause": exc.clause, "detail": str(exc)},
-            wall_time=time.perf_counter() - t0,
-        )
-    w = spec.witness if spec.witness is not None else find_witness(spec, relocated)
-    if w is None:
-        return VerificationReport(
-            theorem="edge-relocation",
-            instance=instance,
-            outcome=INCONCLUSIVE,
-            certified_gap=None,
-            witness={"failed_clause": "witness", "detail": "no qualifying witness vertex"},
+            witness=w,
             wall_time=time.perf_counter() - t0,
         )
     order, ro, rn = _compare(spec.g, relocated)
@@ -292,7 +332,7 @@ def verify_relocation(spec: RelocationSpec, width=None) -> VerificationReport:
 
 
 def verify_perturbation_bound(
-    g_old: Graph, g_new: Graph, width=None, tol: float = 1e-8
+    g_old: Graph, g_new: Graph, width=None, tol: float = BOUND_TOL
 ) -> VerificationReport:
     """Radius change dominates the Perron quadratic form of the change.
 
@@ -305,10 +345,30 @@ def verify_perturbation_bound(
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if g_old.n != g_new.n:
         raise GraphError(f"orders differ: {g_old.n} vs {g_new.n}")
+    return _bound_reports([(g_old, g_new)], tol)[0]
+
+
+def _bound_reports(pairs: list[tuple[Graph, Graph]], tol: float) -> list[VerificationReport]:
+    """Perturbation-bound reports; each distance matrix is built once.
+
+    The matrices come as one stack per order and serve both the radius
+    brackets and the quadratic forms.
+    """
+    graphs = [g for pair in pairs for g in pair]
+    dms = distance_matrices(graphs)
+    cache_radii(graphs, dms)
+    return [
+        _bound_report(a, b, dms[2 * i], dms[2 * i + 1], tol)
+        for i, (a, b) in enumerate(pairs)
+    ]
+
+
+def _bound_report(
+    g_old: Graph, g_new: Graph, d_old: DistanceMatrix, d_new: DistanceMatrix, tol: float
+) -> VerificationReport:
     t0 = time.perf_counter()
     margins = {}
     ok = True
-    d_old, d_new = distance_matrix(g_old), distance_matrix(g_new)
     for name, a, b, da, db in (
         ("forward", g_old, g_new, d_old, d_new),
         ("reverse", g_new, g_old, d_new, d_old),
@@ -343,9 +403,30 @@ def verify_distance_monotonicity(g: Graph, width=None) -> VerificationReport:
     closure as strictly larger.  Idempotence of the closure is checked as
     part of the same claim.  width is deprecated and ignored.
     """
+    return _monotonicity_reports([g])[0]
+
+
+def _monotonicity_reports(graphs: list[Graph]) -> list[VerificationReport]:
+    """Closure-monotonicity reports; each distance matrix is built once.
+
+    The graphs' and closures' matrices come as one stack per order and
+    serve the dominance test; the radii of the graphs that the closure
+    changes are bracketed from the same matrices.
+    """
+    n = len(graphs)
+    both = graphs + [block_clique_closure(g) for g in graphs]
+    dms = distance_matrices(both)
+    changed = [i for i in range(n) if both[n + i].edges != both[i].edges]
+    compared = changed + [n + i for i in changed]
+    cache_radii([both[i] for i in compared], [dms[i] for i in compared])
+    return [_monotonicity_report(both[i], both[n + i], dms[i], dms[n + i]) for i in range(n)]
+
+
+def _monotonicity_report(
+    g: Graph, closure: Graph, d_g: DistanceMatrix, d_closure: DistanceMatrix
+) -> VerificationReport:
     t0 = time.perf_counter()
-    closure = block_clique_closure(g)
-    dominated = distance_dominates(distance_matrix(closure), distance_matrix(g))
+    dominated = distance_dominates(d_closure, d_g)
     idempotent = block_clique_closure(closure).edges == closure.edges
     rg = rc = None
     if closure.edges == g.edges:
@@ -404,7 +485,7 @@ def _verify_min(theorem: str, n: int, k: int) -> VerificationReport:
         raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
     members = [graphs[i] for i in picked]
     keys = [level.keys[i] for i in picked]
-    results = [perron_of(g) for g in members]
+    results = perron_many(members)
     target_key = canonical_key(target)
     cand = min(range(len(members)), key=lambda i: (results[i].value, keys[i]))
     instance = {"n": n, "k": k, "class_size": len(members)}
@@ -463,7 +544,16 @@ def verify_min_cut_edges(n: int, k: int, width=None, jobs=1) -> VerificationRepo
 
 # ---------------------------------------------------------------------------
 # Sweeps: finite exhaustive grids of the verifiers above, run serially in
-# deterministic order.
+# deterministic order.  Each sweep hands its claim's batch function one
+# unit at a time.
+
+
+def _by_unit(items, unit, reports) -> list[VerificationReport]:
+    """reports() over each run of consecutive items with the same unit."""
+    out: list[VerificationReport] = []
+    for _, group in groupby(items, key=unit):
+        out += reports(list(group))
+    return out
 
 
 def graft_sites(max_base_n: int, max_total: int, equal_only: bool | None = None):
@@ -493,7 +583,7 @@ def sweep_graft(
     equal_only: bool | None = None,
 ) -> list[VerificationReport]:
     sites = graft_sites(max_base_n, max_total, equal_only)
-    return [verify_graft_monotonicity(s) for s in sites]
+    return _by_unit(sites, lambda s: s.base, _graft_reports)
 
 
 def pendant_report_for_site(site: GraftSite, width=None):
@@ -503,7 +593,17 @@ def pendant_report_for_site(site: GraftSite, width=None):
     """
     if not site.k > site.l >= 1:
         raise GraphError(f"pendant mass needs k > l >= 1, got k={site.k}, l={site.l}")
-    member = graft(site)
+    return _pendant_reports([site])[0]
+
+
+def _pendant_reports(sites: list[GraftSite]) -> list[VerificationReport]:
+    """Pendant-mass reports for sites with k > l >= 1, members bracketed as one batch."""
+    members = [graft(s) for s in sites]
+    perron_many(members)
+    return [_pendant_report(s, m) for s, m in zip(sites, members)]
+
+
+def _pendant_report(site: GraftSite, member: Graph) -> VerificationReport:
     nb = site.base.n
     long_path = PendantPath(
         root=site.u, vertices=tuple(range(nb, nb + site.k)), length=site.k
@@ -518,7 +618,7 @@ def sweep_pendant(
     max_base_n: int = 6, max_total: int = 4, width=None, jobs=1
 ) -> list[VerificationReport]:
     sites = graft_sites(max_base_n, max_total, equal_only=False)
-    return [pendant_report_for_site(s) for s in sites]
+    return _by_unit(sites, lambda s: s.base, _pendant_reports)
 
 
 def relocation_specs(max_n: int):
@@ -543,7 +643,7 @@ def relocation_specs(max_n: int):
 
 
 def sweep_relocation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
-    return [verify_relocation(s) for s in relocation_specs(max_n)]
+    return _by_unit(relocation_specs(max_n), lambda s: s.g.n, _relocation_reports)
 
 
 def edge_addition_pairs(max_n: int):
@@ -557,12 +657,13 @@ def edge_addition_pairs(max_n: int):
 
 
 def sweep_perturbation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
-    return [verify_perturbation_bound(a, b) for a, b in edge_addition_pairs(max_n)]
+    pairs = edge_addition_pairs(max_n)
+    return _by_unit(pairs, lambda p: p[0].n, lambda batch: _bound_reports(batch, BOUND_TOL))
 
 
 def sweep_monotonicity(max_n: int = 7, width=None, jobs=1) -> list[VerificationReport]:
     graphs = (g for n in range(1, max_n + 1) for g in connected_graphs(n))
-    return [verify_distance_monotonicity(g) for g in graphs]
+    return _by_unit(graphs, lambda g: g.n, _monotonicity_reports)
 
 
 def _sweep_min(theorem: str, n: int, ks: range):

@@ -132,6 +132,11 @@ def test_cap_override(monkeypatch):
         list(connected_graphs(5))
     monkeypatch.setenv(ENV_MAX_N, "10")
     assert max_order() == 10
+    # a cap below 1 is refused up front, not by every enumeration later
+    for raw in ("0", "-3"):
+        monkeypatch.setenv(ENV_MAX_N, raw)
+        with pytest.raises(GraphError, match=rf"{ENV_MAX_N} must be in 1\.\.{MAX_CANONICAL_N}"):
+            max_order()
 
 
 def test_cap_override_limited_by_canonical_keys(monkeypatch):

@@ -1,5 +1,5 @@
 """Certified radius: closed forms, bracket invariants, dense-solver parity,
-50-digit enclosure and power-iteration refinement."""
+50-digit enclosure, power-iteration refinement and the batched path."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from distspec import spectral
 from distspec.enumeration import connected_graphs
 from distspec.graphs import GraphError, build_graph
 from distspec.spectral import (
@@ -18,11 +19,13 @@ from distspec.spectral import (
     certified_compare,
     distance_matrix,
     perron,
+    perron_many,
     perron_of,
     quadratic_form_delta,
     rayleigh_quotient,
 )
-from distspec.transforms import make_base
+from distspec.transforms import graft_family, make_base
+from distspec.verify import graft_sites
 
 
 def eig_radius(g):
@@ -251,3 +254,87 @@ def test_unreachable_width_raises_certified_bracket():
     assert err.value.iterations == 3
     assert 0 < err.value.upper - err.value.lower < 1e-12
     assert encloses(err.value, mp_radius(dm))
+
+
+def fields(res):
+    return (res.value, res.lower, res.upper, res.residual, res.iterations, res.vector.tolist())
+
+
+def batch_graphs():
+    """Every connected graph with n <= 7, then the graft families of bases n <= 4."""
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    for site in graft_sites(4, 4):
+        fam = graft_family(site)
+        graphs += [fam.member, fam.shift_to_u, fam.shift_to_v]
+    return graphs
+
+
+def test_perron_many_matches_scalar_path_exactly():
+    perron_of.cache_clear()
+    graphs = batch_graphs()
+    assert len(graphs) == 996 + 3 * 248
+    for g, res in zip(graphs, perron_many(graphs)):
+        assert fields(res) == fields(perron(distance_matrix(g))), g.edges
+
+
+def test_perron_many_fills_perron_of_cache():
+    perron_of.cache_clear()
+    graphs = list(connected_graphs(5))
+    batch = perron_many(graphs)
+    info = perron_of.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 21, 21)
+    assert all(perron_of(g) is res for g, res in zip(graphs, batch))
+    assert perron_of.cache_info().hits == 21
+    # a second batch reads the cache instead of recomputing
+    assert all(a is b for a, b in zip(perron_many(graphs), batch))
+    assert perron_of.cache_info().misses == 21
+
+
+def test_perron_many_mixed_orders_duplicates_and_single_vertex():
+    perron_of.cache_clear()
+    k1, p3, c5 = build_graph(1, []), make_base("path", 3), make_base("cycle", 5)
+    graphs = [c5, k1, p3, c5, p3, k1]
+    out = perron_many(graphs)
+    assert out[0] is out[3] and out[2] is out[4] and out[1] is out[5]
+    for g, res in zip(graphs, out):
+        assert fields(res) == fields(perron(distance_matrix(g)))
+    assert fields(out[1]) == (0.0, 0.0, 0.0, 0.0, 0, [1.0])
+    assert perron_of.cache_info().currsize == 3
+
+
+def test_perron_many_rejects_disconnected_graph():
+    perron_of.cache_clear()
+    graphs = [make_base("path", 4), build_graph(4, [(0, 1), (2, 3)])]
+    with pytest.raises(GraphError, match="not connected"):
+        perron_many(graphs)
+
+
+def test_perron_many_falls_back_when_first_step_is_too_wide(monkeypatch):
+    # The stacked eigh hands one graph a sign-alternating vector; |v| = ones
+    # certifies only a wide bracket, so that graph takes perron() itself.
+    perron_of.cache_clear()
+    graphs = list(connected_graphs(5))
+    victim = 7
+    assert len(set(distance_matrix(graphs[victim]).d.sum(axis=1).tolist())) > 1
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        w, v = real_eigh(a)
+        if a.ndim == 3:
+            v[victim, :, -1] = [(-1) ** i for i in range(a.shape[-1])]
+        return w, v
+
+    scalar_calls = []
+    real_perron = spectral.perron
+
+    def counting(dm, *args, **kwargs):
+        scalar_calls.append(dm)
+        return real_perron(dm, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(spectral, "perron", counting)
+    out = perron_many(graphs)
+    assert len(scalar_calls) == 1
+    assert scalar_calls[0].d.tolist() == distance_matrix(graphs[victim]).d.tolist()
+    for g, res in zip(graphs, out):
+        assert fields(res) == fields(real_perron(distance_matrix(g)))

@@ -68,6 +68,26 @@ def test_graft_and_family_shapes():
     assert flat.shift_to_v is not None
 
 
+def test_grafted_graphs_equal_build_graph():
+    # graft extends the base's adjacency in place of build_graph; the result
+    # must be the same Graph value, adjacency lists sorted
+    for n in range(2, 5):
+        for base in connected_graphs(n):
+            for u, v in sorted(base.edges):
+                for a, b in ((u, v), (v, u)):
+                    for k in range(4):
+                        for l in range(4):
+                            g = graft(GraftSite(base=base, u=a, v=b, k=k, l=l))
+                            edges = list(base.edges)
+                            edges += [(a, n)] if k else []
+                            edges += [(n + i, n + i + 1) for i in range(k - 1)]
+                            edges += [(b, n + k)] if l else []
+                            edges += [(n + k + i, n + k + i + 1) for i in range(l - 1)]
+                            ref = build_graph(n + k + l, edges)
+                            assert g == ref
+                            assert (g.adjacency, g.degrees) == (ref.adjacency, ref.degrees)
+
+
 def test_graft_site_validation():
     base = make_base("path", 3)
     with pytest.raises(GraphError):

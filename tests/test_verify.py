@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from distspec import verify
+from distspec import spectral, verify
 from distspec.graph6 import decode_graph6
 from distspec.graphs import GraphError, PendantPath, build_graph
 from distspec.transforms import GraftSite, RelocationSpec, make_base, make_relocation_spec
@@ -158,10 +158,31 @@ def test_perturbation_bound_rejects_unchecked_tolerance(tol, monkeypatch):
     def untouched(*args):
         raise AssertionError("computed before the tolerance was checked")
 
-    monkeypatch.setattr(verify, "perron_of", untouched)
-    monkeypatch.setattr(verify, "distance_matrix", untouched)
+    for name in ("perron_of", "perron_many", "distance_matrices", "cache_radii"):
+        monkeypatch.setattr(verify, name, untouched)
     with pytest.raises(ValueError, match="tol"):
         verify_perturbation_bound(make_base("path", 4), make_base("cycle", 4), tol=tol)
+
+
+def test_bound_and_monotonicity_build_each_distance_matrix_once(monkeypatch):
+    # one build per graph, shared by the radius bracket and by the
+    # quadratic form or dominance test (4 per call when each was rebuilt)
+    built = []
+    real = spectral._distance_stack
+
+    def counting(graphs, n):
+        built.extend(graphs)
+        return real(graphs, n)
+
+    monkeypatch.setattr(spectral, "_distance_stack", counting)
+    spectral.perron_of.cache_clear()
+    assert verify_perturbation_bound(make_base("path", 4), make_base("cycle", 4)).outcome == "PASS"
+    assert len(built) == 2
+    built.clear()
+    spectral.perron_of.cache_clear()
+    rep = verify_distance_monotonicity(make_base("cycle", 5))
+    assert rep.witness["relation_original_vs_closure"] == "GREATER"
+    assert len(built) == 2
 
 
 def test_monotonicity_reports():
