@@ -17,6 +17,11 @@ isomorphic to S's and that the loop has already visited; so a skipped
 subset is never the first encounter of its class, and each class keeps the
 representative the unpruned loop would give it.
 
+Children are keyed KEY_CHUNK at a time, in loop order, by the batched
+graphs.keys_from_masks, which gives each child the key key_from_masks
+would; the first child met with a new key stays its class's
+representative, as with one key at a time.
+
 Each order is built once into a Level, the catalog of that order: the
 graph6 string of one representative per isomorphism class with the
 canonical key that deduplicated it, sorted by key, so repeated sweeps are
@@ -33,7 +38,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .graph6 import decode_graph6, encode_graph6
-from .graphs import MAX_CANONICAL_N, Graph, GraphError, blocks, build_graph, key_from_masks
+from .graphs import MAX_CANONICAL_N, Graph, GraphError, blocks, build_graph, keys_from_masks
 
 DEFAULT_MAX_N = 9
 ENV_MAX_N = "DISTSPEC_MAX_N"
@@ -129,6 +134,11 @@ def _twin_pruned_subsets(classes: list[list[int]]) -> list[int]:
     return subs[1:]
 
 
+# Children keyed per keys_from_masks call: large enough to amortise its
+# numpy overhead, small enough to keep its arrays small.
+KEY_CHUNK = 256
+
+
 @lru_cache(maxsize=None)
 def _level(n: int) -> Level:
     """Catalog of all connected graphs on n vertices."""
@@ -137,6 +147,22 @@ def _level(n: int) -> Level:
         return Level(keys=(bytes([1, 0]),), graph6=(encode_graph6(build_graph(1, [])),))
     reps: dict[bytes, str] = {}
     new = n - 1
+    # (child bitmasks, parent, neighbourhood of the new vertex), not yet keyed
+    pending: list[tuple[list[int], Graph, int]] = []
+
+    def flush() -> None:
+        keys = keys_from_masks(n, [masks for masks, _, _ in pending])
+        for key, (_, parent, sub) in zip(keys, pending):
+            if key not in reps:
+                edges = list(parent.edges)
+                m = sub
+                while m:
+                    i = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    edges.append((i, new))
+                reps[key] = encode_graph6(build_graph(n, edges))
+        pending.clear()
+
     for parent in _level(n - 1).graphs():
         pmasks = [0] * n
         for u, v in parent.edges:
@@ -150,15 +176,10 @@ def _level(n: int) -> Level:
                 i = (m & -m).bit_length() - 1
                 m &= m - 1
                 masks[i] |= 1 << new
-            key = key_from_masks(n, masks)
-            if key not in reps:
-                edges = list(parent.edges)
-                m = sub
-                while m:
-                    i = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    edges.append((i, new))
-                reps[key] = encode_graph6(build_graph(n, edges))
+            pending.append((masks, parent, sub))
+            if len(pending) == KEY_CHUNK:
+                flush()
+    flush()
     keys = tuple(sorted(reps))
     return Level(keys=keys, graph6=tuple(reps[key] for key in keys))
 

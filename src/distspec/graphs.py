@@ -3,14 +3,25 @@
 Simple undirected graphs on vertices 0..n-1, kept immutable so that every
 operation downstream is a pure function of its inputs.  Algorithms here are
 the standard linear-time ones (BFS for distances and connectivity, one
-edge-stack DFS for the blocks, from which cut vertices and bridges follow);
-canonical labeling is a refined permutation search that is exact for the
-small orders this package enumerates.
+edge-stack DFS for the blocks, from which cut vertices and bridges follow).
+
+A canonical key is the minimal graph6 bit string over the vertex orderings
+that list the 1-WL refinement classes in class order.  Two evaluators give
+it byte for byte: key_from_masks searches one graph's orderings level by
+level, keeping every tie; keys_from_masks, for many graphs of one order,
+refines them all in one numpy pass and takes each minimum over a cached
+table of all such orderings, handing a graph with too many orderings (a
+regular one has n!) and orders above MAX_CANONICAL_N to key_from_masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations, product
+from math import factorial, prod
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -331,3 +342,135 @@ def key_from_masks(n: int, masks) -> bytes:
         acc = (acc << level) | key_cols[level]
     nbits = n * (n - 1) // 2
     return bytes([n]) + acc.to_bytes((nbits + 7) // 8 or 1, "big")
+
+
+# A row whose class-respecting orderings times n(n-1)/2 exceed this goes to
+# key_from_masks; it also caps the rows of one key matrix product.
+KEY_TABLE_BUDGET = 1 << 16
+
+
+def keys_from_masks(n: int, rows) -> list[bytes]:
+    """key_from_masks for many graphs of one order, as one batched computation.
+
+    rows is a sequence of bitmask lists; element by element the result
+    equals [key_from_masks(n, r) for r in rows].  The 1-WL classes of all
+    rows are refined together (_refine_many), and each row's key is the
+    minimum, over every ordering that lists the classes in class order, of
+    its upper-triangle bits packed as one integer: exactly the orderings
+    whose ties the frontier search of key_from_masks keeps, so the minimum
+    is the same.  Rows with the same class sizes share one table of those
+    orderings (_ordering_table).  A row with more orderings than
+    KEY_TABLE_BUDGET allows (a regular graph has n! of them), and every row
+    of an order above MAX_CANONICAL_N, goes to key_from_masks instead.
+    """
+    if n > MAX_KEY_N:
+        raise GraphError(f"key_from_masks packs vertex ids in 4 bits: n <= {MAX_KEY_N}, got {n}")
+    rows = list(rows)
+    if n == 1 or n > MAX_CANONICAL_N or not rows:
+        return [key_from_masks(n, r) for r in rows]
+    adj = (np.array(rows, dtype=np.int64)[:, :, None] >> np.arange(n)) & 1
+    colours = _refine_many(adj)
+    # sorted position q of a row holds its vertex placement[q]: classes in
+    # class order, members ascending, as key_from_masks places them
+    placement = np.argsort(colours, axis=1, kind="stable")
+    first, second = _pairs(n)
+    bits = np.take_along_axis(
+        adj.reshape(len(rows), n * n), placement[:, first] * n + placement[:, second], axis=1
+    ).astype(np.float64)
+    sizes = (colours[:, :, None] == np.arange(n)).sum(axis=1)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for b, row_sizes in enumerate(map(tuple, sizes.tolist())):
+        groups.setdefault(row_sizes, []).append(b)
+    nbytes = (n * (n - 1) // 2 + 7) // 8
+    keys: list[bytes] = [b""] * len(rows)
+    for row_sizes, members in groups.items():
+        table = _ordering_table(n, tuple(s for s in row_sizes if s))
+        if table is None:
+            for b in members:
+                keys[b] = key_from_masks(n, rows[b])
+            continue
+        step = max(1, KEY_TABLE_BUDGET // table.shape[1])
+        for lo in range(0, len(members), step):
+            chunk = members[lo:lo + step]
+            for b, best in zip(chunk, (bits[chunk] @ table).min(axis=1).tolist()):
+                keys[b] = bytes([n]) + int(best).to_bytes(nbytes, "big")
+    return keys
+
+
+def _refine_many(adj: np.ndarray) -> np.ndarray:
+    """_refinement_classes of every row of a (rows, n, n) 0/1 adjacency stack.
+
+    Colours start as the dense rank of each degree within its row.  Each
+    round ranks the vertices of a row by (colour, -#neighbours of colour 0,
+    ..., -#neighbours of colour n-1), packed into one int64 with 4 bits a
+    field.  Vertices of one colour have equal degree, and for two sorted
+    neighbour-colour lists of one length, comparing the lists is comparing
+    these negated count vectors, so the ranks are those of the sorted
+    signatures in _refinement_classes.  A round that changes no row is
+    the fixed point.
+    """
+    n = adj.shape[1]
+    colours = _dense_rank(adj.sum(axis=2))
+    weights = 16 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    while True:
+        counts = adj @ (colours[:, :, None] == np.arange(n))
+        new = _dense_rank((colours << (4 * n)) + (n - 1 - counts) @ weights)
+        if np.array_equal(new, colours):
+            return colours
+        colours = new
+
+
+def _dense_rank(values: np.ndarray) -> np.ndarray:
+    """Rank of each entry among the distinct values of its row, from 0."""
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    step = np.zeros_like(ordered)
+    step[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ranks = np.empty_like(ordered)
+    np.put_along_axis(ranks, order, np.cumsum(step, axis=1), axis=1)
+    return ranks
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the upper-triangle pairs i < j in graph6 column-major order.
+
+    Pair (i, j) sits at index j(j-1)/2 + i.
+    """
+    first, second = zip(*((i, j) for j in range(1, n) for i in range(j)))
+    return np.array(first), np.array(second)
+
+
+@lru_cache(maxsize=None)
+def _ordering_table(n: int, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Key weights of every ordering of sorted positions that keeps each class together.
+
+    shape holds the class sizes in class order.  Column m belongs to one
+    ordering P (P[p] is the sorted position placed p-th): row
+    j(j-1)/2 + i, for the pair {i, j} of sorted positions that P places at
+    the t-th graph6 pair, holds 2^(n(n-1)/2 - 1 - t).  So a row's bits in
+    sorted-position pair order times column m is its key integer under P:
+    a sum of distinct powers of two below 2^45 (n <= MAX_CANONICAL_N),
+    which float64 holds and sums exactly.  None when the table would
+    exceed KEY_TABLE_BUDGET entries.
+    """
+    nbits = n * (n - 1) // 2
+    if prod(map(factorial, shape)) * nbits > KEY_TABLE_BUDGET:
+        return None
+    starts = np.cumsum((0,) + shape[:-1]).tolist()
+    orderings = np.array(
+        [
+            [q for part in parts for q in part]
+            for parts in product(
+                *(permutations(range(s, s + size)) for s, size in zip(starts, shape))
+            )
+        ]
+    )
+    first, second = _pairs(n)
+    lo = np.minimum(orderings[:, first], orderings[:, second])
+    hi = np.maximum(orderings[:, first], orderings[:, second])
+    table = np.zeros((nbits, len(orderings)))
+    table[hi * (hi - 1) // 2 + lo, np.arange(len(orderings))[:, None]] = 2.0 ** np.arange(
+        nbits - 1, -1, -1
+    )
+    return table

@@ -15,8 +15,9 @@ instances' graphs once, has their radii bracketed together
 claim needs anyway), and then reads every radius from perron_of's cache.
 A single verifier call is a batch of one; sweeps run serially in one
 process and feed it one unit at a time (a graft base graph, a claim 3/4
-class, an order).  The width and jobs parameters of the public verifiers
-and sweeps are deprecated: accepted for compatibility, ignored.
+class, an order), at most SWEEP_BATCH instances per batch.  The width and
+jobs parameters of the public verifiers and sweeps are deprecated:
+accepted for compatibility, ignored.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 
 from .enumeration import catalog, connected_graphs
 from .graph6 import encode_graph6
@@ -548,11 +549,22 @@ def verify_min_cut_edges(n: int, k: int, width=None, jobs=1) -> VerificationRepo
 # unit at a time.
 
 
+# Most instances a sweep hands its batch function at once: bounds the graphs
+# and distance matrices held together, not the reports.
+SWEEP_BATCH = 256
+
+
 def _by_unit(items, unit, reports) -> list[VerificationReport]:
-    """reports() over each run of consecutive items with the same unit."""
+    """reports() over each run of consecutive items with the same unit.
+
+    A run longer than SWEEP_BATCH goes in consecutive batches of at most
+    that many; the reports do not depend on the split, since the batched
+    radii equal the scalar ones bit for bit.
+    """
     out: list[VerificationReport] = []
     for _, group in groupby(items, key=unit):
-        out += reports(list(group))
+        while batch := list(islice(group, SWEEP_BATCH)):
+            out += reports(batch)
     return out
 
 

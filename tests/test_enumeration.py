@@ -6,12 +6,14 @@ import hashlib
 import itertools
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from distspec import enumeration
 from distspec.enumeration import (
     DEFAULT_MAX_N,
     ENV_MAX_N,
+    KEY_CHUNK,
     EnumFilter,
     Level,
     _level,
@@ -26,11 +28,14 @@ from distspec.graph6 import encode_graph6
 from distspec.graphs import (
     MAX_CANONICAL_N,
     GraphError,
+    _refine_many,
+    _refinement_classes,
     blocks,
     build_graph,
     canonical_key,
     is_connected,
     key_from_masks,
+    keys_from_masks,
     relabel,
 )
 
@@ -232,22 +237,48 @@ def test_twin_pruning_matches_unpruned_build():
 
 
 def test_twin_pruning_key_calls(monkeypatch):
-    calls = {}
-    real = enumeration.key_from_masks
+    # every keyed child passes through keys_from_masks, whichever evaluator
+    # (batched table or scalar fallback) computes its key
+    rows = {}
+    batch_sizes = []
+    real = enumeration.keys_from_masks
 
-    def counted(n, masks):
-        calls[n] = calls.get(n, 0) + 1
-        return real(n, masks)
+    def counted(n, batch):
+        batch = list(batch)
+        rows[n] = rows.get(n, 0) + len(batch)
+        batch_sizes.append(len(batch))
+        return real(n, batch)
 
     _level.cache_clear()
-    monkeypatch.setattr(enumeration, "key_from_masks", counted)
+    monkeypatch.setattr(enumeration, "keys_from_masks", counted)
     try:
         _level(7)
     finally:
         _level.cache_clear()
-    # the unpruned loop makes 1, 3, 14, 90, 651 and 7,056 calls (7,815 in all)
-    assert calls == {2: 1, 3: 2, 4: 8, 5: 53, 6: 417, 7: 4818}
-    assert sum(calls.values()) == 5299
+    # the unpruned loop keys 1, 3, 14, 90, 651 and 7,056 children (7,815 in all)
+    assert rows == {2: 1, 3: 2, 4: 8, 5: 53, 6: 417, 7: 4818}
+    assert sum(rows.values()) == 5299
+    assert max(batch_sizes) <= KEY_CHUNK
+
+
+def test_keys_from_masks_on_every_level_child():
+    # every child of the unpruned loop, each order in one batch, against the
+    # scalar key and, for its colours, against the scalar refinement
+    for n in range(2, 8):
+        children = []
+        for parent in _level(n - 1).graphs():
+            pmasks = masks_of(parent) + [0]
+            for sub in range(1, 1 << n - 1):
+                masks = pmasks.copy()
+                masks[n - 1] = sub
+                for i in range(n - 1):
+                    if sub >> i & 1:
+                        masks[i] |= 1 << n - 1
+                children.append(masks)
+        assert keys_from_masks(n, children) == [key_from_masks(n, m) for m in children]
+        adjacency = (np.array(children)[:, :, None] >> np.arange(n)) & 1
+        colours = _refine_many(adjacency).tolist()
+        assert colours == [_refinement_classes(n, m) for m in children]
 
 
 def test_twin_classes_examples():

@@ -6,10 +6,16 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distspec import graphs
 from distspec.graphs import (
     GraphError,
+    _refine_many,
+    _refinement_classes,
     bfs_distances,
     blocks,
     build_graph,
@@ -18,6 +24,7 @@ from distspec.graphs import (
     cut_vertices,
     is_connected,
     key_from_masks,
+    keys_from_masks,
     pendant_paths,
     relabel,
 )
@@ -202,11 +209,88 @@ def test_canonical_key_order_cap():
         canonical_key(g)
 
 
+def path_masks(n):
+    return [(1 << v - 1 if v else 0) | (1 << v + 1 if v < n - 1 else 0) for v in range(n)]
+
+
+def masks_of(g):
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
 def test_key_from_masks_order_limit():
     # vertex ids are packed into 4 bits, so a 17th vertex would alias vertex 0
-    def path(n):
-        return [(1 << v - 1 if v else 0) | (1 << v + 1 if v < n - 1 else 0) for v in range(n)]
-
-    assert key_from_masks(16, path(16))
+    assert key_from_masks(16, path_masks(16))
     with pytest.raises(GraphError, match="16"):
-        key_from_masks(17, path(17))
+        key_from_masks(17, path_masks(17))
+
+
+@st.composite
+def relabelled_batches(draw):
+    """(n, masks): graphs of one order n <= 10, each followed by a random relabelling."""
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        picks = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = build_graph(n, picks)
+        batch += [masks_of(g), masks_of(relabel(g, draw(st.permutations(range(n)))))]
+    return n, batch
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabelled_batches())
+def test_keys_from_masks_matches_scalar_under_relabelling(case):
+    n, batch = case
+    keys = keys_from_masks(n, batch)
+    assert keys == [key_from_masks(n, m) for m in batch]
+    assert keys[0::2] == keys[1::2]
+    adjacency = (np.array(batch)[:, :, None] >> np.arange(n)) & 1
+    assert _refine_many(adjacency).tolist() == [_refinement_classes(n, m) for m in batch]
+
+
+def test_keys_from_masks_regular_graphs_fall_back(monkeypatch):
+    # one refinement class of n vertices has n! orderings: past n = 6 their
+    # table exceeds the budget and the row goes to key_from_masks
+    def cycle(n):
+        return [(i, (i + 1) % n) for i in range(n)]
+
+    cases = [(n, list(itertools.combinations(range(n), 2))) for n in range(2, 11)]
+    cases += [(n, cycle(n)) for n in range(3, 11)]
+    cases += [
+        (6, [(a, b) for a in range(3) for b in range(3, 6)]),
+        (8, [(a, b) for a in range(4) for b in range(4, 8)]),
+        (8, [(a, a | 1 << i) for a in range(8) for i in range(3) if not a >> i & 1]),
+        (10, cycle(5) + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]),
+    ]
+    batches = {}
+    for n, edges in cases:
+        batches.setdefault(n, []).append(masks_of(build_graph(n, edges)))
+    fallbacks = {}
+    real = graphs.key_from_masks
+
+    def counted(n, masks):
+        fallbacks[n] = fallbacks.get(n, 0) + 1
+        return real(n, masks)
+
+    monkeypatch.setattr(graphs, "key_from_masks", counted)
+    for n, batch in batches.items():
+        # a path rides along in the same batch on an ordering table
+        batch.append(path_masks(n))
+        assert keys_from_masks(n, batch) == [key_from_masks(n, m) for m in batch]
+    # K_n and C_n from 7 on, then K_{4,4}, the cube and the Petersen graph
+    assert fallbacks == {7: 2, 8: 4, 9: 2, 10: 3}
+
+
+def test_keys_from_masks_edge_cases():
+    assert keys_from_masks(1, [[0], [0]]) == [bytes([1, 0])] * 2
+    assert keys_from_masks(5, []) == []
+    # above MAX_CANONICAL_N every row takes the scalar path
+    assert keys_from_masks(12, [path_masks(12)]) == [key_from_masks(12, path_masks(12))]
+    with pytest.raises(GraphError, match="16"):
+        keys_from_masks(17, [path_masks(17)])
+    with pytest.raises(GraphError, match="16"):
+        keys_from_masks(17, [])
