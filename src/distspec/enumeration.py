@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .graph6 import decode_graph6, encode_graph6
-from .graphs import MAX_CANONICAL_N, Graph, GraphError, blocks, build_graph, keys_from_masks
+from .graph6 import decode_graph6, graph6_of
+from .graphs import MAX_CANONICAL_N, Graph, GraphError, blocks, keys_from_masks
 
 DEFAULT_MAX_N = 9
 ENV_MAX_N = "DISTSPEC_MAX_N"
@@ -144,7 +144,7 @@ def _level(n: int) -> Level:
     """Catalog of all connected graphs on n vertices."""
     if n == 1:
         # the key key_from_masks gives the one-vertex graph
-        return Level(keys=(bytes([1, 0]),), graph6=(encode_graph6(build_graph(1, [])),))
+        return Level(keys=(bytes([1, 0]),), graph6=(graph6_of(1, ()),))
     reps: dict[bytes, str] = {}
     new = n - 1
     # (child bitmasks, parent, neighbourhood of the new vertex), not yet keyed
@@ -160,7 +160,7 @@ def _level(n: int) -> Level:
                     i = (m & -m).bit_length() - 1
                     m &= m - 1
                     edges.append((i, new))
-                reps[key] = encode_graph6(build_graph(n, edges))
+                reps[key] = graph6_of(n, edges)
         pending.clear()
 
     for parent in _level(n - 1).graphs():

@@ -8,6 +8,8 @@ four-byte form introduced by '~'.  Round trips are bit exact.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .graphs import Graph, GraphError, build_graph
 
 HEADER = ">>graph6<<"
@@ -15,7 +17,15 @@ HEADER = ">>graph6<<"
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no trailing newline)."""
-    n = g.n
+    return graph6_of(g.n, g.edges)
+
+
+def graph6_of(n: int, edges: Iterable[tuple[int, int]]) -> str:
+    """graph6 string of order n with edges (i, j), 0 <= i < j < n, unchecked.
+
+    Only the order is validated: the edges are taken as given, so a caller
+    that holds an edge list need not build a Graph to encode it.
+    """
     if n <= 62:
         prefix = [n + 63]
     elif n <= 258047:
@@ -27,7 +37,7 @@ def encode_graph6(g: Graph) -> str:
     padded = (n * (n - 1) // 2 + 5) // 6 * 6
     top = padded - 1
     bits = 0
-    for i, j in g.edges:
+    for i, j in edges:
         bits |= 1 << (top - (j * (j - 1) // 2 + i))
     chunks = [((bits >> (padded - 6 * (k + 1))) & 63) + 63 for k in range(padded // 6)]
     return bytes(prefix + chunks).decode("ascii")

@@ -18,8 +18,9 @@ by a breadth-first search that advances every source of every graph
 together.  perron_many() brackets a batch the same way: one stacked eigh,
 one stacked exact product Y = DX and the same certification step per
 graph, so its brackets are bit-identical to perron()'s (the stacked eigh
-makes the same LAPACK call on each matrix and the step is exact).  It fills
-the cache that perron_of() reads.
+makes the same LAPACK call on each matrix and the step is exact).  It is
+the one path that brackets at the default width: it fills the cache that
+perron_of() reads, and a perron_of() miss is a batch of one.
 Comparisons are then made only between disjoint brackets; overlapping
 brackets are reported as indistinguishable instead of being resolved by an
 epsilon.
@@ -209,47 +210,27 @@ def _ulps(x: float, toward: float) -> float:
     return math.nextafter(math.nextafter(x, toward), toward)
 
 
-def _perron_stack(d: np.ndarray) -> list[PerronResult]:
-    """perron() at the default width for every matrix of a same-order stack.
-
-    One eigh over the stack and one exact product give each matrix its
-    first step; a matrix whose step misses the width, and order 1, take
-    perron() itself, which redoes that step before refining.
-    """
-    n = d.shape[-1]
-    if n == 1:
-        return [perron(DistanceMatrix(n=n, d=m)) for m in d]
-    x = np.abs(np.linalg.eigh(d)[1][:, :, -1])
-    out = []
-    for m, step in zip(d, _steps(_exact(d), x)):
-        if step is not None and step[3] - step[2] <= DEFAULT_BRACKET_WIDTH:
-            out.append(_result(*step, 1))
-        else:
-            out.append(perron(DistanceMatrix(n=n, d=m)))
-    return out
-
-
-# perron_of's cache, shared with cache_radii and perron_many: (graph,
-# width) -> result.  hits counts perron_of lookups it answered, misses every
-# radius computed into it.
-_radii: dict[tuple[Graph, float], PerronResult] = {}
+# perron_of's cache: graph -> its result at the default width.  hits counts
+# perron_of lookups it answered, misses every radius computed into it.
+_radii: dict[Graph, PerronResult] = {}
 _tally = {"hits": 0, "misses": 0}
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def perron_of(g: Graph, bracket_width: float = DEFAULT_BRACKET_WIDTH) -> PerronResult:
-    """Cached certified radius of a graph's distance matrix.
+    """Certified radius of a graph's distance matrix.
 
-    The cache is unbounded and shared with perron_many and cache_radii;
-    cache_info() and cache_clear() work as on functools.lru_cache.
+    At the default width the result is cached, a miss being a batch of one
+    for perron_many; the cache is unbounded and cache_info() and
+    cache_clear() work as on functools.lru_cache.  Any other width is
+    computed by perron() and not cached.
     """
-    key = (g, bracket_width)
-    res = _radii.get(key)
+    if bracket_width != DEFAULT_BRACKET_WIDTH:
+        return perron(distance_matrix(g), bracket_width=bracket_width)
+    res = _radii.get(g)
     if res is None:
-        res = _radii[key] = perron(distance_matrix(g), bracket_width=bracket_width)
-        _tally["misses"] += 1
-    else:
-        _tally["hits"] += 1
+        return perron_many([g])[0]
+    _tally["hits"] += 1
     return res
 
 
@@ -266,32 +247,34 @@ perron_of.cache_info = _cache_info
 perron_of.cache_clear = _cache_clear
 
 
-def cache_radii(graphs: Sequence[Graph], dms: Sequence[DistanceMatrix]) -> None:
-    """Bracket graphs from their built distance matrices into perron_of's cache.
-
-    Graphs already cached, and repeats, are skipped; the rest are bracketed
-    one stack per order, each exactly as perron_of would bracket it.
-    """
-    todo: dict[Graph, np.ndarray] = {}
-    for g, dm in zip(graphs, dms):
-        if (g, DEFAULT_BRACKET_WIDTH) not in _radii:
-            todo.setdefault(g, dm.d)
-    for gs in _by_order(todo).values():
-        for g, res in zip(gs, _perron_stack(np.stack([todo[g] for g in gs]))):
-            _radii[(g, DEFAULT_BRACKET_WIDTH)] = res
-    _tally["misses"] += len(todo)
-
-
-def perron_many(graphs: Iterable[Graph]) -> list[PerronResult]:
+def perron_many(
+    graphs: Iterable[Graph], dms: Sequence[DistanceMatrix] | None = None
+) -> list[PerronResult]:
     """perron_of(g) for every graph, with the uncached ones computed as a batch.
 
-    Their distance matrices are built and bracketed one stack per order
-    (cache_radii); the results land in perron_of's cache.
+    dms, when given, are the graphs' distance matrices, already built;
+    otherwise those of the uncached graphs are built one stack per order.
+    One eigh over each order's stack and one exact product give each matrix
+    its first step; a matrix whose step misses the default width, and
+    order 1, take perron() itself, which redoes that step before refining.
+    The results land in perron_of's cache.
     """
     graphs = list(graphs)
-    todo = [g for g in dict.fromkeys(graphs) if (g, DEFAULT_BRACKET_WIDTH) not in _radii]
-    cache_radii(todo, distance_matrices(todo))
-    return [_radii[(g, DEFAULT_BRACKET_WIDTH)] for g in graphs]
+    built = {} if dms is None else dict(zip(graphs, dms))
+    todo = [g for g in dict.fromkeys(graphs) if g not in _radii]
+    for n, gs in _by_order(todo).items():
+        d = _distance_stack(gs, n) if dms is None else np.stack([built[g].d for g in gs])
+        if n == 1:
+            steps = [None] * len(gs)
+        else:
+            steps = _steps(_exact(d), np.abs(np.linalg.eigh(d)[1][:, :, -1]))
+        for g, m, step in zip(gs, d, steps):
+            if step is not None and step[3] - step[2] <= DEFAULT_BRACKET_WIDTH:
+                _radii[g] = _result(*step, 1)
+            else:
+                _radii[g] = perron(DistanceMatrix(n=n, d=m))
+    _tally["misses"] += len(todo)
+    return [_radii[g] for g in graphs]
 
 
 def _by_order(graphs: Iterable[Graph]) -> dict[int, list[Graph]]:

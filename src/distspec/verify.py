@@ -10,9 +10,9 @@ here, never as falsified.
 Every radius comes from spectral.perron_of at its default width, whose one
 certification step already brackets it within a few ulps.  Each claim has
 one internal function that reports on a batch of instances: it builds the
-instances' graphs once, has their radii bracketed together
-(spectral.perron_many, or spectral.cache_radii on distance matrices the
-claim needs anyway), and then reads every radius from perron_of's cache.
+instances' graphs once, has their radii bracketed together by
+spectral.perron_many (from the distance matrices when the claim needs them
+anyway), and then reads every radius from perron_of's cache.
 A single verifier call is a batch of one; sweeps run serially in one
 process and feed it one unit at a time (a graft base graph, a claim 3/4
 class, an order), at most SWEEP_BATCH instances per batch.  The width and
@@ -29,13 +29,12 @@ from itertools import groupby, islice
 
 from .enumeration import catalog, connected_graphs
 from .graph6 import encode_graph6
-from .graphs import Graph, GraphError, PendantPath, build_graph, canonical_key
+from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, build_graph, canonical_key
 from .jsonio import dumps
 from .spectral import (
     DistanceMatrix,
     PerronResult,
     Relation,
-    cache_radii,
     certified_compare,
     distance_matrices,
     perron_many,
@@ -163,8 +162,8 @@ def _graft_report(site: GraftSite, fam: GraftFamily) -> VerificationReport:
         order, rm, rs = _compare(fam.member, shifted)
         if order.relation is Relation.INDISTINGUISHABLE:
             if member_key is None:
-                member_key = canonical_key(fam.member)
-            if canonical_key(shifted) == member_key:
+                member_key = canonical_key(fam.member, MAX_KEY_N)
+            if canonical_key(shifted, MAX_KEY_N) == member_key:
                 witness[f"{name}_isomorphic_to_member"] = True
                 continue
         witness[f"{name}_member_bracket"] = _bracket(rm)
@@ -357,7 +356,7 @@ def _bound_reports(pairs: list[tuple[Graph, Graph]], tol: float) -> list[Verific
     """
     graphs = [g for pair in pairs for g in pair]
     dms = distance_matrices(graphs)
-    cache_radii(graphs, dms)
+    perron_many(graphs, dms)
     return [
         _bound_report(a, b, dms[2 * i], dms[2 * i + 1], tol)
         for i, (a, b) in enumerate(pairs)
@@ -419,7 +418,7 @@ def _monotonicity_reports(graphs: list[Graph]) -> list[VerificationReport]:
     dms = distance_matrices(both)
     changed = [i for i in range(n) if both[n + i].edges != both[i].edges]
     compared = changed + [n + i for i in changed]
-    cache_radii([both[i] for i in compared], [dms[i] for i in compared])
+    perron_many([both[i] for i in compared], [dms[i] for i in compared])
     return [_monotonicity_report(both[i], both[n + i], dms[i], dms[n + i]) for i in range(n)]
 
 

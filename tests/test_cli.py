@@ -132,6 +132,14 @@ def test_verify_relocation_exit_codes(capsys):
     assert json.loads(out)["outcome"] == "FAIL"
 
 
+def test_verify_graft_shift_past_the_catalog_cap(capsys):
+    # the member and both shifts are the 12-vertex path: FAIL by isomorphism
+    code, out, _ = run(capsys, ["verify", "--theorem", "1", "--base", "A_", "--u", "0",
+                                "--v", "1", "--k", "5", "--l", "5"])
+    assert code == 1
+    assert json.loads(out)["outcome"] == "FAIL"
+
+
 def test_verify_bound_and_monotonicity(capsys):
     code, out, _ = run(
         capsys, ["verify", "--theorem", "bound", "--old", "Cs", "--new", "C~"]

@@ -109,8 +109,24 @@ def test_single_vertex():
 
 
 def test_perron_of_caches():
+    # at the default width a miss is a batch of one for perron_many, and a
+    # hit returns the cached object
+    perron_of.cache_clear()
     g = make_base("cycle", 6)
-    assert perron_of(g, 1e-10) is perron_of(g, 1e-10)
+    res = perron_of(g, 1e-10)
+    assert perron_of.cache_info() == (0, 1, None, 1)
+    assert perron_many([g])[0] is res
+    assert perron_of(g) is res
+    assert perron_of.cache_info() == (1, 1, None, 1)
+
+
+def test_perron_of_other_width_is_computed_not_cached():
+    perron_of.cache_clear()
+    g = make_base("path", 7)
+    res = perron_of(g, 1e-4)
+    assert fields(res) == fields(perron(distance_matrix(g), bracket_width=1e-4))
+    assert perron_of(g, 1e-4) is not res
+    assert perron_of.cache_info() == (0, 0, None, 0)
 
 
 def test_bracket_width_request():

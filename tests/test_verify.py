@@ -19,7 +19,10 @@ from distspec.verify import (
     sweep_graft,
     sweep_min_cut_edges,
     sweep_min_cut_vertices,
+    sweep_monotonicity,
     sweep_pendant,
+    sweep_perturbation,
+    sweep_relocation,
     verify_distance_monotonicity,
     verify_graft_monotonicity,
     verify_min_cut_edges,
@@ -48,13 +51,15 @@ def test_graft_disjunction_names_winner():
 def test_graft_two_vertex_base_fails_by_isomorphism():
     """Both attach points on a single edge give one path graph per total
     length, so every shift is isomorphic to the member and the strict
-    inequality is exactly refuted."""
-    site = GraftSite(base=make_base("complete", 2), u=0, v=1, k=1, l=1)
-    rep = verify_graft_monotonicity(site)
-    assert rep.outcome == "FAIL"
-    assert rep.certified_gap == 0.0
-    assert rep.witness["shift_to_u_isomorphic_to_member"] is True
-    assert rep.witness["shift_to_v_isomorphic_to_member"] is True
+    inequality is exactly refuted.  At k = l = 5 the path has 12 vertices,
+    past the catalog's order cap, which the isomorphism test must reach."""
+    for k in (1, 5):
+        site = GraftSite(base=make_base("complete", 2), u=0, v=1, k=k, l=k)
+        rep = verify_graft_monotonicity(site)
+        assert rep.outcome == "FAIL"
+        assert rep.certified_gap == 0.0
+        assert rep.witness["shift_to_u_isomorphic_to_member"] is True
+        assert rep.witness["shift_to_v_isomorphic_to_member"] is True
 
     strict = verify_graft_monotonicity(
         GraftSite(base=make_base("complete", 2), u=0, v=1, k=2, l=1)
@@ -158,7 +163,7 @@ def test_perturbation_bound_rejects_unchecked_tolerance(tol, monkeypatch):
     def untouched(*args):
         raise AssertionError("computed before the tolerance was checked")
 
-    for name in ("perron_of", "perron_many", "distance_matrices", "cache_radii"):
+    for name in ("perron_of", "perron_many", "distance_matrices"):
         monkeypatch.setattr(verify, name, untouched)
     with pytest.raises(ValueError, match="tol"):
         verify_perturbation_bound(make_base("path", 4), make_base("cycle", 4), tol=tol)
@@ -262,6 +267,25 @@ def test_graft_sweep_reports_golden_bytes():
     lines += [report_json(r) for r in sweep_pendant(5, 4)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "1b3d58e4e4ca8c95ca92721e06e794a87af29e4dac8c89b5ab5384ed08c219e1"
+
+
+def test_relocation_bound_and_mono_sweep_reports_golden_bytes(monkeypatch):
+    # sha256 of the relocation (n <= 6), perturbation-bound (n <= 6) and
+    # closure-monotonicity (n <= 7) reports, one per line; the bytes must
+    # not depend on how _by_unit splits a unit into batches
+    def lines():
+        out = [report_json(r) for r in sweep_relocation(6)]
+        out += [report_json(r) for r in sweep_perturbation(6)]
+        out += [report_json(r) for r in sweep_monotonicity(7)]
+        return out
+
+    full = lines()
+    assert len(full) == 2460
+    digest = hashlib.sha256("\n".join(full).encode()).hexdigest()
+    assert digest == "efc82c407a73ea2dab39d2b7fa289740de42e4565fa4bc1ae9f966c33366e868"
+    spectral.perron_of.cache_clear()
+    monkeypatch.setattr(verify, "SWEEP_BATCH", 7)
+    assert lines() == full
 
 
 @pytest.fixture
