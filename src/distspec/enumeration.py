@@ -25,9 +25,9 @@ representative, as with one key at a time.
 Each order is built once into a Level, the catalog of that order: the
 graph6 string of one representative per isomorphism class with the
 canonical key that deduplicated it, sorted by key, so repeated sweeps are
-cheap and deterministic.  The first filtered query decodes the order once
-and takes cut-vertex and cut-edge counts from one blocks() pass per graph;
-plain enumeration never pays for them.
+cheap and deterministic.  Graphs are decoded on the fly; the claim table
+(cut counts and certified radius per class) is computed on first use and
+keeps no graph.
 """
 
 from __future__ import annotations
@@ -35,10 +35,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .graph6 import decode_graph6, graph6_of
-from .graphs import MAX_CANONICAL_N, Graph, GraphError, blocks, keys_from_masks
+from .graphs import MAX_CANONICAL_N, Graph, GraphError, _ordering_table, blocks, keys_from_masks
+from .spectral import PerronResult, brackets
 
 DEFAULT_MAX_N = 9
 ENV_MAX_N = "DISTSPEC_MAX_N"
@@ -71,32 +73,35 @@ class Level:
     """Catalog of one order: a representative per isomorphism class, sorted by key.
 
     keys[i] is the canonical key of the graph graph6[i] encodes.  Graphs stay
-    graph6 text, a few bytes per class, until a filtered query analyses the
-    order: that decodes every graph once and keeps the graphs with their cut
-    counts here, so clearing the level cache drops them too.
+    graph6 text, a few bytes per class; analysed() adds the claim table.
     """
 
     keys: tuple[bytes, ...]
     graph6: tuple[str, ...]
-    _analysed: tuple[tuple[Graph, ...], list[tuple[int, int]]] | None = field(
+    _analysed: tuple[list[tuple[int, int]], list[PerronResult]] | None = field(
         default=None, repr=False
     )
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def graphs(self) -> Iterable[Graph]:
-        """The graphs in key order, decoded on the fly until the order is analysed."""
-        if self._analysed is not None:
-            return self._analysed[0]
+    def graphs(self) -> Iterator[Graph]:
+        """The graphs in key order, decoded on the fly."""
         return map(decode_graph6, self.graph6)
 
-    def analysed(self) -> tuple[tuple[Graph, ...], list[tuple[int, int]]]:
-        """The decoded graphs and their (cut vertices, cut edges), one blocks() pass each."""
+    def analysed(self) -> tuple[list[tuple[int, int]], list[PerronResult]]:
+        """Each class's (cut vertices, cut edges) and certified radius, by index.
+
+        Computed on first use, KEY_CHUNK classes at a time: a chunk is
+        decoded, cut-analysed by blocks(), bracketed as one stack, dropped.
+        """
         if self._analysed is None:
-            graphs = tuple(map(decode_graph6, self.graph6))
-            cuts = [(len(b.cut_vertices), len(b.cut_edges)) for b in map(blocks, graphs)]
-            self._analysed = graphs, cuts
+            cuts, radii = [], []
+            graphs = self.graphs()
+            while chunk := list(islice(graphs, KEY_CHUNK)):
+                cuts += [(len(b.cut_vertices), len(b.cut_edges)) for b in map(blocks, chunk)]
+                radii += brackets(chunk)
+            self._analysed = cuts, radii
         return self._analysed
 
 
@@ -180,6 +185,8 @@ def _level(n: int) -> Level:
             if len(pending) == KEY_CHUNK:
                 flush()
     flush()
+    # the key tables are per order, and no later level reads this order's
+    _ordering_table.cache_clear()
     keys = tuple(sorted(reps))
     return Level(keys=keys, graph6=tuple(reps[key] for key in keys))
 
@@ -215,6 +222,8 @@ class EnumFilter:
 
 def filtered_graphs(n: int, filt: EnumFilter) -> Iterator[Graph]:
     """Stream the enumerated graphs matching the filter, order preserved."""
-    for g, (cv, ce) in zip(*catalog(n).analysed()):
+    for g in catalog(n).graphs():
+        dec = blocks(g)
+        cv, ce = len(dec.cut_vertices), len(dec.cut_edges)
         if filt.cut_vertex_count in (None, cv) and filt.cut_edge_count in (None, ce):
             yield g

@@ -8,22 +8,17 @@ Y = DX exactly: in int64 for n <= 64, where D holds hop counts below 64 and
 no sum can overflow, and in Python ints beyond.  Each ratio Y_i/X_i is then
 rounded once, so widening min and max of the ratios outward by two ulps
 gives a rigorous bracket a few ulps wide, with no tolerance behind it (Rump,
-"Verification methods", Acta Numerica 19, 2010).  When that bracket is wider
-than requested, perron() refines the vector by power iteration; each
-refined vector is certified the same way, so every bracket perron()
-returns, or carries in a BracketError, is rigorous.
+"Verification methods", Acta Numerica 19, 2010).
 
-Distance matrices are built for many graphs at once, one stack per order,
-by a breadth-first search that advances every source of every graph
-together.  perron_many() brackets a batch the same way: one stacked eigh,
-one stacked exact product Y = DX and the same certification step per
-graph, so its brackets are bit-identical to perron()'s (the stacked eigh
-makes the same LAPACK call on each matrix and the step is exact).  It is
-the one path that brackets at the default width: it fills the cache that
-perron_of() reads, and a perron_of() miss is a batch of one.
-Comparisons are then made only between disjoint brackets; overlapping
-brackets are reported as indistinguishable instead of being resolved by an
-epsilon.
+One loop brackets a stack of same-order matrices: one stacked eigh, the
+step per matrix, and, for a matrix still wider than requested, power
+iteration with every refined vector certified the same way.  perron() runs
+it on one matrix, perron_many() on each order's graphs missing from
+perron_of()'s cache, and brackets() on graphs without the cache.  A matrix
+gets the same bits in any stack: the stacked eigh makes the same LAPACK
+call on each matrix, and the step is exact.  Comparisons are made only
+between disjoint brackets; overlapping brackets are reported as
+indistinguishable instead of being resolved by an epsilon.
 """
 
 from __future__ import annotations
@@ -133,38 +128,49 @@ class PerronResult:
 
 
 def perron(
-    dm: DistanceMatrix,
-    bracket_width: float = DEFAULT_BRACKET_WIDTH,
-    max_iter: int = MAX_ITER,
+    dm: DistanceMatrix, bracket_width: float = DEFAULT_BRACKET_WIDTH, max_iter: int = MAX_ITER
 ) -> PerronResult:
-    """Certified bracket from exact Collatz-Wielandt steps.
+    """Certified bracket of one matrix: the bracket loop on a stack of one.
 
-    The first step certifies the top eigenvector of a dense symmetric
-    solver.  While the bracket is wider than bracket_width, power iteration
-    refines the vector and every new vector is certified the same way; the
-    result carries the intersection of the step brackets and iterations
-    counts the steps.  After max_iter steps BracketError carries that
-    intersection instead.
+    BracketError carries the bracket reached after max_iter steps short of bracket_width.
     """
     if not bracket_width > 0:
         raise ValueError(f"bracket width must be positive, got {bracket_width}")
-    if dm.n == 1:
-        vec = np.ones(1)
-        vec.setflags(write=False)
-        return PerronResult(0.0, 0.0, 0.0, 0.0, 0, vec)
-    d = _exact(dm.d[None])
-    x = np.abs(np.linalg.eigh(dm.d)[1][:, -1])
-    lower, upper = -math.inf, math.inf
+    return _bracket_stack(dm.d, bracket_width, max_iter)[0]
+
+
+def _bracket_stack(
+    d: np.ndarray, bracket_width: float = DEFAULT_BRACKET_WIDTH, max_iter: int = MAX_ITER
+) -> list[PerronResult]:
+    """Certified brackets of a stack d of same-order matrices; a 2-D d is a stack of one.
+
+    Each matrix's first step certifies its top eigenvector from one stacked
+    eigh.  While its bracket, the intersection of its steps, is wider than
+    bracket_width, power iteration refines the vector; iterations counts
+    the steps.  After max_iter steps BracketError carries the bracket of
+    the first matrix still too wide.
+    """
+    n = d.shape[-1]
+    stack = d.reshape(-1, n, n)
+    if n == 1:
+        return [_result([1], [0], 0.0, 0.0, 0)] * len(stack)  # D = [0]: radius exactly 0
+    x = np.abs(np.linalg.eigh(d)[1][..., -1]).reshape(-1, n)
+    out: list = [None] * len(stack)
+    bounds = [(-math.inf, math.inf)] * len(stack)
+    todo = list(range(len(stack)))
     for it in range(1, max_iter + 1):
-        step = next(_steps(d, x[None]))
-        if step is not None:
-            xs, ys, step_lower, step_upper = step
-            lower, upper = max(lower, step_lower), min(upper, step_upper)
-            if upper - lower <= bracket_width:
-                return _result(xs, ys, lower, upper, it)
-        x = dm.d @ x
-        x /= x.max()
-    raise BracketError(lower, upper, max_iter)
+        for i, step in zip(todo, _steps(_exact(stack[todo]), x[todo])):
+            if step is not None:
+                xs, ys, lower, upper = step
+                bounds[i] = lower, upper = max(bounds[i][0], lower), min(bounds[i][1], upper)
+                if upper - lower <= bracket_width:
+                    out[i] = _result(xs, ys, lower, upper, it)
+        todo = [i for i in todo if out[i] is None]
+        if not todo:
+            return out
+        y = np.matmul(stack[todo], x[todo][:, :, None])[:, :, 0]
+        x[todo] = y / y.max(axis=1, keepdims=True)
+    raise BracketError(*bounds[todo[0]], max_iter)
 
 
 def _exact(d: np.ndarray) -> np.ndarray:
@@ -250,31 +256,25 @@ perron_of.cache_clear = _cache_clear
 def perron_many(
     graphs: Iterable[Graph], dms: Sequence[DistanceMatrix] | None = None
 ) -> list[PerronResult]:
-    """perron_of(g) for every graph, with the uncached ones computed as a batch.
+    """perron_of(g) for every graph, with the uncached ones bracketed together.
 
     dms, when given, are the graphs' distance matrices, already built;
     otherwise those of the uncached graphs are built one stack per order.
-    One eigh over each order's stack and one exact product give each matrix
-    its first step; a matrix whose step misses the default width, and
-    order 1, take perron() itself, which redoes that step before refining.
-    The results land in perron_of's cache.
+    Each order's stack is bracketed once, into perron_of's cache.
     """
     graphs = list(graphs)
     built = {} if dms is None else dict(zip(graphs, dms))
     todo = [g for g in dict.fromkeys(graphs) if g not in _radii]
     for n, gs in _by_order(todo).items():
         d = _distance_stack(gs, n) if dms is None else np.stack([built[g].d for g in gs])
-        if n == 1:
-            steps = [None] * len(gs)
-        else:
-            steps = _steps(_exact(d), np.abs(np.linalg.eigh(d)[1][:, :, -1]))
-        for g, m, step in zip(gs, d, steps):
-            if step is not None and step[3] - step[2] <= DEFAULT_BRACKET_WIDTH:
-                _radii[g] = _result(*step, 1)
-            else:
-                _radii[g] = perron(DistanceMatrix(n=n, d=m))
+        _radii.update(zip(gs, _bracket_stack(d)))
     _tally["misses"] += len(todo)
     return [_radii[g] for g in graphs]
+
+
+def brackets(graphs: Sequence[Graph]) -> list[PerronResult]:
+    """Default-width brackets of nonempty same-order graphs, as one stack, uncached."""
+    return _bracket_stack(_distance_stack(graphs, graphs[0].n))
 
 
 def _by_order(graphs: Iterable[Graph]) -> dict[int, list[Graph]]:

@@ -7,17 +7,16 @@ exact entrywise matrix comparison.  A hypothesis that does not hold, or
 brackets that overlap, yield INCONCLUSIVE; that marks the claim as untested
 here, never as falsified.
 
-Every radius comes from spectral.perron_of at its default width, whose one
-certification step already brackets it within a few ulps.  Each claim has
-one internal function that reports on a batch of instances: it builds the
-instances' graphs once, has their radii bracketed together by
-spectral.perron_many (from the distance matrices when the claim needs them
-anyway), and then reads every radius from perron_of's cache.
-A single verifier call is a batch of one; sweeps run serially in one
-process and feed it one unit at a time (a graft base graph, a claim 3/4
-class, an order), at most SWEEP_BATCH instances per batch.  The width and
-jobs parameters of the public verifiers and sweeps are deprecated:
-accepted for compatibility, ignored.
+Every radius is a default-width bracket, a few ulps wide.  Claims 3 and 4
+read theirs from the order's catalog table (enumeration.Level.analysed).
+Every other claim has one internal function that reports on a batch of
+instances: it builds their graphs once, has their radii bracketed together
+by spectral.perron_many (from the distance matrices when the claim needs
+them anyway), and reads every radius from perron_of's cache.  A single
+verifier call is a batch of one; sweeps run serially and feed it one unit
+at a time (a graft base graph or an order), at most SWEEP_BATCH instances
+per batch.  The width and jobs parameters of the public verifiers and
+sweeps are deprecated: accepted for compatibility, ignored.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from itertools import groupby, islice
 
 from .enumeration import catalog, connected_graphs
 from .graph6 import encode_graph6
-from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, build_graph, canonical_key
+from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, blocks, build_graph, canonical_key
 from .jsonio import dumps
 from .spectral import (
     DistanceMatrix,
@@ -427,7 +426,8 @@ def _monotonicity_report(
 ) -> VerificationReport:
     t0 = time.perf_counter()
     dominated = distance_dominates(d_closure, d_g)
-    idempotent = block_clique_closure(closure).edges == closure.edges
+    # blocks partition the edges, so this holds iff every block is complete
+    idempotent = sum(len(b) * (len(b) - 1) // 2 for b in blocks(closure).blocks) == closure.m
     rg = rc = None
     if closure.edges == g.edges:
         relation = "EQUAL"
@@ -472,45 +472,34 @@ _MIN_CLAIMS = {
 def _verify_min(theorem: str, n: int, k: int) -> VerificationReport:
     """Certify the claim's target as the unique minimizer of its class.
 
-    The class members and their canonical keys are read from the order's
-    catalog; only the target is keyed here.
+    Members' keys, graph6 strings and brackets are read from the order's
+    catalog table by index; only the target is built and keyed here.
     """
     t0 = time.perf_counter()
     which, target_of, noun = _MIN_CLAIMS[theorem]
     target = target_of(n, k)
     level = catalog(n)
-    graphs, cuts = level.analysed()
+    cuts, radii = level.analysed()
     picked = [i for i, c in enumerate(cuts) if c[which] == k]
     if not picked:
         raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
-    members = [graphs[i] for i in picked]
-    keys = [level.keys[i] for i in picked]
-    results = perron_many(members)
     target_key = canonical_key(target)
-    cand = min(range(len(members)), key=lambda i: (results[i].value, keys[i]))
-    instance = {"n": n, "k": k, "class_size": len(members)}
+    cand, *others = sorted(picked, key=lambda i: (radii[i].value, level.keys[i]))
     witness = {
         "target": encode_graph6(target),
-        "minimizer": encode_graph6(members[cand]),
-        "minimizer_isomorphic_to_target": keys[cand] == target_key,
-        "minimizer_bracket": _bracket(results[cand]),
+        "minimizer": level.graph6[cand],
+        "minimizer_isomorphic_to_target": level.keys[cand] == target_key,
+        "minimizer_bracket": _bracket(radii[cand]),
     }
-    runner = None
-    if len(members) > 1:
-        runner = min(
-            (i for i in range(len(members)) if i != cand),
-            key=lambda i: (results[i].value, keys[i]),
-        )
-        witness["runner_up"] = encode_graph6(members[runner])
-        witness["runner_up_bracket"] = _bracket(results[runner])
-
-    if keys[cand] != target_key:
+    if others:
+        witness["runner_up"] = level.graph6[others[0]]
+        witness["runner_up_bracket"] = _bracket(radii[others[0]])
+    if level.keys[cand] != target_key:
         outcome, gap = FAIL, None
-    elif len(members) == 1:
+    elif not others:
         outcome, gap = PASS, None
     else:
-        sep = min(results[i].lower for i in range(len(members)) if i != cand)
-        gap = sep - results[cand].upper
+        gap = min(radii[i].lower for i in others) - radii[cand].upper
         if gap > 0:
             outcome = PASS
         else:
@@ -518,7 +507,7 @@ def _verify_min(theorem: str, n: int, k: int) -> VerificationReport:
             witness["needs_exact_followup"] = True
     return VerificationReport(
         theorem=theorem,
-        instance=instance,
+        instance={"n": n, "k": k, "class_size": len(picked)},
         outcome=outcome,
         certified_gap=gap,
         witness=witness,
@@ -544,8 +533,8 @@ def verify_min_cut_edges(n: int, k: int, width=None, jobs=1) -> VerificationRepo
 
 # ---------------------------------------------------------------------------
 # Sweeps: finite exhaustive grids of the verifiers above, run serially in
-# deterministic order.  Each sweep hands its claim's batch function one
-# unit at a time.
+# deterministic order.  Each sweep but claims 3 and 4 hands its claim's
+# batch function one unit at a time.
 
 
 # Most instances a sweep hands its batch function at once: bounds the graphs
@@ -680,7 +669,7 @@ def sweep_monotonicity(max_n: int = 7, width=None, jobs=1) -> list[VerificationR
 def _sweep_min(theorem: str, n: int, ks: range):
     """One report per k in ks whose class the catalog shows non-empty."""
     which = _MIN_CLAIMS[theorem][0]
-    present = {c[which] for c in catalog(n).analysed()[1]}
+    present = {c[which] for c in catalog(n).analysed()[0]}
     return [_verify_min(theorem, n, k) for k in ks if k in present]
 
 

@@ -28,6 +28,7 @@ from distspec.graph6 import encode_graph6
 from distspec.graphs import (
     MAX_CANONICAL_N,
     GraphError,
+    _ordering_table,
     _refine_many,
     _refinement_classes,
     blocks,
@@ -38,6 +39,7 @@ from distspec.graphs import (
     keys_from_masks,
     relabel,
 )
+from distspec.spectral import distance_matrix, perron
 
 
 def brute_force_count(n):
@@ -164,17 +166,23 @@ def brute_force_cut_counts(g):
 
 
 def test_catalog_keys_and_cut_counts():
+    def fields(res):
+        return (res.value, res.lower, res.upper, res.residual, res.iterations, res.vector.tolist())
+
     for n in range(1, 8):
         level = catalog(n)
         assert len(_level(n)) == count_connected(n) == len(level.keys)
-        graphs, cuts = level.analysed()
-        assert list(graphs) == list(connected_graphs(n))
-        for key, g, counts in zip(level.keys, graphs, cuts):
+        graphs = list(level.graphs())
+        cuts, radii = level.analysed()
+        assert graphs == list(connected_graphs(n))
+        assert len(cuts) == len(radii) == len(graphs)
+        for key, g, counts, res in zip(level.keys, graphs, cuts, radii):
             assert key == canonical_key(g)
             dec = blocks(g)
             assert counts == (len(dec.cut_vertices), len(dec.cut_edges))
             if n <= 6:
                 assert counts == brute_force_cut_counts(g)
+            assert fields(res) == fields(perron(distance_matrix(g)))
 
 
 def test_cache_clear_drops_the_catalog():
@@ -197,6 +205,14 @@ def test_catalog_golden_bytes():
             h.update(key + b"\0" + g6.encode() + b"\n")
         h.update(b"--\n")
     assert h.hexdigest() == "e6046a39ae7c3a353fe99b891a9c27e5fefdd44f7060b4be530e572457915828"
+
+
+def test_level_build_drops_its_key_tables():
+    # the key tables are per order, so none outlives the level build
+    _level.cache_clear()
+    _level(7)
+    assert _ordering_table.cache_info().currsize == 0
+    test_catalog_golden_bytes()
 
 
 def masks_of(g):

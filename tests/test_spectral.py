@@ -326,31 +326,30 @@ def test_perron_many_rejects_disconnected_graph():
 
 
 def test_perron_many_falls_back_when_first_step_is_too_wide(monkeypatch):
-    # The stacked eigh hands one graph a sign-alternating vector; |v| = ones
-    # certifies only a wide bracket, so that graph takes perron() itself.
+    # eigh hands one graph a sign-alternating vector, alone (2-D, perron())
+    # or in a stack (3-D, perron_many()); |v| = ones certifies only a wide
+    # bracket, so the bracket loop refines that graph by power iteration
     perron_of.cache_clear()
     graphs = list(connected_graphs(5))
     victim = 7
-    assert len(set(distance_matrix(graphs[victim]).d.sum(axis=1).tolist())) > 1
+    d_victim = distance_matrix(graphs[victim]).d
+    assert len(set(d_victim.sum(axis=1).tolist())) > 1
+    unpatched = [fields(perron(distance_matrix(g))) for g in graphs]
     real_eigh = np.linalg.eigh
 
     def eigh(a):
         w, v = real_eigh(a)
-        if a.ndim == 3:
-            v[victim, :, -1] = [(-1) ** i for i in range(a.shape[-1])]
+        n = a.shape[-1]
+        for m, vecs in zip(a.reshape(-1, n, n), v if a.ndim == 3 else v[None]):
+            if np.array_equal(m, d_victim):
+                vecs[:, -1] = [(-1) ** i for i in range(n)]
         return w, v
 
-    scalar_calls = []
-    real_perron = spectral.perron
-
-    def counting(dm, *args, **kwargs):
-        scalar_calls.append(dm)
-        return real_perron(dm, *args, **kwargs)
-
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    monkeypatch.setattr(spectral, "perron", counting)
     out = perron_many(graphs)
-    assert len(scalar_calls) == 1
-    assert scalar_calls[0].d.tolist() == distance_matrix(graphs[victim]).d.tolist()
-    for g, res in zip(graphs, out):
-        assert fields(res) == fields(real_perron(distance_matrix(g)))
+    assert out[victim].iterations > 1
+    assert out[victim].width <= spectral.DEFAULT_BRACKET_WIDTH
+    assert fields(out[victim]) == fields(perron(distance_matrix(graphs[victim])))
+    for i, res in enumerate(out):
+        if i != victim:
+            assert fields(res) == unpatched[i]

@@ -9,10 +9,17 @@ import math
 
 import pytest
 
-from distspec import spectral, verify
+from distspec import enumeration, spectral, verify
+from distspec.enumeration import catalog, connected_graphs
 from distspec.graph6 import decode_graph6
-from distspec.graphs import GraphError, PendantPath, build_graph
-from distspec.transforms import GraftSite, RelocationSpec, make_base, make_relocation_spec
+from distspec.graphs import Graph, GraphError, PendantPath, build_graph
+from distspec.transforms import (
+    GraftSite,
+    RelocationSpec,
+    block_clique_closure,
+    make_base,
+    make_relocation_spec,
+)
 from distspec.verify import (
     pendant_report_for_site,
     report_json,
@@ -260,6 +267,32 @@ def test_min_sweep_reports_golden_bytes():
     assert digest == "db39163ce5ca68489f589deb0de89d0364656ed1d2f61c3a383d506c7c8ba783"
 
 
+def test_min_sweep_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    # the levels and their claim tables rebuilt KEY_CHUNK = 7 classes at a
+    # time give the same report bytes
+    monkeypatch.setattr(enumeration, "KEY_CHUNK", 7)
+    enumeration._level.cache_clear()
+    try:
+        test_min_sweep_reports_golden_bytes()
+    finally:
+        enumeration._level.cache_clear()
+
+
+def holds_graph(value):
+    if isinstance(value, Graph):
+        return True
+    return isinstance(value, (tuple, list)) and any(map(holds_graph, value))
+
+
+def test_min_sweeps_read_the_catalog_table_not_the_memo():
+    spectral.perron_of.cache_clear()
+    assert sweep_min_cut_vertices(6) and sweep_min_cut_edges(6)
+    assert spectral.perron_of.cache_info().currsize == 0
+    level = catalog(6)
+    assert len(level.analysed()[1]) == len(level) == 112
+    assert not any(holds_graph(getattr(level, f.name)) for f in dataclasses.fields(level))
+
+
 def test_graft_sweep_reports_golden_bytes():
     # sha256 of the graft-shift and pendant-mass reports over bases n <= 5,
     # one per line: the bracket-first isomorphism test must not move a byte
@@ -286,6 +319,21 @@ def test_relocation_bound_and_mono_sweep_reports_golden_bytes(monkeypatch):
     spectral.perron_of.cache_clear()
     monkeypatch.setattr(verify, "SWEEP_BATCH", 7)
     assert lines() == full
+
+
+def test_closure_idempotence_counts_block_edges():
+    # the report counts the closure's block edges instead of closing it
+    # again; the double closure is the oracle, on every graph with n <= 7
+    # and on its closure
+    seen = set()
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for h in (g, block_clique_closure(g)):
+                dm = spectral.distance_matrix(h)
+                idempotent = verify._monotonicity_report(h, h, dm, dm).witness["idempotent"]
+                assert idempotent == (block_clique_closure(h).edges == h.edges), h.edges
+                seen.add(idempotent)
+    assert seen == {True, False}
 
 
 @pytest.fixture
