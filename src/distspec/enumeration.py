@@ -22,24 +22,27 @@ graphs.keys_from_masks, which gives each child the key key_from_masks
 would; the first child met with a new key stays its class's
 representative, as with one key at a time.
 
-Each order is built once into a Level, the catalog of that order: the
-graph6 string of one representative per isomorphism class with the
-canonical key that deduplicated it, sorted by key, so repeated sweeps are
-cheap and deterministic.  Graphs are decoded on the fly; the claim table
-(cut counts and certified radius per class) is computed on first use and
-keeps no graph.
+Each order is built once into a Level, the catalog of that order: one
+representative per isomorphism class, sorted by the canonical key that
+deduplicated it, as its graph6 string and the adjacency bitmasks it was
+keyed by, so repeated sweeps are cheap and deterministic.  The next order's
+parents, the claim table (cut counts and certified radius per class) and
+the cut filters read the masks; no Graph is built unless asked for.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from typing import Iterator, Sequence
 
-from .graph6 import decode_graph6, graph6_of
-from .graphs import MAX_CANONICAL_N, Graph, GraphError, _ordering_table, blocks, keys_from_masks
+import numpy as np
+
+from .graph6 import graph6_of
+from .graphs import MAX_CANONICAL_N, Graph, GraphError, _bits, _ordering_table, keys_from_masks
+from .graphs import cut_counts, edges_of, graph_from_masks
 from .spectral import PerronResult, brackets
 
 DEFAULT_MAX_N = 9
@@ -72,12 +75,14 @@ def max_order() -> int:
 class Level:
     """Catalog of one order: a representative per isomorphism class, sorted by key.
 
-    keys[i] is the canonical key of the graph graph6[i] encodes.  Graphs stay
-    graph6 text, a few bytes per class; analysed() adds the claim table.
+    keys[i] is the canonical key of the graph graph6[i] encodes, and
+    masks[i] holds that graph's adjacency bitmasks (a read-only uint16
+    array of shape (classes, n)); analysed() adds the claim table.
     """
 
     keys: tuple[bytes, ...]
     graph6: tuple[str, ...]
+    masks: np.ndarray
     _analysed: tuple[list[tuple[int, int]], list[PerronResult]] | None = field(
         default=None, repr=False
     )
@@ -86,20 +91,20 @@ class Level:
         return len(self.keys)
 
     def graphs(self) -> Iterator[Graph]:
-        """The graphs in key order, decoded on the fly."""
-        return map(decode_graph6, self.graph6)
+        """The graphs in key order, built from their masks unchecked, one row at a time."""
+        return map(graph_from_masks, map(np.ndarray.tolist, self.masks))
 
     def analysed(self) -> tuple[list[tuple[int, int]], list[PerronResult]]:
         """Each class's (cut vertices, cut edges) and certified radius, by index.
 
-        Computed on first use, KEY_CHUNK classes at a time: a chunk is
-        decoded, cut-analysed by blocks(), bracketed as one stack, dropped.
+        Computed on first use from the mask array, KEY_CHUNK rows at a time and
+        without a Graph: cut counts from block masks, brackets from one stack.
         """
         if self._analysed is None:
             cuts, radii = [], []
-            graphs = self.graphs()
-            while chunk := list(islice(graphs, KEY_CHUNK)):
-                cuts += [(len(b.cut_vertices), len(b.cut_edges)) for b in map(blocks, chunk)]
+            for lo in range(0, len(self), KEY_CHUNK):
+                chunk = self.masks[lo:lo + KEY_CHUNK]
+                cuts += map(cut_counts, chunk.tolist())
                 radii += brackets(chunk)
             self._analysed = cuts, radii
         return self._analysed
@@ -147,48 +152,43 @@ KEY_CHUNK = 256
 @lru_cache(maxsize=None)
 def _level(n: int) -> Level:
     """Catalog of all connected graphs on n vertices."""
-    if n == 1:
-        # the key key_from_masks gives the one-vertex graph
-        return Level(keys=(bytes([1, 0]),), graph6=(graph6_of(1, ()),))
-    reps: dict[bytes, str] = {}
+    if n == 1:  # K1 is graph6 "@"; its key is the one key_from_masks gives
+        return Level((bytes([1, 0]),), ("@",), np.frombuffer(bytes(2), np.uint16).reshape(1, 1))
+    # canonical key -> index in graph6 and rows of the class's first child met
+    reps: dict[bytes, int] = {}
+    graph6: list[str] = []
+    rows = bytearray()
+    pack = struct.Struct(f"{n}H").pack
     new = n - 1
-    # (child bitmasks, parent, neighbourhood of the new vertex), not yet keyed
-    pending: list[tuple[list[int], Graph, int]] = []
+    pending: list[list[int]] = []
 
     def flush() -> None:
-        keys = keys_from_masks(n, [masks for masks, _, _ in pending])
-        for key, (_, parent, sub) in zip(keys, pending):
+        for key, masks in zip(keys_from_masks(n, pending), pending):
             if key not in reps:
-                edges = list(parent.edges)
-                m = sub
-                while m:
-                    i = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    edges.append((i, new))
-                reps[key] = graph6_of(n, edges)
+                reps[key] = len(graph6)
+                graph6.append(graph6_of(n, edges_of(masks)))
+                rows.extend(pack(*masks))
         pending.clear()
 
-    for parent in _level(n - 1).graphs():
-        pmasks = [0] * n
-        for u, v in parent.edges:
-            pmasks[u] |= 1 << v
-            pmasks[v] |= 1 << u
+    for pmasks in map(np.ndarray.tolist, _level(new).masks):
+        pmasks.append(0)
         for sub in _twin_pruned_subsets(twin_classes(pmasks[:new])):
             masks = pmasks.copy()
             masks[new] = sub
-            m = sub
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
+            for i in _bits(sub):
                 masks[i] |= 1 << new
-            pending.append((masks, parent, sub))
+            pending.append(masks)
             if len(pending) == KEY_CHUNK:
                 flush()
     flush()
     # the key tables are per order, and no later level reads this order's
     _ordering_table.cache_clear()
     keys = tuple(sorted(reps))
-    return Level(keys=keys, graph6=tuple(reps[key] for key in keys))
+    order = [reps[key] for key in keys]
+    reps.clear()  # before the sorted copies are made
+    masks = np.frombuffer(rows, dtype=np.uint16).reshape(-1, n)[order]
+    masks.setflags(write=False)
+    return Level(keys, tuple(graph6[i] for i in order), masks)
 
 
 def catalog(n: int) -> Level:
@@ -221,9 +221,8 @@ class EnumFilter:
 
 
 def filtered_graphs(n: int, filt: EnumFilter) -> Iterator[Graph]:
-    """Stream the enumerated graphs matching the filter, order preserved."""
-    for g in catalog(n).graphs():
-        dec = blocks(g)
-        cv, ce = len(dec.cut_vertices), len(dec.cut_edges)
+    """Stream the enumerated graphs matching the filter, order preserved, building only those."""
+    for masks in map(np.ndarray.tolist, catalog(n).masks):
+        cv, ce = cut_counts(masks)
         if filt.cut_vertex_count in (None, cv) and filt.cut_edge_count in (None, ce):
-            yield g
+            yield graph_from_masks(masks)

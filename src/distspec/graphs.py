@@ -3,7 +3,7 @@
 Simple undirected graphs on vertices 0..n-1, kept immutable so that every
 operation downstream is a pure function of its inputs.  Algorithms here are
 the standard linear-time ones (BFS for distances and connectivity, one
-edge-stack DFS for the blocks, from which cut vertices and bridges follow).
+bitmask lowpoint DFS for the blocks, from which cut vertices and bridges follow).
 
 A canonical key is the minimal graph6 bit string over the vertex orderings
 that list the 1-WL refinement classes in class order.  Two evaluators give
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
+from typing import Iterator
 
 import numpy as np
 
@@ -104,11 +105,6 @@ def is_connected(g: Graph) -> bool:
     return min(bfs_distances(g, 0)) >= 0
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise GraphError("graph is not connected")
-
-
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Blocks (maximal 2-connected subgraphs plus bridges) and cut structure."""
@@ -119,63 +115,98 @@ class BlockDecomposition:
 
 
 def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected decomposition via an edge-stack DFS.
+    """Biconnected decomposition, the blocks in block_masks' completion order.
 
-    Every edge lands in exactly one block; a 2-vertex block is a bridge and a
-    vertex shared by two blocks is a cut vertex, so the cut structure falls
-    out of the same pass.  An isolated vertex (n = 1) forms its own block.
+    Every edge lands in exactly one block; a 2-vertex block is a bridge and
+    a vertex shared by two blocks is a cut vertex.  An isolated vertex
+    (n = 1) forms its own block.
     """
-    _require_connected(g)
-    if g.n == 1:
-        return BlockDecomposition(frozenset(), frozenset(), (frozenset({0}),))
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    counter = 0
-    estack: list[tuple[int, int]] = []
-    block_sets: list[frozenset[int]] = []
-    stack: list[tuple[int, int]] = [(0, 0)]
-    while stack:
-        u, i = stack[-1]
-        if i == 0:
-            disc[u] = low[u] = counter
-            counter += 1
-        if i < len(g.adjacency[u]):
-            stack[-1] = (u, i + 1)
-            w = g.adjacency[u][i]
-            if disc[w] < 0:
-                parent[w] = u
-                estack.append((u, w))
-                stack.append((w, 0))
-            elif w != parent[u] and disc[w] < disc[u]:
-                estack.append((u, w))
-                if disc[w] < low[u]:
-                    low[u] = disc[w]
-        else:
-            stack.pop()
-            p = parent[u]
-            if p >= 0:
-                if low[u] < low[p]:
-                    low[p] = low[u]
-                if low[u] >= disc[p]:
-                    # (p, u) closes a block; pop its edges.
-                    members = set()
-                    while True:
-                        a, b = estack.pop()
-                        members.add(a)
-                        members.add(b)
-                        if (a, b) == (p, u):
-                            break
-                    block_sets.append(frozenset(members))
-    cuts = {}
-    for bs in block_sets:
-        for v in bs:
-            cuts[v] = cuts.get(v, 0) + 1
-    cut_vs = frozenset(v for v, c in cuts.items() if c >= 2)
-    cut_es = frozenset(
-        (min(bs), max(bs)) for bs in block_sets if len(bs) == 2
-    )
-    return BlockDecomposition(cut_vs, cut_es, tuple(block_sets))
+    found = block_masks(masks_of(g))
+    block_sets = tuple(frozenset(_bits(b)) for b in found)
+    cut_es = frozenset((min(bs), max(bs)) for bs in block_sets if len(bs) == 2)
+    return BlockDecomposition(frozenset(_bits(_shared(found))), cut_es, block_sets)
+
+
+def block_masks(masks) -> list[int]:
+    """Blocks of a connected graph as vertex bitmasks, in completion order.
+
+    masks[v] is the adjacency bitmask of v.  An iterative lowpoint DFS
+    (Hopcroft and Tarjan, CACM 16, 1973) from vertex 0, lowest neighbour
+    bit first; the neighbours of w visited before it are its ancestors (no
+    cross edges), which give low[w].  A child u of p that finishes with
+    low[u] >= disc[p] closes a block: p and the vertices visited since u
+    that no earlier block took; K1 is one block.  Raises GraphError if disconnected.
+    """
+    n = len(masks)
+    disc, low, before = [0] * n, [0] * n, [0] * n
+    todo = list(masks)
+    visited, taken = 1, 0
+    path = [0]
+    found = []
+    while path:
+        u = path[-1]
+        fresh = todo[u] & ~visited
+        if fresh:
+            todo[u] = fresh & (fresh - 1)
+            w = (fresh & -fresh).bit_length() - 1
+            before[w] = visited
+            disc[w] = low[w] = visited.bit_count()
+            for a in _bits(masks[w] & visited & ~(1 << u)):
+                if disc[a] < low[w]:
+                    low[w] = disc[a]
+            visited |= 1 << w
+            path.append(w)
+            continue
+        path.pop()
+        if path:
+            p = path[-1]
+            if low[u] < low[p]:
+                low[p] = low[u]
+            if low[u] >= disc[p]:
+                block = visited & ~before[u] & ~taken
+                taken |= block
+                found.append(block | 1 << p)
+    if visited != (1 << n) - 1:
+        raise GraphError("graph is not connected")
+    return found or [1]
+
+
+def cut_counts(masks) -> tuple[int, int]:
+    """(cut vertices, cut edges) of a connected graph given by adjacency bitmasks."""
+    found = block_masks(masks)
+    return _shared(found).bit_count(), sum(b.bit_count() == 2 for b in found)
+
+
+def _shared(found: list[int]) -> int:
+    """Bitmask of the vertices in two or more of the blocks: the cut vertices."""
+    seen = shared = 0
+    for b in found:
+        shared |= seen & b
+        seen |= b
+    return shared
+
+
+def _bits(m: int) -> Iterator[int]:
+    """Indices of the set bits of m, ascending."""
+    while m:
+        yield (m & -m).bit_length() - 1
+        m &= m - 1
+
+
+def masks_of(g: Graph) -> list[int]:
+    """Adjacency bitmasks: bit w of masks[u] is set iff uw is an edge."""
+    return [sum(1 << w for w in nb) for nb in g.adjacency]
+
+
+def graph_from_masks(masks) -> Graph:
+    """build_graph on the edges of symmetric, loop-free adjacency bitmasks, unchecked."""
+    adjacency = tuple(tuple(_bits(m)) for m in masks)
+    return Graph(len(masks), frozenset(edges_of(masks)), adjacency, tuple(map(len, adjacency)))
+
+
+def edges_of(masks) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, of adjacency bitmasks, by j and then i."""
+    return [(i, j) for j, m in enumerate(masks) for i in _bits(m & ((1 << j) - 1))]
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
@@ -206,7 +237,8 @@ def pendant_paths(g: Graph) -> list[PendantPath]:
 
     A path graph has no vertex of degree > 2 and therefore no pendant paths.
     """
-    _require_connected(g)
+    if not is_connected(g):
+        raise GraphError("graph is not connected")
     out = []
     for r in range(g.n):
         if g.degrees[r] <= 2:
@@ -243,11 +275,7 @@ def canonical_key(g: Graph, max_n: int = MAX_CANONICAL_N) -> bytes:
     n = g.n
     if n > max_n:
         raise GraphError(f"canonical_key supports n <= {max_n}, got {n}")
-    masks = [0] * n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return key_from_masks(n, masks)
+    return key_from_masks(n, masks_of(g))
 
 
 def _refinement_classes(n: int, masks) -> list[int]:
@@ -265,14 +293,7 @@ def _refinement_classes(n: int, masks) -> list[int]:
     while nclasses < n:
         sigs = []
         for v in range(n):
-            m = masks[v]
-            nb = []
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                nb.append(colors[u])
-            nb.sort()
-            sigs.append((colors[v], *nb))
+            sigs.append((colors[v], *sorted(colors[u] for u in _bits(masks[v]))))
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [rank[s] for s in sigs]
         if len(rank) == nclasses:

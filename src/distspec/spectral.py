@@ -14,11 +14,11 @@ One loop brackets a stack of same-order matrices: one stacked eigh, the
 step per matrix, and, for a matrix still wider than requested, power
 iteration with every refined vector certified the same way.  perron() runs
 it on one matrix, perron_many() on each order's graphs missing from
-perron_of()'s cache, and brackets() on graphs without the cache.  A matrix
-gets the same bits in any stack: the stacked eigh makes the same LAPACK
-call on each matrix, and the step is exact.  Comparisons are made only
-between disjoint brackets; overlapping brackets are reported as
-indistinguishable instead of being resolved by an epsilon.
+perron_of()'s cache, and brackets() on a catalog's adjacency bitmask rows
+without the cache.  A matrix gets the same bits in any stack: the stacked
+eigh makes the same LAPACK call on each matrix, and the step is exact.
+Comparisons are made only between disjoint brackets; overlapping brackets
+are reported as indistinguishable instead of being resolved by an epsilon.
 """
 
 from __future__ import annotations
@@ -80,18 +80,22 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 
 
 def _distance_stack(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    """Read-only int64 stack of the hop-count matrices of order-n graphs.
+    """_hop_counts of order-n graphs, their adjacency stack built from their edges."""
+    a = np.zeros((len(graphs), n, n), dtype=bool)
+    a.flat[[(i * n + u) * n + v for i, g in enumerate(graphs) for u, v in g.edges]] = True
+    return _hop_counts(a | a.transpose(0, 2, 1))
+
+
+def _hop_counts(a: np.ndarray) -> np.ndarray:
+    """Read-only int64 stack of the hop-count matrices of a boolean adjacency stack.
 
     Every source of every graph advances together: the vertices first
     reached at hop k are the neighbours of those first reached at hop k-1
     (a boolean product with the stacked adjacency) that no earlier hop
     reached.
     """
-    a = np.zeros((len(graphs), n, n), dtype=bool)
-    a.flat[[(i * n + u) * n + v for i, g in enumerate(graphs) for u, v in g.edges]] = True
-    a = a | a.transpose(0, 2, 1)
     d = a.astype(np.int64)
-    reached = a | np.eye(n, dtype=bool)
+    reached = a | np.eye(a.shape[-1], dtype=bool)
     frontier = a
     hop = 1
     while True:
@@ -272,9 +276,10 @@ def perron_many(
     return [_radii[g] for g in graphs]
 
 
-def brackets(graphs: Sequence[Graph]) -> list[PerronResult]:
-    """Default-width brackets of nonempty same-order graphs, as one stack, uncached."""
-    return _bracket_stack(_distance_stack(graphs, graphs[0].n))
+def brackets(masks: np.ndarray) -> list[PerronResult]:
+    """Default-width brackets of a nonempty (graphs, n) bitmask array, as one stack, uncached."""
+    a = (masks[:, :, None] >> np.arange(masks.shape[1]) & 1).astype(bool)
+    return _bracket_stack(_hop_counts(a))
 
 
 def _by_order(graphs: Iterable[Graph]) -> dict[int, list[Graph]]:

@@ -484,7 +484,7 @@ def _verify_min(theorem: str, n: int, k: int) -> VerificationReport:
     if not picked:
         raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
     target_key = canonical_key(target)
-    cand, *others = sorted(picked, key=lambda i: (radii[i].value, level.keys[i]))
+    cand, *others = sorted(picked, key=lambda i: radii[i].value)  # stable: ties keep key order
     witness = {
         "target": encode_graph6(target),
         "minimizer": level.graph6[cand],

@@ -176,8 +176,10 @@ def test_catalog_keys_and_cut_counts():
         cuts, radii = level.analysed()
         assert graphs == list(connected_graphs(n))
         assert len(cuts) == len(radii) == len(graphs)
-        for key, g, counts, res in zip(level.keys, graphs, cuts, radii):
+        assert level.masks.dtype == np.uint16 and level.masks.shape == (len(graphs), n)
+        for key, g, row, counts, res in zip(level.keys, graphs, level.masks.tolist(), cuts, radii):
             assert key == canonical_key(g)
+            assert row == masks_of(g)
             dec = blocks(g)
             assert counts == (len(dec.cut_vertices), len(dec.cut_edges))
             if n <= 6:
@@ -238,9 +240,13 @@ def unpruned_level(parents, n):
             key = key_from_masks(n, masks)
             if key not in reps:
                 edges = list(parent.edges) + [(i, new) for i in range(new) if sub >> i & 1]
-                reps[key] = encode_graph6(build_graph(n, edges))
+                reps[key] = encode_graph6(build_graph(n, edges)), masks
     keys = tuple(sorted(reps))
-    return Level(keys=keys, graph6=tuple(reps[key] for key in keys))
+    return Level(
+        keys=keys,
+        graph6=tuple(reps[key][0] for key in keys),
+        masks=np.array([reps[key][1] for key in keys], dtype=np.uint16),
+    )
 
 
 def test_twin_pruning_matches_unpruned_build():
@@ -319,3 +325,50 @@ def test_twin_swaps_are_automorphisms():
                     perm = list(range(n))
                     perm[u], perm[w] = w, u
                     assert relabel(g, perm).edges == g.edges
+
+
+def test_mask_cut_counts_match_networkx():
+    # every class with n <= 8, from its catalog row alone
+    from distspec.graphs import cut_counts, edges_of
+
+    for n in range(1, 9):
+        for row in catalog(n).masks.tolist():
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(edges_of(row))
+            expected = (len(list(nx.articulation_points(h))), len(list(nx.bridges(h))))
+            assert cut_counts(row) == expected
+
+
+def test_claim_table_reads_the_mask_array(monkeypatch):
+    # the catalog stores its graphs as one uint16 mask array whose rows are
+    # the graph6 strings' graphs, and the claim 3/4 sweeps decode no graph6
+    # and run no blocks() on the way to their reports
+    import distspec
+    from distspec import graph6, graphs, verify
+
+    level = catalog(7)
+    assert isinstance(level.masks, np.ndarray)
+    assert level.masks.dtype == np.uint16 and level.masks.shape == (853, 7)
+    for n in range(1, 8):
+        assert [encode_graph6(g) for g in catalog(n).graphs()] == list(catalog(n).graph6)
+    calls = {"decode_graph6": 0, "blocks": 0}
+    modules = [distspec] + [
+        m for m in vars(distspec).values() if getattr(m, "__name__", "").startswith("distspec.")
+    ]
+    for name, real in (("decode_graph6", graph6.decode_graph6), ("blocks", graphs.blocks)):
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for mod in modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    _level.cache_clear()
+    try:
+        assert len(verify.sweep_min_cut_vertices(7)) == 6
+        assert len(verify.sweep_min_cut_edges(7)) == 6
+    finally:
+        _level.cache_clear()
+    assert calls == {"decode_graph6": 0, "blocks": 0}

@@ -294,3 +294,111 @@ def test_keys_from_masks_edge_cases():
         keys_from_masks(17, [path_masks(17)])
     with pytest.raises(GraphError, match="16"):
         keys_from_masks(17, [])
+
+
+def edge_stack_blocks(g):
+    """Reference oracle: the biconnected decomposition by an edge-stack DFS.
+
+    From vertex 0, neighbours in ascending order; a block's vertices are
+    those of the edges popped when (p, u) closes it, in completion order.
+    """
+    assert is_connected(g)
+    if g.n == 1:
+        return graphs.BlockDecomposition(frozenset(), frozenset(), (frozenset({0}),))
+    disc = [-1] * g.n
+    low = [0] * g.n
+    parent = [-1] * g.n
+    counter = 0
+    estack = []
+    block_sets = []
+    stack = [(0, 0)]
+    while stack:
+        u, i = stack[-1]
+        if i == 0:
+            disc[u] = low[u] = counter
+            counter += 1
+        if i < len(g.adjacency[u]):
+            stack[-1] = (u, i + 1)
+            w = g.adjacency[u][i]
+            if disc[w] < 0:
+                parent[w] = u
+                estack.append((u, w))
+                stack.append((w, 0))
+            elif w != parent[u] and disc[w] < disc[u]:
+                estack.append((u, w))
+                low[u] = min(low[u], disc[w])
+        else:
+            stack.pop()
+            p = parent[u]
+            if p >= 0:
+                low[p] = min(low[p], low[u])
+                if low[u] >= disc[p]:
+                    members = set()
+                    while True:
+                        a, b = estack.pop()
+                        members |= {a, b}
+                        if (a, b) == (p, u):
+                            break
+                    block_sets.append(frozenset(members))
+    cuts = {}
+    for bs in block_sets:
+        for v in bs:
+            cuts[v] = cuts.get(v, 0) + 1
+    return graphs.BlockDecomposition(
+        frozenset(v for v, c in cuts.items() if c >= 2),
+        frozenset((min(bs), max(bs)) for bs in block_sets if len(bs) == 2),
+        tuple(block_sets),
+    )
+
+
+def test_mask_blocks_equal_the_edge_stack_dfs():
+    # field for field and in block order, on every connected graph with
+    # n <= 7 and on its block-clique closure
+    from distspec.enumeration import connected_graphs
+    from distspec.transforms import block_clique_closure
+
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for h in (g, block_clique_closure(g)):
+                dec = blocks(h)
+                assert dec == edge_stack_blocks(h)
+                counts = (len(dec.cut_vertices), len(dec.cut_edges))
+                assert graphs.cut_counts(masks_of(h)) == counts
+
+
+@st.composite
+def connected_graphs_up_to_16(draw):
+    """A random spanning tree on a shuffled vertex order plus random extra edges."""
+    n = draw(st.integers(1, 16))
+    order = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((order[i], order[draw(st.integers(0, i - 1))]))) for i in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return build_graph(n, sorted(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs_up_to_16())
+def test_mask_blocks_equal_the_edge_stack_dfs_random(g):
+    assert blocks(g) == edge_stack_blocks(g)
+
+
+def test_block_masks_guard_connectivity():
+    # a disconnected input raises instead of returning the blocks of one component
+    for masks in ([0, 0], [0b010, 0b001, 0], [0b0010, 0b0001, 0b1000, 0b0100]):
+        with pytest.raises(GraphError, match="not connected"):
+            graphs.block_masks(masks)
+        with pytest.raises(GraphError, match="not connected"):
+            graphs.cut_counts(masks)
+    with pytest.raises(GraphError, match="not connected"):
+        blocks(build_graph(4, [(0, 1), (2, 3)]))
+    assert graphs.block_masks([0]) == [1]
+    assert graphs.cut_counts([0]) == (0, 0)
+    assert graphs.cut_counts([0b10, 0b01]) == (0, 1)
+
+
+def test_graph_from_masks_equals_build_graph():
+    for g in labeled_connected_graphs(4):
+        assert graphs.graph_from_masks(masks_of(g)) == g
+        assert graphs.masks_of(g) == masks_of(g)
