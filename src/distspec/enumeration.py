@@ -23,11 +23,11 @@ would; the first child met with a new key stays its class's
 representative, as with one key at a time.
 
 Each order is built once into a Level, the catalog of that order: one
-representative per isomorphism class, sorted by the canonical key that
-deduplicated it, as its graph6 string and the adjacency bitmasks it was
-keyed by, so repeated sweeps are cheap and deterministic.  The next order's
-parents, the claim table (cut counts and certified radius per class) and
-the cut filters read the masks; no Graph is built unless asked for.
+representative per isomorphism class, as the adjacency bitmasks it was
+keyed by, sorted by that key, which lives only inside the build.  The next
+order's parents, the claim table (cut counts and certified radius per
+class) and the cut filters read the masks; no Graph or graph6 string is
+made unless a caller names a graph.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph6 import graph6_of
 from .graphs import MAX_CANONICAL_N, Graph, GraphError, _bits, _ordering_table, keys_from_masks
-from .graphs import cut_counts, edges_of, graph_from_masks
+from .graphs import cut_counts, graph_from_masks
 from .spectral import PerronResult, brackets
 
 DEFAULT_MAX_N = 9
@@ -73,22 +72,20 @@ def max_order() -> int:
 
 @dataclass(eq=False)
 class Level:
-    """Catalog of one order: a representative per isomorphism class, sorted by key.
+    """Catalog of one order: a representative per isomorphism class, in key order.
 
-    keys[i] is the canonical key of the graph graph6[i] encodes, and
-    masks[i] holds that graph's adjacency bitmasks (a read-only uint16
-    array of shape (classes, n)); analysed() adds the claim table.
+    masks[i] holds class i's adjacency bitmasks (a read-only uint16 array of
+    shape (classes, n), rows sorted by canonical key); analysed() adds the
+    claim table.
     """
 
-    keys: tuple[bytes, ...]
-    graph6: tuple[str, ...]
     masks: np.ndarray
     _analysed: tuple[list[tuple[int, int]], list[PerronResult]] | None = field(
         default=None, repr=False
     )
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.masks)
 
     def graphs(self) -> Iterator[Graph]:
         """The graphs in key order, built from their masks unchecked, one row at a time."""
@@ -152,11 +149,10 @@ KEY_CHUNK = 256
 @lru_cache(maxsize=None)
 def _level(n: int) -> Level:
     """Catalog of all connected graphs on n vertices."""
-    if n == 1:  # K1 is graph6 "@"; its key is the one key_from_masks gives
-        return Level((bytes([1, 0]),), ("@",), np.frombuffer(bytes(2), np.uint16).reshape(1, 1))
-    # canonical key -> index in graph6 and rows of the class's first child met
+    if n == 1:
+        return Level(np.frombuffer(bytes(2), np.uint16).reshape(1, 1))  # K1
+    # canonical key -> index in rows of the class's first child met
     reps: dict[bytes, int] = {}
-    graph6: list[str] = []
     rows = bytearray()
     pack = struct.Struct(f"{n}H").pack
     new = n - 1
@@ -165,8 +161,7 @@ def _level(n: int) -> Level:
     def flush() -> None:
         for key, masks in zip(keys_from_masks(n, pending), pending):
             if key not in reps:
-                reps[key] = len(graph6)
-                graph6.append(graph6_of(n, edges_of(masks)))
+                reps[key] = len(reps)
                 rows.extend(pack(*masks))
         pending.clear()
 
@@ -183,12 +178,11 @@ def _level(n: int) -> Level:
     flush()
     # the key tables are per order, and no later level reads this order's
     _ordering_table.cache_clear()
-    keys = tuple(sorted(reps))
-    order = [reps[key] for key in keys]
-    reps.clear()  # before the sorted copies are made
+    order = [reps[key] for key in sorted(reps)]
+    reps.clear()  # before the sorted copy is made
     masks = np.frombuffer(rows, dtype=np.uint16).reshape(-1, n)[order]
     masks.setflags(write=False)
-    return Level(keys, tuple(graph6[i] for i in order), masks)
+    return Level(masks)
 
 
 def catalog(n: int) -> Level:

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from itertools import groupby, islice
 
 from .enumeration import catalog, connected_graphs
-from .graph6 import encode_graph6
+from .graph6 import encode_graph6, graph6_of
 from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, blocks, build_graph, canonical_key
+from .graphs import edges_of, key_from_masks
 from .jsonio import dumps
 from .spectral import (
     DistanceMatrix,
@@ -294,28 +295,22 @@ def _relocation_report(spec: RelocationSpec, relocated, w) -> VerificationReport
         "targets": list(spec.targets),
     }
     if relocated is None:
-        return VerificationReport(
-            theorem="edge-relocation",
-            instance=instance,
-            outcome=INCONCLUSIVE,
-            certified_gap=None,
-            witness=w,
-            wall_time=time.perf_counter() - t0,
-        )
-    order, ro, rn = _compare(spec.g, relocated)
-    witness = {
-        "relocated": encode_graph6(relocated),
-        "witness_vertex": w,
-        "original_bracket": _bracket(ro),
-        "relocated_bracket": _bracket(rn),
-    }
-    if order.relation is Relation.LESS:
-        outcome, gap = PASS, order.gap_lower_bound
-    elif order.relation is Relation.GREATER:
-        outcome, gap = FAIL, None
+        outcome, gap, witness = INCONCLUSIVE, None, w
     else:
-        outcome, gap = INCONCLUSIVE, None
-        witness["needs_exact_followup"] = True
+        order, ro, rn = _compare(spec.g, relocated)
+        witness = {
+            "relocated": encode_graph6(relocated),
+            "witness_vertex": w,
+            "original_bracket": _bracket(ro),
+            "relocated_bracket": _bracket(rn),
+        }
+        if order.relation is Relation.LESS:
+            outcome, gap = PASS, order.gap_lower_bound
+        elif order.relation is Relation.GREATER:
+            outcome, gap = FAIL, None
+        else:
+            outcome, gap = INCONCLUSIVE, None
+            witness["needs_exact_followup"] = True
     return VerificationReport(
         theorem="edge-relocation",
         instance=instance,
@@ -472,8 +467,8 @@ _MIN_CLAIMS = {
 def _verify_min(theorem: str, n: int, k: int) -> VerificationReport:
     """Certify the claim's target as the unique minimizer of its class.
 
-    Members' keys, graph6 strings and brackets are read from the order's
-    catalog table by index; only the target is built and keyed here.
+    Members' cut counts and brackets are read from the catalog table by
+    index; only the graphs the report names are keyed or encoded, from rows.
     """
     t0 = time.perf_counter()
     which, target_of, noun = _MIN_CLAIMS[theorem]
@@ -483,18 +478,19 @@ def _verify_min(theorem: str, n: int, k: int) -> VerificationReport:
     picked = [i for i, c in enumerate(cuts) if c[which] == k]
     if not picked:
         raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
-    target_key = canonical_key(target)
     cand, *others = sorted(picked, key=lambda i: radii[i].value)  # stable: ties keep key order
+    row = level.masks[cand].tolist()
+    isomorphic = key_from_masks(n, row) == canonical_key(target)
     witness = {
         "target": encode_graph6(target),
-        "minimizer": level.graph6[cand],
-        "minimizer_isomorphic_to_target": level.keys[cand] == target_key,
+        "minimizer": graph6_of(n, edges_of(row)),
+        "minimizer_isomorphic_to_target": isomorphic,
         "minimizer_bracket": _bracket(radii[cand]),
     }
     if others:
-        witness["runner_up"] = level.graph6[others[0]]
+        witness["runner_up"] = graph6_of(n, edges_of(level.masks[others[0]].tolist()))
         witness["runner_up_bracket"] = _bracket(radii[others[0]])
-    if level.keys[cand] != target_key:
+    if not isomorphic:
         outcome, gap = FAIL, None
     elif not others:
         outcome, gap = PASS, None
@@ -556,13 +552,20 @@ def _by_unit(items, unit, reports) -> list[VerificationReport]:
     return out
 
 
+def _orders(lo: int, hi: int) -> range:
+    """lo..hi, with hi's catalog built first: above the cap, a sweep fails before any report."""
+    if hi >= lo:
+        catalog(hi)
+    return range(lo, hi + 1)
+
+
 def graft_sites(max_base_n: int, max_total: int, equal_only: bool | None = None):
     """All graft sites over connected bases, both edge orientations.
 
     equal_only=None yields every k >= l >= 1 with k+l <= max_total;
     True restricts to k = l, False to k > l.
     """
-    for nb in range(2, max_base_n + 1):
+    for nb in _orders(2, max_base_n):
         for base in connected_graphs(nb):
             for u, v in sorted(base.edges):
                 for a, b in ((u, v), (v, u)):
@@ -628,7 +631,7 @@ def relocation_specs(max_n: int):
     neighborhood hypothesis hold automatically; targets range over all
     nonempty subsets of u's other neighbors.
     """
-    for n in range(2, max_n + 1):
+    for n in _orders(2, max_n):
         for g in connected_graphs(n):
             for v in range(g.n):
                 if g.degrees[v] != 1:
@@ -648,7 +651,7 @@ def sweep_relocation(max_n: int = 6, width=None, jobs=1) -> list[VerificationRep
 
 def edge_addition_pairs(max_n: int):
     """Every (connected graph, graph plus one absent edge) pair, n <= max_n."""
-    for n in range(2, max_n + 1):
+    for n in _orders(2, max_n):
         for g in connected_graphs(n):
             for a in range(n):
                 for b in range(a + 1, n):
@@ -662,20 +665,20 @@ def sweep_perturbation(max_n: int = 6, width=None, jobs=1) -> list[VerificationR
 
 
 def sweep_monotonicity(max_n: int = 7, width=None, jobs=1) -> list[VerificationReport]:
-    graphs = (g for n in range(1, max_n + 1) for g in connected_graphs(n))
+    graphs = (g for n in _orders(1, max_n) for g in connected_graphs(n))
     return _by_unit(graphs, lambda g: g.n, _monotonicity_reports)
 
 
-def _sweep_min(theorem: str, n: int, ks: range):
-    """One report per k in ks whose class the catalog shows non-empty."""
+def _sweep_min(theorem: str, n: int):
+    """One report per k, ascending, that some class of the order's catalog has."""
     which = _MIN_CLAIMS[theorem][0]
     present = {c[which] for c in catalog(n).analysed()[0]}
-    return [_verify_min(theorem, n, k) for k in ks if k in present]
+    return [_verify_min(theorem, n, k) for k in sorted(present)]
 
 
 def sweep_min_cut_vertices(n: int, width=None, jobs=1) -> list[VerificationReport]:
-    return _sweep_min("min-cut-vertices", n, range(n - 1))
+    return _sweep_min("min-cut-vertices", n)
 
 
 def sweep_min_cut_edges(n: int, width=None, jobs=1) -> list[VerificationReport]:
-    return _sweep_min("min-cut-edges", n, range(n))
+    return _sweep_min("min-cut-edges", n)

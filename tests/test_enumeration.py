@@ -24,7 +24,8 @@ from distspec.enumeration import (
     max_order,
     twin_classes,
 )
-from distspec.graph6 import encode_graph6
+from distspec import graph6
+from distspec.graph6 import encode_graph6, graph6_of
 from distspec.graphs import (
     MAX_CANONICAL_N,
     GraphError,
@@ -34,6 +35,7 @@ from distspec.graphs import (
     blocks,
     build_graph,
     canonical_key,
+    edges_of,
     is_connected,
     key_from_masks,
     keys_from_masks,
@@ -171,14 +173,15 @@ def test_catalog_keys_and_cut_counts():
 
     for n in range(1, 8):
         level = catalog(n)
-        assert len(_level(n)) == count_connected(n) == len(level.keys)
+        assert len(_level(n)) == count_connected(n) == len(level.masks)
         graphs = list(level.graphs())
+        keys = [canonical_key(g) for g in graphs]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
         cuts, radii = level.analysed()
         assert graphs == list(connected_graphs(n))
         assert len(cuts) == len(radii) == len(graphs)
         assert level.masks.dtype == np.uint16 and level.masks.shape == (len(graphs), n)
-        for key, g, row, counts, res in zip(level.keys, graphs, level.masks.tolist(), cuts, radii):
-            assert key == canonical_key(g)
+        for g, row, counts, res in zip(graphs, level.masks.tolist(), cuts, radii):
             assert row == masks_of(g)
             dec = blocks(g)
             assert counts == (len(dec.cut_vertices), len(dec.cut_edges))
@@ -198,15 +201,49 @@ def test_cache_clear_drops_the_catalog():
 
 
 def test_catalog_golden_bytes():
-    # sha256 of every level's keys and graph6 for n = 1..7, recorded before
-    # twin pruning: pruning may skip subsets but never move a byte
+    # sha256 of every level's keys and graph6, from its graphs, for
+    # n = 1..7, recorded before twin pruning: pruning may skip subsets but
+    # never move a byte
     h = hashlib.sha256()
     for n in range(1, 8):
-        level = _level(n)
-        for key, g6 in zip(level.keys, level.graph6):
-            h.update(key + b"\0" + g6.encode() + b"\n")
+        for g in _level(n).graphs():
+            h.update(canonical_key(g) + b"\0" + encode_graph6(g).encode() + b"\n")
         h.update(b"--\n")
     assert h.hexdigest() == "e6046a39ae7c3a353fe99b891a9c27e5fefdd44f7060b4be530e572457915828"
+
+
+def test_catalog_golden_bytes_n8():
+    # the same digest for n = 8 alone, from the mask rows
+    rows = catalog(8).masks.tolist()
+    h = hashlib.sha256()
+    for key, row in zip(keys_from_masks(8, rows), rows):
+        h.update(key + b"\0" + graph6_of(8, edges_of(row)).encode() + b"\n")
+    h.update(b"--\n")
+    assert h.hexdigest() == "4cb837a25d57285e9c5371da38466b2f69a93842f70933925e87ee6f74678dfd"
+
+
+def test_level_build_encodes_no_graph6(monkeypatch):
+    import distspec
+
+    calls = []
+    real = graph6.graph6_of
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    modules = [distspec] + [
+        m for m in vars(distspec).values() if getattr(m, "__name__", "").startswith("distspec.")
+    ]
+    for mod in modules:
+        if getattr(mod, "graph6_of", None) is real:
+            monkeypatch.setattr(mod, "graph6_of", counted)
+    _level.cache_clear()
+    try:
+        assert len(_level(7)) == 853
+    finally:
+        _level.cache_clear()
+    assert calls == []
 
 
 def test_level_build_drops_its_key_tables():
@@ -237,16 +274,8 @@ def unpruned_level(parents, n):
             for i in range(new):
                 if sub >> i & 1:
                     masks[i] |= 1 << new
-            key = key_from_masks(n, masks)
-            if key not in reps:
-                edges = list(parent.edges) + [(i, new) for i in range(new) if sub >> i & 1]
-                reps[key] = encode_graph6(build_graph(n, edges)), masks
-    keys = tuple(sorted(reps))
-    return Level(
-        keys=keys,
-        graph6=tuple(reps[key][0] for key in keys),
-        masks=np.array([reps[key][1] for key in keys], dtype=np.uint16),
-    )
+            reps.setdefault(key_from_masks(n, masks), masks)
+    return Level(masks=np.array([reps[key] for key in sorted(reps)], dtype=np.uint16))
 
 
 def test_twin_pruning_matches_unpruned_build():
@@ -254,8 +283,7 @@ def test_twin_pruning_matches_unpruned_build():
     for n in range(2, 8):
         reference = unpruned_level(reference, n)
         level = _level(n)
-        assert level.keys == reference.keys
-        assert level.graph6 == reference.graph6
+        assert np.array_equal(level.masks, reference.masks)
 
 
 def test_twin_pruning_key_calls(monkeypatch):
@@ -329,7 +357,7 @@ def test_twin_swaps_are_automorphisms():
 
 def test_mask_cut_counts_match_networkx():
     # every class with n <= 8, from its catalog row alone
-    from distspec.graphs import cut_counts, edges_of
+    from distspec.graphs import cut_counts
 
     for n in range(1, 9):
         for row in catalog(n).masks.tolist():
@@ -341,17 +369,15 @@ def test_mask_cut_counts_match_networkx():
 
 
 def test_claim_table_reads_the_mask_array(monkeypatch):
-    # the catalog stores its graphs as one uint16 mask array whose rows are
-    # the graph6 strings' graphs, and the claim 3/4 sweeps decode no graph6
-    # and run no blocks() on the way to their reports
+    # the catalog stores its graphs as one uint16 mask array, and the claim
+    # 3/4 sweeps decode no graph6 and run no blocks() on the way to their
+    # reports
     import distspec
     from distspec import graph6, graphs, verify
 
     level = catalog(7)
     assert isinstance(level.masks, np.ndarray)
     assert level.masks.dtype == np.uint16 and level.masks.shape == (853, 7)
-    for n in range(1, 8):
-        assert [encode_graph6(g) for g in catalog(n).graphs()] == list(catalog(n).graph6)
     calls = {"decode_graph6": 0, "blocks": 0}
     modules = [distspec] + [
         m for m in vars(distspec).values() if getattr(m, "__name__", "").startswith("distspec.")

@@ -237,6 +237,37 @@ def test_min_sweeps_cover_expected_grid():
     assert all(r.outcome == "PASS" for r in cv + ce)
 
 
+def test_min_cut_vertex_sweep_covers_k1():
+    # the catalog of order 1 holds K1, the one class with no cut vertex
+    assert [report_json(r) for r in sweep_min_cut_vertices(1)] == [
+        report_json(verify_min_cut_vertices(1, 0))
+    ]
+
+
+_SWEEP_BATCHES = (
+    "_graft_reports",
+    "_pendant_reports",
+    "_relocation_reports",
+    "_bound_reports",
+    "_monotonicity_reports",
+)
+
+
+@pytest.mark.parametrize(
+    "sweep", [sweep_graft, sweep_pendant, sweep_relocation, sweep_perturbation, sweep_monotonicity]
+)
+def test_sweeps_above_the_cap_fail_before_any_report(sweep, monkeypatch):
+    def untouched(*args):
+        raise AssertionError("a batch ran before the cap was checked")
+
+    for name in _SWEEP_BATCHES:
+        monkeypatch.setattr(verify, name, untouched)
+    monkeypatch.setenv(enumeration.ENV_MAX_N, "4")
+    with pytest.raises(GraphError, match=enumeration.ENV_MAX_N):
+        sweep(5)
+    assert sweep(0) == []
+
+
 def test_report_json_shape():
     rep = verify_min_cut_vertices(4, 1)
     text = report_json(rep)
