@@ -27,7 +27,8 @@ representative per isomorphism class, as the adjacency bitmasks it was
 keyed by, sorted by that key, which lives only inside the build.  The next
 order's parents, the claim table (cut counts and certified radius per
 class) and the cut filters read the masks; no Graph or graph6 string is
-made unless a caller names a graph.
+made unless a caller names a graph, and a Graph is then its row's masks,
+Graph(masks), with nothing converted or validated.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graphs import MAX_CANONICAL_N, Graph, GraphError, _bits, _ordering_table, keys_from_masks
-from .graphs import cut_counts, graph_from_masks
+from .graphs import cut_counts
 from .spectral import PerronResult, brackets
 
 DEFAULT_MAX_N = 9
@@ -88,8 +89,8 @@ class Level:
         return len(self.masks)
 
     def graphs(self) -> Iterator[Graph]:
-        """The graphs in key order, built from their masks unchecked, one row at a time."""
-        return map(graph_from_masks, map(np.ndarray.tolist, self.masks))
+        """The graphs in key order, one Graph per mask row, built one row at a time."""
+        return (Graph(tuple(row.tolist())) for row in self.masks)
 
     def analysed(self) -> tuple[list[tuple[int, int]], list[PerronResult]]:
         """Each class's (cut vertices, cut edges) and certified radius, by index.
@@ -219,4 +220,4 @@ def filtered_graphs(n: int, filt: EnumFilter) -> Iterator[Graph]:
     for masks in map(np.ndarray.tolist, catalog(n).masks):
         cv, ce = cut_counts(masks)
         if filt.cut_vertex_count in (None, cv) and filt.cut_edge_count in (None, ce):
-            yield graph_from_masks(masks)
+            yield Graph(tuple(masks))

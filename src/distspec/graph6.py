@@ -3,29 +3,20 @@
 The format packs the upper triangle of the adjacency matrix in column-major
 bit order, x(0,1), x(0,2), x(1,2), x(0,3), ..., six bits per printable byte
 with offset 63.  Orders up to 62 use a single size byte; 63..258047 use the
-four-byte form introduced by '~'.  Round trips are bit exact.
+four-byte form introduced by '~'.  Round trips are bit exact.  Both
+directions work on a Graph's adjacency bitmasks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .graphs import Graph, GraphError, build_graph
+from .graphs import Graph, GraphError, _bits
 
 HEADER = ">>graph6<<"
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no trailing newline)."""
-    return graph6_of(g.n, g.edges)
-
-
-def graph6_of(n: int, edges: Iterable[tuple[int, int]]) -> str:
-    """graph6 string of order n with edges (i, j), 0 <= i < j < n, unchecked.
-
-    Only the order is validated: the edges are taken as given, so a caller
-    that holds an edge list need not build a Graph to encode it.
-    """
+    n = g.n
     if n <= 62:
         prefix = [n + 63]
     elif n <= 258047:
@@ -35,10 +26,11 @@ def graph6_of(n: int, edges: Iterable[tuple[int, int]]) -> str:
     # Edge (i, j), i < j, is bit j(j-1)/2 + i of the column-major upper
     # triangle, counted from the most significant end of the padded body.
     padded = (n * (n - 1) // 2 + 5) // 6 * 6
-    top = padded - 1
     bits = 0
-    for i, j in edges:
-        bits |= 1 << (top - (j * (j - 1) // 2 + i))
+    for j, m in enumerate(g.masks):
+        top = padded - 1 - j * (j - 1) // 2
+        for i in _bits(m & ((1 << j) - 1)):
+            bits |= 1 << (top - i)
     chunks = [((bits >> (padded - 6 * (k + 1))) & 63) + 63 for k in range(padded // 6)]
     return bytes(prefix + chunks).decode("ascii")
 
@@ -71,13 +63,14 @@ def decode_graph6(text: str) -> Graph:
     for b in body:
         bits = (bits << 6) | (b - 63)
     padded = need * 6
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (bits >> (padded - 1 - pos)) & 1:
-                edges.append((i, j))
-            pos += 1
     if padded > nbits and bits & ((1 << (padded - nbits)) - 1):
         raise GraphError(f"nonzero padding bits in {s!r}")
-    return build_graph(n, edges)
+    masks = [0] * n
+    pos = padded
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if bits >> pos & 1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return Graph(tuple(masks))

@@ -1,9 +1,11 @@
 """Core graph type and structural analysis.
 
 Simple undirected graphs on vertices 0..n-1, kept immutable so that every
-operation downstream is a pure function of its inputs.  Algorithms here are
-the standard linear-time ones (BFS for distances and connectivity, one
-bitmask lowpoint DFS for the blocks, from which cut vertices and bridges follow).
+operation downstream is a pure function of its inputs.  A Graph is its
+adjacency bitmasks and nothing else; its edge set, adjacency lists and
+degrees are views of them.  Algorithms here are the standard linear-time
+ones on those masks (BFS for distances and connectivity, one lowpoint DFS
+for the blocks, from which cut vertices and bridges follow).
 
 A canonical key is the minimal graph6 bit string over the vertex orderings
 that list the 1-WL refinement classes in class order.  Two evaluators give
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
+from operator import index
 from typing import Iterator
 
 import numpy as np
@@ -31,22 +34,40 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1, stored as its bitmasks.
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    adjacency: tuple[tuple[int, ...], ...]
-    degrees: tuple[int, ...]
+    masks is a tuple of Python ints, bit w of masks[u] set iff uw is an edge;
+    the other attributes are views computed from it on each access.
+    Graph(masks) trusts the masks to be symmetric and loop-free; build_graph validates.
+    """
+
+    masks: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.masks)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(edges_of(self.masks))
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(_bits(m)) for m in self.masks)
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(m.bit_count() for m in self.masks)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(self.degrees) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and self.masks[u] >> v & 1 == 1
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
+        return tuple(_bits(self.masks[u]))
 
 
 def build_graph(n: int, edge_list) -> Graph:
@@ -57,22 +78,18 @@ def build_graph(n: int, edge_list) -> Graph:
     """
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
-    seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = [[] for _ in range(n)]
+    masks = [0] * n
     for u, v in edge_list:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise GraphError(f"loop ({u}, {v}) not allowed")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise GraphError(f"duplicate edge {e}")
-        seen.add(e)
-        adj[e[0]].append(e[1])
-        adj[e[1]].append(e[0])
-    adjacency = tuple(tuple(sorted(nb)) for nb in adj)
-    degrees = tuple(len(nb) for nb in adjacency)
-    return Graph(n=n, edges=frozenset(seen), adjacency=adjacency, degrees=degrees)
+        u, v = index(u), index(v)
+        if masks[u] >> v & 1:
+            raise GraphError(f"duplicate edge {(min(u, v), max(u, v))}")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(tuple(masks))
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -86,23 +103,34 @@ def relabel(g: Graph, perm) -> Graph:
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from source; unreachable vertices get -1."""
     dist = [-1] * g.n
-    dist[source] = 0
-    frontier = [source]
+    reached = frontier = 1 << source
+    hop = 0
     while frontier:
-        nxt = []
-        for u in frontier:
-            du = dist[u]
-            for w in g.adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    nxt.append(w)
-        frontier = nxt
+        nxt = 0
+        for u in _bits(frontier):
+            dist[u] = hop
+            nxt |= g.masks[u]
+        frontier = nxt & ~reached
+        reached |= frontier
+        hop += 1
     return dist
+
+
+def reach(masks, seed: int, avoid: int = 0) -> int:
+    """Bitmask of the vertices that seed reaches through vertices outside the mask avoid."""
+    reached = frontier = 1 << seed
+    while frontier:
+        nxt = 0
+        for u in _bits(frontier):
+            nxt |= masks[u]
+        frontier = nxt & ~reached & ~avoid
+        reached |= frontier
+    return reached
 
 
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0."""
-    return min(bfs_distances(g, 0)) >= 0
+    return reach(g.masks, 0) == (1 << g.n) - 1
 
 
 @dataclass(frozen=True)
@@ -121,7 +149,7 @@ def blocks(g: Graph) -> BlockDecomposition:
     a vertex shared by two blocks is a cut vertex.  An isolated vertex
     (n = 1) forms its own block.
     """
-    found = block_masks(masks_of(g))
+    found = block_masks(g.masks)
     block_sets = tuple(frozenset(_bits(b)) for b in found)
     cut_es = frozenset((min(bs), max(bs)) for bs in block_sets if len(bs) == 2)
     return BlockDecomposition(frozenset(_bits(_shared(found))), cut_es, block_sets)
@@ -193,17 +221,6 @@ def _bits(m: int) -> Iterator[int]:
         m &= m - 1
 
 
-def masks_of(g: Graph) -> list[int]:
-    """Adjacency bitmasks: bit w of masks[u] is set iff uw is an edge."""
-    return [sum(1 << w for w in nb) for nb in g.adjacency]
-
-
-def graph_from_masks(masks) -> Graph:
-    """build_graph on the edges of symmetric, loop-free adjacency bitmasks, unchecked."""
-    adjacency = tuple(tuple(_bits(m)) for m in masks)
-    return Graph(len(masks), frozenset(edges_of(masks)), adjacency, tuple(map(len, adjacency)))
-
-
 def edges_of(masks) -> list[tuple[int, int]]:
     """The edges (i, j), i < j, of adjacency bitmasks, by j and then i."""
     return [(i, j) for j, m in enumerate(masks) for i in _bits(m & ((1 << j) - 1))]
@@ -239,20 +256,21 @@ def pendant_paths(g: Graph) -> list[PendantPath]:
     """
     if not is_connected(g):
         raise GraphError("graph is not connected")
+    masks, degrees = g.masks, g.degrees
     out = []
     for r in range(g.n):
-        if g.degrees[r] <= 2:
+        if degrees[r] <= 2:
             continue
-        for w in g.adjacency[r]:
-            if g.degrees[w] > 2:
+        for w in _bits(masks[r]):
+            if degrees[w] > 2:
                 continue
             walk = [w]
             prev, cur = r, w
-            while g.degrees[cur] == 2 and cur != r:
-                nxt = next(x for x in g.adjacency[cur] if x != prev)
-                prev, cur = cur, nxt
+            while degrees[cur] == 2 and cur != r:
+                # the neighbour of cur other than prev
+                prev, cur = cur, (masks[cur] & ~(1 << prev)).bit_length() - 1
                 walk.append(cur)
-            if cur != r and g.degrees[cur] == 1:
+            if cur != r and degrees[cur] == 1:
                 out.append(PendantPath(root=r, vertices=tuple(walk), length=len(walk)))
     out.sort(key=lambda p: (p.root, p.vertices[0]))
     return out
@@ -275,7 +293,7 @@ def canonical_key(g: Graph, max_n: int = MAX_CANONICAL_N) -> bytes:
     n = g.n
     if n > max_n:
         raise GraphError(f"canonical_key supports n <= {max_n}, got {n}")
-    return key_from_masks(n, masks_of(g))
+    return key_from_masks(n, g.masks)
 
 
 def _refinement_classes(n: int, masks) -> list[int]:

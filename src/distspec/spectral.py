@@ -15,8 +15,10 @@ step per matrix, and, for a matrix still wider than requested, power
 iteration with every refined vector certified the same way.  perron() runs
 it on one matrix, perron_many() on each order's graphs missing from
 perron_of()'s cache, and brackets() on a catalog's adjacency bitmask rows
-without the cache.  A matrix gets the same bits in any stack: the stacked
-eigh makes the same LAPACK call on each matrix, and the step is exact.
+without the cache.  Every distance stack, of catalog rows or of graphs'
+masks, starts from one adjacency builder.  A matrix gets the same bits in
+any stack: the stacked eigh makes the same LAPACK call on each matrix, and
+the step is exact.
 Comparisons are made only between disjoint brackets; overlapping brackets
 are reported as indistinguishable instead of being resolved by an epsilon.
 """
@@ -80,10 +82,17 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 
 
 def _distance_stack(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    """_hop_counts of order-n graphs, their adjacency stack built from their edges."""
-    a = np.zeros((len(graphs), n, n), dtype=bool)
-    a.flat[[(i * n + u) * n + v for i, g in enumerate(graphs) for u, v in g.edges]] = True
-    return _hop_counts(a | a.transpose(0, 2, 1))
+    """_hop_counts of order-n graphs, from their masks.
+
+    The masks are read as int64 below 63 vertices and as Python ints from 63 up.
+    """
+    masks = np.array([g.masks for g in graphs], dtype=np.int64 if n < 63 else object)
+    return _hop_counts(_adjacency(masks))
+
+
+def _adjacency(masks: np.ndarray) -> np.ndarray:
+    """Boolean adjacency stack of (graphs, n) bitmasks: [i, u, w] is bit w of masks[i, u]."""
+    return (masks[:, :, None] >> np.arange(masks.shape[1]) & 1).astype(bool)
 
 
 def _hop_counts(a: np.ndarray) -> np.ndarray:
@@ -278,8 +287,7 @@ def perron_many(
 
 def brackets(masks: np.ndarray) -> list[PerronResult]:
     """Default-width brackets of a nonempty (graphs, n) bitmask array, as one stack, uncached."""
-    a = (masks[:, :, None] >> np.arange(masks.shape[1]) & 1).astype(bool)
-    return _bracket_stack(_hop_counts(a))
+    return _bracket_stack(_hop_counts(_adjacency(masks)))
 
 
 def _by_order(graphs: Iterable[Graph]) -> dict[int, list[Graph]]:

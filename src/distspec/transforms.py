@@ -4,15 +4,17 @@ Builders for the named families (cliques with pendant paths distributed
 almost equally, cliques with pendant vertices, paths grafted at two adjacent
 roots) plus the edge relocation move and the block-clique closure.  All
 constructions keep base vertex labels and append new vertices, so results
-are deterministic and easy to cross-reference.
+are deterministic and easy to cross-reference.  Each edits the adjacency
+bitmasks of its input and builds the result with Graph(masks), unchecked:
+the inputs are validated up front, and every edit keeps the masks
+symmetric and loop-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, bfs_distances, block_masks, build_graph, is_connected
-from .graphs import _bits, graph_from_masks, masks_of
+from .graphs import Graph, GraphError, _bits, bfs_distances, block_masks, is_connected, reach
 
 
 class HypothesisError(ValueError):
@@ -28,15 +30,15 @@ def make_base(kind: str, n: int) -> Graph:
     if kind == "complete":
         if n < 1:
             raise GraphError(f"complete graph needs n >= 1, got {n}")
-        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return Graph(tuple((1 << n) - 1 - (1 << v) for v in range(n)))
     if kind == "path":
         if n < 1:
             raise GraphError(f"path needs n >= 1, got {n}")
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        return Graph(tuple((1 << v >> 1 | 1 << v + 1) & ((1 << n) - 1) for v in range(n)))
     if kind == "cycle":
         if n < 3:
             raise GraphError(f"cycle needs n >= 3, got {n}")
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        return Graph(tuple(1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)))
     raise GraphError(f"unknown base kind {kind!r}")
 
 
@@ -52,13 +54,22 @@ def attach_path(g: Graph, root: int, length: int) -> Graph:
         raise GraphError(f"path length must be >= 0, got {length}")
     if length == 0:
         return g
-    edges = list(g.edges)
-    prev = root
-    for i in range(length):
-        new = g.n + i
-        edges.append((prev, new))
-        prev = new
-    return build_graph(g.n + length, edges)
+    return _grafted(g, (root, length))
+
+
+def _grafted(g: Graph, *paths: tuple[int, int]) -> Graph:
+    """g's masks with a path of `length` new vertices hung off root per (root, length), unchecked.
+
+    The paths are appended in turn, each labelled in walk order after every
+    vertex before it: _grafted(base, (u, k), (v, l)) is G_{k,l} in graft's labels.
+    """
+    masks = list(g.masks)
+    for prev, length in paths:
+        for new in range(len(masks), len(masks) + length):
+            masks[prev] |= 1 << new
+            masks.append(1 << prev)
+            prev = new
+    return Graph(tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -90,32 +101,7 @@ def graft(site: GraftSite) -> Graph:
     ascending from the root outward, the v-side path the l after that.
     """
     _check_site(site)
-    return _grafted(site.base, site.u, site.v, site.k, site.l)
-
-
-def _grafted(base: Graph, u: int, v: int, k: int, l: int) -> Graph:
-    """G_{k,l} in graft's labels, extended from the base's adjacency.
-
-    Each new vertex exceeds every label before it, so appending keeps every
-    adjacency list sorted: the result equals build_graph on the same edges,
-    without re-validating the base.
-    """
-    nb = base.n
-    adj = list(base.adjacency)
-    path = []
-    for root, first, length in ((u, nb, k), (v, nb + k, l)):
-        prev = root
-        for new in range(first, first + length):
-            path.append((prev, new))
-            adj[prev] += (new,)
-            adj.append((prev,))
-            prev = new
-    return Graph(
-        n=len(adj),
-        edges=base.edges.union(path),
-        adjacency=tuple(adj),
-        degrees=tuple(map(len, adj)),
-    )
+    return _grafted(site.base, (site.u, site.k), (site.v, site.l))
 
 
 @dataclass(frozen=True)
@@ -136,9 +122,9 @@ def graft_family(site: GraftSite) -> GraftFamily:
     _check_site(site)
     base, u, v, k, l = site.base, site.u, site.v, site.k, site.l
     return GraftFamily(
-        member=_grafted(base, u, v, k, l),
-        shift_to_u=_grafted(base, u, v, k + 1, l - 1) if l >= 1 else None,
-        shift_to_v=_grafted(base, u, v, k - 1, l + 1) if k >= 1 else None,
+        member=_grafted(base, (u, k), (v, l)),
+        shift_to_u=_grafted(base, (u, k + 1), (v, l - 1)) if l >= 1 else None,
+        shift_to_v=_grafted(base, (u, k - 1), (v, l + 1)) if k >= 1 else None,
     )
 
 
@@ -151,17 +137,12 @@ def g_nk(n: int, k: int) -> Graph:
     """
     if n < 1:
         raise GraphError(f"order must be positive, got {n}")
-    if k == 0:
-        return make_base("complete", n)
-    if not 1 <= k <= n - 2:
+    if not 0 <= k <= max(n - 2, 0):
         raise GraphError(f"cut-vertex budget k={k} invalid for n={n}: need 0 <= k <= n-2")
     c = n - k
     q, r = divmod(k, c)
     lengths = [q + 1] * r + [q] * (c - r)
-    g = make_base("complete", c)
-    for root, length in enumerate(lengths):
-        g = attach_path(g, root, length)
-    return g
+    return _grafted(make_base("complete", c), *enumerate(lengths))
 
 
 def k_nk(n: int, k: int) -> Graph:
@@ -180,11 +161,7 @@ def k_nk(n: int, k: int) -> Graph:
             f"cut-edge budget k={k} invalid for n={n}: no clique-with-pendants graph "
             f"has exactly n-2 cut edges"
         )
-    g = make_base("complete", n - k)
-    edges = list(g.edges)
-    for i in range(k):
-        edges.append((0, n - k + i))
-    return build_graph(n, edges)
+    return _grafted(make_base("complete", n - k), *[(0, 1)] * k)
 
 
 @dataclass(frozen=True)
@@ -238,17 +215,7 @@ def component_without(g: Graph, removed: int, seed: int) -> frozenset[int]:
         raise GraphError(
             f"need two distinct vertices in range, got removed={removed}, seed={seed}"
         )
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for w in g.adjacency[x]:
-                if w != removed and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(_bits(reach(g.masks, seed, 1 << removed)))
 
 
 def make_relocation_spec(
@@ -259,7 +226,7 @@ def make_relocation_spec(
         g=g,
         u=u,
         v=v,
-        c1=component_without(g, u, v) if 0 <= v < g.n and u != v else frozenset(),
+        c1=component_without(g, u, v) if g.has_edge(u, v) else frozenset(),
         targets=tuple(sorted(set(targets))),
         witness=witness,
     )
@@ -281,8 +248,8 @@ def validate_relocation(spec: RelocationSpec) -> None:
         )
     if not spec.targets:
         raise HypothesisError("targets", "at least one target is required")
-    nu = set(g.adjacency[u])
-    nv = set(g.adjacency[v])
+    nu = set(g.neighbors(u))
+    nv = set(g.neighbors(v))
     for t in spec.targets:
         if t not in nu:
             raise HypothesisError("targets", f"target {t} is not adjacent to u={u}")
@@ -303,13 +270,19 @@ def validate_relocation(spec: RelocationSpec) -> None:
 
 
 def relocate_edges(spec: RelocationSpec) -> Graph:
-    """Delete the u-target edges and add v-target edges."""
+    """Delete the u-target edges and add v-target edges.
+
+    Validation puts every target in u's neighbourhood and outside v's and
+    c1's, so the moved masks stay symmetric and loop-free, unchecked.
+    """
     validate_relocation(spec)
-    edges = set(spec.g.edges)
+    u, v = spec.u, spec.v
+    masks = list(spec.g.masks)
     for t in spec.targets:
-        edges.discard((min(spec.u, t), max(spec.u, t)))
-        edges.add((min(spec.v, t), max(spec.v, t)))
-    out = build_graph(spec.g.n, edges)
+        masks[u] &= ~(1 << t)
+        masks[v] |= 1 << t
+        masks[t] = masks[t] & ~(1 << u) | 1 << v
+    out = Graph(tuple(masks))
     if not is_connected(out):
         raise HypothesisError("component", "relocated graph is not connected")
     return out
@@ -342,11 +315,11 @@ def block_clique_closure(g: Graph) -> Graph:
     mask is ORed into its members' adjacency masks, which stay symmetric
     and loop-free, so the closure is built unchecked.
     """
-    masks = masks_of(g)
+    masks = list(g.masks)
     for b in block_masks(masks):
         for v in _bits(b):
             masks[v] |= b & ~(1 << v)
-    return graph_from_masks(masks)
+    return Graph(tuple(masks))
 
 
 def distance_dominates(small, big) -> bool:

@@ -24,12 +24,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import combinations, groupby, islice
 
 from .enumeration import catalog, connected_graphs
-from .graph6 import encode_graph6, graph6_of
-from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, blocks, build_graph, canonical_key
-from .graphs import edges_of, key_from_masks
+from .graph6 import encode_graph6
+from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, blocks, canonical_key
 from .jsonio import dumps
 from .spectral import (
     DistanceMatrix,
@@ -410,7 +409,7 @@ def _monotonicity_reports(graphs: list[Graph]) -> list[VerificationReport]:
     n = len(graphs)
     both = graphs + [block_clique_closure(g) for g in graphs]
     dms = distance_matrices(both)
-    changed = [i for i in range(n) if both[n + i].edges != both[i].edges]
+    changed = [i for i in range(n) if both[n + i] != both[i]]
     compared = changed + [n + i for i in changed]
     perron_many([both[i] for i in compared], [dms[i] for i in compared])
     return [_monotonicity_report(both[i], both[n + i], dms[i], dms[n + i]) for i in range(n)]
@@ -424,7 +423,7 @@ def _monotonicity_report(
     # blocks partition the edges, so this holds iff every block is complete
     idempotent = sum(len(b) * (len(b) - 1) // 2 for b in blocks(closure).blocks) == closure.m
     rg = rc = None
-    if closure.edges == g.edges:
+    if closure == g:
         relation = "EQUAL"
         gap = 0.0
     else:
@@ -479,16 +478,16 @@ def _verify_min(theorem: str, n: int, k: int) -> VerificationReport:
     if not picked:
         raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
     cand, *others = sorted(picked, key=lambda i: radii[i].value)  # stable: ties keep key order
-    row = level.masks[cand].tolist()
-    isomorphic = key_from_masks(n, row) == canonical_key(target)
+    minimizer = Graph(tuple(level.masks[cand].tolist()))
+    isomorphic = canonical_key(minimizer) == canonical_key(target)
     witness = {
         "target": encode_graph6(target),
-        "minimizer": graph6_of(n, edges_of(row)),
+        "minimizer": encode_graph6(minimizer),
         "minimizer_isomorphic_to_target": isomorphic,
         "minimizer_bracket": _bracket(radii[cand]),
     }
     if others:
-        witness["runner_up"] = graph6_of(n, edges_of(level.masks[others[0]].tolist()))
+        witness["runner_up"] = encode_graph6(Graph(tuple(level.masks[others[0]].tolist())))
         witness["runner_up_bracket"] = _bracket(radii[others[0]])
     if not isomorphic:
         outcome, gap = FAIL, None
@@ -633,11 +632,11 @@ def relocation_specs(max_n: int):
     """
     for n in _orders(2, max_n):
         for g in connected_graphs(n):
-            for v in range(g.n):
-                if g.degrees[v] != 1:
+            for v, mv in enumerate(g.masks):
+                if mv.bit_count() != 1:
                     continue
-                u = g.adjacency[v][0]
-                rest = [t for t in g.adjacency[u] if t != v]
+                u = mv.bit_length() - 1
+                rest = [t for t in g.neighbors(u) if t != v]
                 for sub in range(1, 1 << len(rest)):
                     targets = tuple(rest[i] for i in range(len(rest)) if (sub >> i) & 1)
                     yield RelocationSpec(
@@ -653,10 +652,11 @@ def edge_addition_pairs(max_n: int):
     """Every (connected graph, graph plus one absent edge) pair, n <= max_n."""
     for n in _orders(2, max_n):
         for g in connected_graphs(n):
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if not g.has_edge(a, b):
-                        yield g, build_graph(g.n, list(g.edges) + [(a, b)])
+            for a, b in combinations(range(n), 2):
+                if not g.has_edge(a, b):
+                    masks = list(g.masks)
+                    masks[a], masks[b] = masks[a] | 1 << b, masks[b] | 1 << a
+                    yield g, Graph(tuple(masks))
 
 
 def sweep_perturbation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:

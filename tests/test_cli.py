@@ -140,6 +140,15 @@ def test_verify_graft_shift_past_the_catalog_cap(capsys):
     assert json.loads(out)["outcome"] == "FAIL"
 
 
+def test_verify_graft_shift_root_outside_the_base(capsys):
+    # on A_, vertex -1 is no alias of vertex 1: the roots are not adjacent
+    code, out, err = run(capsys, ["verify", "--theorem", "1", "--base", "A_", "--u", "-1",
+                                  "--v", "0", "--k", "1", "--l", "1"])
+    assert code == 2
+    assert out == ""
+    assert "must be adjacent" in err
+
+
 def test_verify_bound_and_monotonicity(capsys):
     code, out, _ = run(
         capsys, ["verify", "--theorem", "bound", "--old", "Cs", "--new", "C~"]

@@ -25,9 +25,10 @@ from distspec.enumeration import (
     twin_classes,
 )
 from distspec import graph6
-from distspec.graph6 import encode_graph6, graph6_of
+from distspec.graph6 import encode_graph6
 from distspec.graphs import (
     MAX_CANONICAL_N,
+    Graph,
     GraphError,
     _ordering_table,
     _refine_many,
@@ -217,7 +218,7 @@ def test_catalog_golden_bytes_n8():
     rows = catalog(8).masks.tolist()
     h = hashlib.sha256()
     for key, row in zip(keys_from_masks(8, rows), rows):
-        h.update(key + b"\0" + graph6_of(8, edges_of(row)).encode() + b"\n")
+        h.update(key + b"\0" + encode_graph6(Graph(tuple(row))).encode() + b"\n")
     h.update(b"--\n")
     assert h.hexdigest() == "4cb837a25d57285e9c5371da38466b2f69a93842f70933925e87ee6f74678dfd"
 
@@ -226,7 +227,7 @@ def test_level_build_encodes_no_graph6(monkeypatch):
     import distspec
 
     calls = []
-    real = graph6.graph6_of
+    real = graph6.encode_graph6
 
     def counted(*args):
         calls.append(args)
@@ -236,8 +237,8 @@ def test_level_build_encodes_no_graph6(monkeypatch):
         m for m in vars(distspec).values() if getattr(m, "__name__", "").startswith("distspec.")
     ]
     for mod in modules:
-        if getattr(mod, "graph6_of", None) is real:
-            monkeypatch.setattr(mod, "graph6_of", counted)
+        if getattr(mod, "encode_graph6", None) is real:
+            monkeypatch.setattr(mod, "encode_graph6", counted)
     _level.cache_clear()
     try:
         assert len(_level(7)) == 853
@@ -255,11 +256,7 @@ def test_level_build_drops_its_key_tables():
 
 
 def masks_of(g):
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+    return list(g.masks)
 
 
 def unpruned_level(parents, n):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -55,6 +56,15 @@ def test_build_graph_basic():
     assert g.degrees == (1, 2, 2, 1)
     assert g.has_edge(2, 1)
     assert not g.has_edge(0, 3)
+
+
+def test_has_edge_outside_the_vertex_range():
+    # a mask index of -1 would wrap to the last vertex and report 0 ~ -1
+    g = build_graph(2, [(0, 1)])
+    assert not g.has_edge(-1, 0)
+    assert not g.has_edge(0, -1)
+    assert not g.has_edge(0, 2)
+    assert not g.has_edge(2, 0)
 
 
 def test_build_graph_rejects_bad_edges():
@@ -214,11 +224,7 @@ def path_masks(n):
 
 
 def masks_of(g):
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+    return list(g.masks)
 
 
 def test_key_from_masks_order_limit():
@@ -399,6 +405,16 @@ def test_block_masks_guard_connectivity():
 
 
 def test_graph_from_masks_equals_build_graph():
+    # Graph(masks) is the unchecked constructor; on the same edges it gives
+    # exactly what build_graph validates and builds
+    assert [f.name for f in dataclasses.fields(graphs.Graph)] == ["masks"]
     for g in labeled_connected_graphs(4):
-        assert graphs.graph_from_masks(masks_of(g)) == g
-        assert graphs.masks_of(g) == masks_of(g)
+        edges = sorted(g.edges)
+        masks = [0] * g.n
+        for u, v in edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        assert graphs.Graph(tuple(masks)) == build_graph(g.n, edges)
+    # numpy endpoints still give Python int masks, which do not wrap at 64 bits
+    big = build_graph(70, [(np.int64(0), np.int64(69))])
+    assert big.masks[0] == 1 << 69 and all(type(m) is int for m in big.masks)

@@ -12,11 +12,12 @@ import pytest
 
 from distspec import spectral
 from distspec.enumeration import connected_graphs
-from distspec.graphs import GraphError, build_graph
+from distspec.graphs import GraphError, bfs_distances, build_graph
 from distspec.spectral import (
     BracketError,
     Relation,
     certified_compare,
+    distance_matrices,
     distance_matrix,
     perron,
     perron_many,
@@ -55,6 +56,28 @@ def test_distance_matrix_values():
     dm = distance_matrix(p4)
     expected = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]
     assert dm.d.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 65])
+def test_distance_matrix_across_the_mask_dtype_boundary(n):
+    # masks are read as int64 below 63 vertices and as Python ints from 63 up
+    path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    star = build_graph(n, [(0, i) for i in range(1, n)])
+    for g in (path, star):
+        d = distance_matrix(g).d
+        assert [d[s].tolist() for s in range(n)] == [bfs_distances(g, s) for s in range(n)]
+
+
+def test_distance_matrices_of_a_mixed_order_batch():
+    graphs = [
+        build_graph(n, edges)
+        for n in (1, 5, 62, 63, 64, 65)
+        for edges in ([(i, i + 1) for i in range(n - 1)], [(0, i) for i in range(1, n)])
+    ]
+    batch = distance_matrices(graphs[::-1] + graphs)
+    for g, dm in zip(graphs[::-1] + graphs, batch):
+        assert dm.n == g.n
+        assert np.array_equal(dm.d, distance_matrix(g).d)
 
 
 def test_distance_matrix_requires_connected():

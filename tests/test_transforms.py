@@ -7,6 +7,7 @@ import random
 import pytest
 
 from distspec.enumeration import connected_graphs
+from distspec.graph6 import decode_graph6
 from distspec.graphs import (
     GraphError,
     bfs_distances,
@@ -264,6 +265,13 @@ def test_relocation_hypothesis_errors():
     with pytest.raises(HypothesisError) as err:
         make_relocation_spec(p4, 1, 2, (3,))  # target inside c1
     assert err.value.clause == "targets"
+
+    # u outside the graph fails the adjacency clause, as v outside it does
+    c4 = decode_graph6("Cr")
+    for u, v in ((9, 0), (-1, 0), (0, 9)):
+        with pytest.raises(HypothesisError) as err:
+            make_relocation_spec(c4, u, v, [1])
+        assert err.value.clause == "adjacency"
 
     # v keeps a c1 neighbor that u lacks: mirror condition broken
     g = build_graph(4, [(0, 1), (1, 2), (0, 3)])

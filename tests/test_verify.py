@@ -180,13 +180,13 @@ def test_bound_and_monotonicity_build_each_distance_matrix_once(monkeypatch):
     # one build per graph, shared by the radius bracket and by the
     # quadratic form or dominance test (4 per call when each was rebuilt)
     built = []
-    real = spectral._distance_stack
+    real = spectral._adjacency
 
-    def counting(graphs, n):
-        built.extend(graphs)
-        return real(graphs, n)
+    def counting(masks):
+        built.extend(masks.tolist())
+        return real(masks)
 
-    monkeypatch.setattr(spectral, "_distance_stack", counting)
+    monkeypatch.setattr(spectral, "_adjacency", counting)
     spectral.perron_of.cache_clear()
     assert verify_perturbation_bound(make_base("path", 4), make_base("cycle", 4)).outcome == "PASS"
     assert len(built) == 2
