@@ -17,10 +17,10 @@ isomorphic to S's and that the loop has already visited; so a skipped
 subset is never the first encounter of its class, and each class keeps the
 representative the unpruned loop would give it.
 
-Children are keyed KEY_CHUNK at a time, in loop order, by the batched
-graphs.keys_from_masks, which gives each child the key key_from_masks
-would; the first child met with a new key stays its class's
-representative, as with one key at a time.
+Children are built KEY_CHUNK at a time, in loop order, as one int64 mask
+array from their parents' rows and subsets, and keyed by
+graphs.keys_from_masks (the key key_from_masks would give); the first
+child met with a new key is its class's representative, the only row kept.
 
 Each order is built once into a Level, the catalog of that order: one
 representative per isomorphism class, as the adjacency bitmasks it was
@@ -34,14 +34,13 @@ Graph(masks), with nothing converted or validated.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graphs import MAX_CANONICAL_N, Graph, GraphError, _bits, _ordering_table, keys_from_masks
+from .graphs import MAX_CANONICAL_N, Graph, GraphError, _ordering_table, keys_from_masks
 from .graphs import cut_counts
 from .spectral import PerronResult, brackets
 
@@ -95,13 +94,13 @@ class Level:
     def analysed(self) -> tuple[list[tuple[int, int]], list[PerronResult]]:
         """Each class's (cut vertices, cut edges) and certified radius, by index.
 
-        Computed on first use from the mask array, KEY_CHUNK rows at a time and
-        without a Graph: cut counts from block masks, brackets from one stack.
+        Computed on first use from the mask array, TABLE_CHUNK rows at a time
+        and without a Graph: cut counts from block masks, brackets from one stack.
         """
         if self._analysed is None:
             cuts, radii = [], []
-            for lo in range(0, len(self), KEY_CHUNK):
-                chunk = self.masks[lo:lo + KEY_CHUNK]
+            for lo in range(0, len(self), TABLE_CHUNK):
+                chunk = self.masks[lo:lo + TABLE_CHUNK]
                 cuts += map(cut_counts, chunk.tolist())
                 radii += brackets(chunk)
             self._analysed = cuts, radii
@@ -142,9 +141,11 @@ def _twin_pruned_subsets(classes: list[list[int]]) -> list[int]:
     return subs[1:]
 
 
-# Children keyed per keys_from_masks call: large enough to amortise its
-# numpy overhead, small enough to keep its arrays small.
-KEY_CHUNK = 256
+# Children keyed per keys_from_masks call, and classes per bracket stack of
+# the claim table: each large enough to amortise numpy's call overhead and
+# small enough to keep peak memory low (bracket stacks hold float matrices).
+KEY_CHUNK = 1024
+TABLE_CHUNK = 256
 
 
 @lru_cache(maxsize=None)
@@ -155,28 +156,30 @@ def _level(n: int) -> Level:
     # canonical key -> index in rows of the class's first child met
     reps: dict[bytes, int] = {}
     rows = bytearray()
-    pack = struct.Struct(f"{n}H").pack
     new = n - 1
-    pending: list[list[int]] = []
+    parents = _level(new).masks.astype(np.int64)
+    bits = np.arange(new)
 
-    def flush() -> None:
-        for key, masks in zip(keys_from_masks(n, pending), pending):
+    def keep(owners: list[int], subsets: list[int]) -> None:
+        subs = np.array(subsets)
+        children = np.column_stack((parents[owners] | (subs[:, None] >> bits & 1) << new, subs))
+        fresh = []
+        for i, key in enumerate(keys_from_masks(n, children)):
             if key not in reps:
                 reps[key] = len(reps)
-                rows.extend(pack(*masks))
-        pending.clear()
+                fresh.append(i)
+        rows.extend(children[fresh].astype(np.uint16).tobytes())
 
-    for pmasks in map(np.ndarray.tolist, _level(new).masks):
-        pmasks.append(0)
-        for sub in _twin_pruned_subsets(twin_classes(pmasks[:new])):
-            masks = pmasks.copy()
-            masks[new] = sub
-            for i in _bits(sub):
-                masks[i] |= 1 << new
-            pending.append(masks)
-            if len(pending) == KEY_CHUNK:
-                flush()
-    flush()
+    owners, subsets = [], []  # parent index and subset of each child not yet keyed
+    for p, masks in enumerate(map(np.ndarray.tolist, parents)):
+        found = _twin_pruned_subsets(twin_classes(masks))
+        owners += [p] * len(found)
+        subsets += found
+        while len(subsets) >= KEY_CHUNK:
+            keep(owners[:KEY_CHUNK], subsets[:KEY_CHUNK])
+            del owners[:KEY_CHUNK], subsets[:KEY_CHUNK]
+    if subsets:
+        keep(owners, subsets)
     # the key tables are per order, and no later level reads this order's
     _ordering_table.cache_clear()
     order = [reps[key] for key in sorted(reps)]

@@ -10,17 +10,18 @@ for the blocks, from which cut vertices and bridges follow).
 A canonical key is the minimal graph6 bit string over the vertex orderings
 that list the 1-WL refinement classes in class order.  Two evaluators give
 it byte for byte: key_from_masks searches one graph's orderings level by
-level, keeping every tie; keys_from_masks, for many graphs of one order,
-refines them all in one numpy pass and takes each minimum over a cached
-table of all such orderings, handing a graph with too many orderings (a
-regular one has n!) and orders above MAX_CANONICAL_N to key_from_masks.
+level, keeping every tie; keys_from_masks, for a mask array of one order,
+refines every row at once (each round's signature one matrix-vector
+product per row) and takes each minimum over a cached table of all such
+orderings, handing a graph with too many orderings (a regular one has n!)
+and orders above MAX_CANONICAL_N to key_from_masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial, prod
 from operator import index
 from typing import Iterator
@@ -102,6 +103,8 @@ def relabel(g: Graph, perm) -> Graph:
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from source; unreachable vertices get -1."""
+    if not 0 <= source < g.n:
+        raise GraphError(f"source vertex {source} is outside 0..{g.n - 1}")
     dist = [-1] * g.n
     reached = frontier = 1 << source
     hop = 0
@@ -304,21 +307,15 @@ def _refinement_classes(n: int, masks) -> list[int]:
     signatures, so isomorphic graphs get identical class structure regardless
     of labeling.
     """
-    order = sorted(set(masks[v].bit_count() for v in range(n)))
-    rank = {c: i for i, c in enumerate(order)}
-    colors = [rank[masks[v].bit_count()] for v in range(n)]
-    nclasses = len(order)
-    while nclasses < n:
-        sigs = []
-        for v in range(n):
-            sigs.append((colors[v], *sorted(colors[u] for u in _bits(masks[v]))))
+    sigs = [masks[v].bit_count() for v in range(n)]
+    nclasses = 0
+    while True:
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if len(rank) == nclasses:
-            return new
+        colors = [rank[s] for s in sigs]
+        if len(rank) in (nclasses, n):
+            return colors
         nclasses = len(rank)
-        colors = new
-    return colors
+        sigs = [(colors[v], *sorted(colors[u] for u in _bits(masks[v]))) for v in range(n)]
 
 
 def key_from_masks(n: int, masks) -> bytes:
@@ -339,15 +336,7 @@ def key_from_masks(n: int, masks) -> bytes:
     colors = _refinement_classes(n, masks)
     placement = sorted(range(n), key=lambda v: (colors[v], v))
     # cands[level] = how many leading state entries share the current class.
-    cands = [0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j < n and colors[placement[j]] == colors[placement[i]]:
-            j += 1
-        for k in range(i, j):
-            cands[k] = j - k
-        i = j
+    cands = [sum(colors[w] == colors[placement[k]] for w in placement[k:]) for k in range(n)]
     states: set[tuple[int, ...]] = {tuple(placement)}
     key_cols: list[int] = []
     for level in range(n):
@@ -391,9 +380,10 @@ KEY_TABLE_BUDGET = 1 << 16
 def keys_from_masks(n: int, rows) -> list[bytes]:
     """key_from_masks for many graphs of one order, as one batched computation.
 
-    rows is a sequence of bitmask lists; element by element the result
-    equals [key_from_masks(n, r) for r in rows].  The 1-WL classes of all
-    rows are refined together (_refine_many), and each row's key is the
+    rows is a (rows, n) integer array of bitmask rows, or anything
+    np.asarray makes one of; element by element the result equals
+    [key_from_masks(n, r) for r in rows].  The 1-WL classes of all rows
+    are refined together (_refine_many), and each row's key is the
     minimum, over every ordering that lists the classes in class order, of
     its upper-triangle bits packed as one integer: exactly the orderings
     whose ties the frontier search of key_from_masks keeps, so the minimum
@@ -404,70 +394,76 @@ def keys_from_masks(n: int, rows) -> list[bytes]:
     """
     if n > MAX_KEY_N:
         raise GraphError(f"key_from_masks packs vertex ids in 4 bits: n <= {MAX_KEY_N}, got {n}")
-    rows = list(rows)
-    if n == 1 or n > MAX_CANONICAL_N or not rows:
-        return [key_from_masks(n, r) for r in rows]
-    adj = (np.array(rows, dtype=np.int64)[:, :, None] >> np.arange(n)) & 1
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, n)
+    if n == 1 or n > MAX_CANONICAL_N or not len(rows):
+        return [key_from_masks(n, r) for r in rows.tolist()]
+    # adj[b, v, u] is bit u of row b's mask v; every mask fits 16 bits
+    octets = rows.astype("<u2").view(np.uint8).reshape(-1, n, 2)
+    adj = np.unpackbits(octets, axis=2, count=n, bitorder="little")
     colours = _refine_many(adj)
-    # sorted position q of a row holds its vertex placement[q]: classes in
-    # class order, members ascending, as key_from_masks places them
-    placement = np.argsort(colours, axis=1, kind="stable")
+    # placement[q] is the vertex at sorted position q, as key_from_masks places them
+    placement = np.argsort(colours, axis=1, kind="stable").astype(np.uint8)
     first, second = _pairs(n)
     bits = np.take_along_axis(
         adj.reshape(len(rows), n * n), placement[:, first] * n + placement[:, second], axis=1
     ).astype(np.float64)
-    sizes = (colours[:, :, None] == np.arange(n)).sum(axis=1)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for b, row_sizes in enumerate(map(tuple, sizes.tolist())):
-        groups.setdefault(row_sizes, []).append(b)
-    nbytes = (n * (n - 1) // 2 + 7) // 8
-    keys: list[bytes] = [b""] * len(rows)
-    for row_sizes, members in groups.items():
-        table = _ordering_table(n, tuple(s for s in row_sizes if s))
+    # rows whose shape codes (the size of class c in bits 4c..4c+3) agree form a group
+    codes = (16 ** colours).sum(axis=1)
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1)).tolist() + [len(rows)]
+    best = np.zeros(len(rows), dtype=np.int64)
+    scalar = []
+    for lo, hi in zip(starts, starts[1:]):
+        members, code = order[lo:hi], int(codes[order[lo]])
+        table = _ordering_table(n, tuple(c for c in (code >> 4 * k & 15 for k in range(n)) if c))
         if table is None:
-            for b in members:
-                keys[b] = key_from_masks(n, rows[b])
+            scalar += members.tolist()
             continue
         step = max(1, KEY_TABLE_BUDGET // table.shape[1])
-        for lo in range(0, len(members), step):
-            chunk = members[lo:lo + step]
-            for b, best in zip(chunk, (bits[chunk] @ table).min(axis=1).tolist()):
-                keys[b] = bytes([n]) + int(best).to_bytes(nbytes, "big")
+        for at in range(0, len(members), step):
+            chunk = members[at:at + step]
+            best[chunk] = (bits[chunk] @ table).min(axis=1)
+    head, nbytes = bytes([n]), (n * (n - 1) // 2 + 7) // 8
+    keys = [head + value.to_bytes(nbytes, "big") for value in best.tolist()]
+    for b in scalar:
+        keys[b] = key_from_masks(n, rows[b].tolist())
     return keys
 
 
 def _refine_many(adj: np.ndarray) -> np.ndarray:
     """_refinement_classes of every row of a (rows, n, n) 0/1 adjacency stack.
 
-    Colours start as the dense rank of each degree within its row.  Each
-    round ranks the vertices of a row by (colour, -#neighbours of colour 0,
-    ..., -#neighbours of colour n-1), packed into one int64 with 4 bits a
-    field.  Vertices of one colour have equal degree, and for two sorted
+    Worked on transposed, [v, u, row], so each step spans all rows.  A
+    colour counts the smaller values in its row, first of the degrees (it
+    may skip numbers until the fixed point is made dense).  Each round
+    ranks a row's vertices by (colour, -#neighbours of colour 0, ...,
+    -#neighbours of colour n-1), packed into one int64 with 4 bits a field:
+    sum_c (n-1-count_c) 16^(n-1-c) is a constant less
+    sum_{u in N(v)} 16^(n-1-colour(u)), one matrix-vector product per row,
+    exact in int64 for n <= MAX_CANONICAL_N; ranking drops the constant.
+    Vertices of one colour have equal degree, and for two sorted
     neighbour-colour lists of one length, comparing the lists is comparing
-    these negated count vectors, so the ranks are those of the sorted
-    signatures in _refinement_classes.  A round that changes no row is
-    the fixed point.
+    these negated count vectors, so the ranks order the classes as the
+    sorted signatures of _refinement_classes do.
     """
     n = adj.shape[1]
-    colours = _dense_rank(adj.sum(axis=2))
+    stack = np.ascontiguousarray(adj.transpose(1, 2, 0), dtype=np.uint8)
+    colours = _ranks(stack.sum(axis=1, dtype=np.uint8))
     weights = 16 ** np.arange(n - 1, -1, -1, dtype=np.int64)
     while True:
-        counts = adj @ (colours[:, :, None] == np.arange(n))
-        new = _dense_rank((colours << (4 * n)) + (n - 1 - counts) @ weights)
+        below = np.einsum("vub,ub->vb", stack, weights[colours])
+        new = _ranks((colours.astype(np.int64) << (4 * n)) - below)
         if np.array_equal(new, colours):
-            return colours
+            break
         colours = new
+    # a dense rank counts the distinct ranks up to its own, less one
+    used = np.cumsum((colours == np.arange(n)[:, None, None]).any(axis=1), axis=0)
+    return np.take_along_axis(used, colours, axis=0).T - 1
 
 
-def _dense_rank(values: np.ndarray) -> np.ndarray:
-    """Rank of each entry among the distinct values of its row, from 0."""
-    order = np.argsort(values, axis=1, kind="stable")
-    ordered = np.take_along_axis(values, order, axis=1)
-    step = np.zeros_like(ordered)
-    step[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    ranks = np.empty_like(ordered)
-    np.put_along_axis(ranks, order, np.cumsum(step, axis=1), axis=1)
-    return ranks
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """For each entry of an (n, rows) array, how many of its column are smaller, as uint8."""
+    return (values < values[:, None, :]).view(np.uint8).sum(axis=1, dtype=np.uint8)
 
 
 @lru_cache(maxsize=None)
@@ -494,22 +490,23 @@ def _ordering_table(n: int, shape: tuple[int, ...]) -> np.ndarray | None:
     exceed KEY_TABLE_BUDGET entries.
     """
     nbits = n * (n - 1) // 2
-    if prod(map(factorial, shape)) * nbits > KEY_TABLE_BUDGET:
+    count = prod(map(factorial, shape))
+    if count * nbits > KEY_TABLE_BUDGET:
         return None
-    starts = np.cumsum((0,) + shape[:-1]).tolist()
-    orderings = np.array(
-        [
-            [q for part in parts for q in part]
-            for parts in product(
-                *(permutations(range(s, s + size)) for s, size in zip(starts, shape))
-            )
-        ]
-    )
-    first, second = _pairs(n)
-    lo = np.minimum(orderings[:, first], orderings[:, second])
-    hi = np.maximum(orderings[:, first], orderings[:, second])
-    table = np.zeros((nbits, len(orderings)))
-    table[hi * (hi - 1) // 2 + lo, np.arange(len(orderings))[:, None]] = 2.0 ** np.arange(
-        nbits - 1, -1, -1
-    )
+    # itertools.product order over the classes' permutations, the first
+    # slowest; a class of one vertex has one
+    orderings = np.tile(np.arange(n), (count, 1))
+    start, before = 0, 1
+    for size in shape:
+        if size > 1:
+            perms = np.array(list(permutations(range(start, start + size))))
+            after = count // (before * len(perms))
+            block = np.repeat(perms, after, axis=0)
+            orderings[:, start:start + size] = np.tile(block, (before, 1))
+            before *= len(perms)
+        start += size
+    a, b = (orderings[:, column] for column in _pairs(n))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    table = np.zeros((nbits, count))
+    table[hi * (hi - 1) // 2 + lo, np.arange(count)[:, None]] = 2.0 ** np.arange(nbits)[::-1]
     return table

@@ -395,3 +395,47 @@ def test_claim_table_reads_the_mask_array(monkeypatch):
     finally:
         _level.cache_clear()
     assert calls == {"decode_graph6": 0, "blocks": 0}
+
+
+def dense_rank(values):
+    """Rank of each entry among the distinct values of its row, from 0."""
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    step = np.zeros_like(ordered)
+    step[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ranks = np.empty_like(ordered)
+    np.put_along_axis(ranks, order, np.cumsum(step, axis=1), axis=1)
+    return ranks
+
+
+def one_hot_refine_many(adj):
+    """Reference oracle: _refine_many by a one-hot count product each round.
+
+    Each round counts every vertex's neighbours of each colour as
+    adj @ onehot(colours), a (rows, n, n) by (rows, n, n) product, and
+    dense-ranks the rows by (colour, n-1-counts packed 4 bits a field).
+    """
+    n = adj.shape[1]
+    colours = dense_rank(adj.sum(axis=2))
+    weights = 16 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    while True:
+        counts = adj @ (colours[:, :, None] == np.arange(n))
+        new = dense_rank((colours << (4 * n)) + (n - 1 - counts) @ weights)
+        if np.array_equal(new, colours):
+            return colours
+        colours = new
+
+
+def test_refine_many_equals_the_one_hot_refinement():
+    # every twin-pruned child the level build keys, each order in one batch
+    total = 0
+    for n in range(2, 8):
+        children = []
+        for parent in _level(n - 1).masks.tolist():
+            for sub in enumeration._twin_pruned_subsets(twin_classes(parent)):
+                joined = [m | (sub >> i & 1) << n - 1 for i, m in enumerate(parent)]
+                children.append(joined + [sub])
+        adjacency = (np.array(children)[:, :, None] >> np.arange(n)) & 1
+        assert np.array_equal(_refine_many(adjacency), one_hot_refine_many(adjacency))
+        total += len(children)
+    assert total == 5299

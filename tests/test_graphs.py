@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from math import factorial, prod
 
 import networkx as nx
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from distspec import graphs
 from distspec.graphs import (
+    KEY_TABLE_BUDGET,
     GraphError,
     _refine_many,
     _refinement_classes,
@@ -91,6 +93,13 @@ def test_bfs_distances_path_and_disconnected():
     g2 = build_graph(4, [(0, 1), (2, 3)])
     assert bfs_distances(g2, 0) == [0, 1, -1, -1]
     assert not is_connected(g2)
+
+
+def test_bfs_distances_guards_the_source():
+    p3 = build_graph(3, [(0, 1), (1, 2)])
+    for source in (-1, 3):
+        with pytest.raises(GraphError, match=rf"{source}.*0\.\.2"):
+            bfs_distances(p3, source)
 
 
 def test_cut_structure_against_brute_force():
@@ -289,6 +298,55 @@ def test_keys_from_masks_regular_graphs_fall_back(monkeypatch):
         assert keys_from_masks(n, batch) == [key_from_masks(n, m) for m in batch]
     # K_n and C_n from 7 on, then K_{4,4}, the cube and the Petersen graph
     assert fallbacks == {7: 2, 8: 4, 9: 2, 10: 3}
+
+
+def list_built_ordering_table(n, shape):
+    """Reference oracle: _ordering_table from the orderings listed one by one.
+
+    itertools.product over each class's permutations, one ordering a
+    column, filled pair by pair in Python.
+    """
+    nbits = n * (n - 1) // 2
+    if prod(map(factorial, shape)) * nbits > KEY_TABLE_BUDGET:
+        return None
+    starts = list(itertools.accumulate((0,) + shape[:-1]))
+    orderings = [
+        [q for part in parts for q in part]
+        for parts in itertools.product(
+            *(itertools.permutations(range(s, s + size)) for s, size in zip(starts, shape))
+        )
+    ]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    table = np.zeros((nbits, len(orderings)))
+    for m, ordering in enumerate(orderings):
+        for t, (i, j) in enumerate(pairs):
+            lo, hi = sorted((ordering[i], ordering[j]))
+            table[hi * (hi - 1) // 2 + lo, m] = 2.0 ** (nbits - 1 - t)
+    return table
+
+
+def compositions(n):
+    """Every tuple of positive sizes summing to n."""
+    yield (n,)
+    for first in range(1, n):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def test_ordering_table_equals_the_list_built_table():
+    # every class-size composition within the budget, n <= 8
+    within = 0
+    for n in range(2, 9):
+        for shape in compositions(n):
+            want = list_built_ordering_table(n, shape)
+            got = graphs._ordering_table(n, shape)
+            if want is None:
+                assert got is None
+            else:
+                within += 1
+                assert got is not None and np.array_equal(got, want), (n, shape)
+    graphs._ordering_table.cache_clear()
+    assert within == 250
 
 
 def test_keys_from_masks_edge_cases():

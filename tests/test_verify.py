@@ -299,9 +299,10 @@ def test_min_sweep_reports_golden_bytes():
 
 
 def test_min_sweep_reports_do_not_depend_on_the_chunk_size(monkeypatch):
-    # the levels and their claim tables rebuilt KEY_CHUNK = 7 classes at a
-    # time give the same report bytes
+    # the levels and their claim tables rebuilt 7 classes at a time give the
+    # same report bytes
     monkeypatch.setattr(enumeration, "KEY_CHUNK", 7)
+    monkeypatch.setattr(enumeration, "TABLE_CHUNK", 7)
     enumeration._level.cache_clear()
     try:
         test_min_sweep_reports_golden_bytes()
