@@ -83,14 +83,16 @@ class GraftSite:
     l: int
 
 
-def _check_site(site: GraftSite) -> None:
-    if site.u == site.v:
-        raise GraphError("graft roots must be distinct")
-    if not site.base.has_edge(site.u, site.v):
-        raise GraphError(f"graft roots ({site.u}, {site.v}) must be adjacent in the base")
-    if site.k < 0 or site.l < 0:
-        raise GraphError(f"path budgets must be >= 0, got k={site.k}, l={site.l}")
-    if not is_connected(site.base):
+def _check_sites(sites: list[GraftSite]) -> None:
+    """Check every site's roots and budgets, then each distinct base's connectivity once."""
+    for site in sites:
+        if site.u == site.v:
+            raise GraphError("graft roots must be distinct")
+        if not site.base.has_edge(site.u, site.v):
+            raise GraphError(f"graft roots ({site.u}, {site.v}) must be adjacent in the base")
+        if site.k < 0 or site.l < 0:
+            raise GraphError(f"path budgets must be >= 0, got k={site.k}, l={site.l}")
+    if not all(map(is_connected, {site.base.masks: site.base for site in sites}.values())):
         raise GraphError("graft base must be connected")
 
 
@@ -100,7 +102,7 @@ def graft(site: GraftSite) -> Graph:
     Base vertices keep their labels; the u-side path takes the next k labels
     ascending from the root outward, the v-side path the l after that.
     """
-    _check_site(site)
+    _check_sites([site])
     return _grafted(site.base, (site.u, site.k), (site.v, site.l))
 
 
@@ -119,7 +121,7 @@ class GraftFamily:
 
 def graft_family(site: GraftSite) -> GraftFamily:
     """Build G_{k,l} and its defined shifts, checking the site once."""
-    _check_site(site)
+    _check_sites([site])
     base, u, v, k, l = site.base, site.u, site.v, site.k, site.l
     return GraftFamily(
         member=_grafted(base, (u, k), (v, l)),

@@ -10,13 +10,13 @@ here, never as falsified.
 Every radius is a default-width bracket, a few ulps wide.  Claims 3 and 4
 read theirs from the order's catalog table (enumeration.Level.analysed).
 Every other claim has one internal function that reports on a batch of
-instances: it builds their graphs once, has their radii bracketed together
-by spectral.perron_many (from the distance matrices when the claim needs
-them anyway), and reads every radius from perron_of's cache.  A single
-verifier call is a batch of one; sweeps run serially and feed it one unit
-at a time (a graft base graph or an order), at most SWEEP_BATCH instances
-per batch.  The width and jobs parameters of the public verifiers and
-sweeps are deprecated: accepted for compatibility, ignored.
+instances: it builds their graphs once and has their radii bracketed
+together by spectral.perron_many (from the distance matrices when the claim
+needs them anyway).  Graft and pendant reports take those radii as values,
+and name and key each distinct graph once; the others read perron_of's
+cache.  A single verifier call is a batch of one; sweeps run serially, in
+runs of at most SWEEP_BATCH consecutive instances that may span bases and
+orders.  The width and jobs parameters are deprecated and ignored.
 """
 
 from __future__ import annotations
@@ -24,16 +24,27 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations, groupby, islice
+from itertools import combinations, islice
+from typing import Iterator
 
 from .enumeration import catalog, connected_graphs
 from .graph6 import encode_graph6
-from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, blocks, canonical_key
+from .graphs import (
+    MAX_CANONICAL_N,
+    MAX_KEY_N,
+    Graph,
+    GraphError,
+    PendantPath,
+    blocks,
+    canonical_key,
+    keys_from_masks,
+)
 from .jsonio import dumps
 from .spectral import (
     DistanceMatrix,
     PerronResult,
     Relation,
+    _by_order,
     certified_compare,
     distance_matrices,
     perron_many,
@@ -41,16 +52,15 @@ from .spectral import (
     quadratic_form_delta,
 )
 from .transforms import (
-    GraftFamily,
     GraftSite,
     HypothesisError,
     RelocationSpec,
+    _check_sites,
+    _grafted,
     block_clique_closure,
     distance_dominates,
     find_witness,
     g_nk,
-    graft,
-    graft_family,
     k_nk,
     relocate_edges,
 )
@@ -123,67 +133,78 @@ def verify_graft_monotonicity(site: GraftSite, width=None, jobs=1) -> Verificati
     """
     if not site.k >= site.l >= 1:
         raise GraphError(f"graft verification needs k >= l >= 1, got k={site.k}, l={site.l}")
-    return _graft_reports([site])[0]
+    return _graft_reports([site], {})[0]
 
 
-def _graft_reports(sites: list[GraftSite]) -> list[VerificationReport]:
-    """Graft-shift reports for sites with k >= l >= 1.
+def _graft_reports(sites: list[GraftSite], names: dict) -> list[VerificationReport]:
+    """Graft-shift reports for sites with k >= l >= 1, each distinct graph handled once.
 
-    Each family is built once; members and their shifts to u are bracketed
-    as one batch.  A shift to v is needed only when the shift to u does
-    not certify, so it is bracketed on demand.
+    Members and shifts to u are bracketed as one batch, the shifts to v the
+    reports need as a second; overlapping pairs are keyed in one batch per
+    order.  names (masks -> graph6) is shared by a sweep's batches.
     """
-    fams = [graft_family(s) for s in sites]
-    perron_many([g for f in fams for g in (f.member, f.shift_to_u)])
-    return [_graft_report(s, f) for s, f in zip(sites, fams)]
+    _check_sites(sites)
+    fams = [(s, _at(s, s.k, s.l), [("shift_to_u", _at(s, s.k + 1, s.l - 1))]) for s in sites]
+    radius = _radii([g for _, m, sh in fams for g in (m, sh[0][1])])
 
+    def relation(a: Graph, b: Graph) -> Relation:
+        return certified_compare(radius[a.masks], radius[b.masks]).relation
 
-def _graft_report(site: GraftSite, fam: GraftFamily) -> VerificationReport:
-    t0 = time.perf_counter()
-    instance = {
-        "base": encode_graph6(site.base),
-        "u": site.u,
-        "v": site.v,
-        "k": site.k,
-        "l": site.l,
-    }
-    shifts = [("shift_to_u", fam.shift_to_u)]
-    if site.k == site.l:
-        shifts.append(("shift_to_v", fam.shift_to_v))
-    member_key = None
-
-    outcome = None
-    gap = None
-    witness: dict = {"member": encode_graph6(fam.member)}
-    indistinguishable = False
-    for name, shifted in shifts:
-        witness[name] = encode_graph6(shifted)
-        order, rm, rs = _compare(fam.member, shifted)
-        if order.relation is Relation.INDISTINGUISHABLE:
-            if member_key is None:
-                member_key = canonical_key(fam.member, MAX_KEY_N)
-            if canonical_key(shifted, MAX_KEY_N) == member_key:
-                witness[f"{name}_isomorphic_to_member"] = True
-                continue
-        witness[f"{name}_member_bracket"] = _bracket(rm)
-        witness[f"{name}_shift_bracket"] = _bracket(rs)
-        if order.relation is Relation.LESS:
-            outcome = PASS
-            gap = order.gap_lower_bound
-            witness["certified_disjunct"] = name
-            break
-        if order.relation is Relation.INDISTINGUISHABLE:
-            indistinguishable = True
-            witness[f"{name}_needs_exact_followup"] = True
-
-    if outcome is None:
-        if indistinguishable:
-            outcome = INCONCLUSIVE
+    for s, m, sh in fams:
+        if s.k == s.l and relation(m, sh[0][1]) is not Relation.LESS:
+            sh.append(("shift_to_v", _at(s, s.k - 1, s.l + 1)))
+    radius.update(_radii([sh[1][1] for _, _, sh in fams if len(sh) > 1]))
+    pairs = [(m, x) for _, m, sh in fams for _, x in sh]
+    tied = [p for p in pairs if relation(*p) is Relation.INDISTINGUISHABLE]
+    key = {}
+    for n, gs in _by_order({g.masks: g for p in tied for g in p}.values()).items():
+        rows = [g.masks for g in gs]
+        if n > MAX_CANONICAL_N:
+            key.update((g.masks, canonical_key(g, MAX_KEY_N)) for g in gs)
         else:
-            # Every disjunct is refuted, by isomorphism or a certified
-            # reversed inequality.
-            outcome = FAIL
-            gap = 0.0
+            key.update(zip(rows, keys_from_masks(n, rows)))
+    for g in [s.base for s in sites] + [g for p in pairs for g in p]:
+        if g.masks not in names:
+            names[g.masks] = encode_graph6(g)
+    return [_graft_report(s, m, sh, radius, names, key) for s, m, sh in fams]
+
+
+def _at(site: GraftSite, a: int, b: int) -> Graph:
+    """G_{a,b} at the site's roots, unchecked."""
+    return _grafted(site.base, (site.u, a), (site.v, b))
+
+
+def _radii(graphs: list[Graph]) -> dict[tuple[int, ...], PerronResult]:
+    """Masks -> bracket of each graph, all bracketed by one perron_many call."""
+    return dict(zip([g.masks for g in graphs], perron_many(graphs)))
+
+
+def _graft_report(
+    site: GraftSite, member: Graph, shifts: list, radius: dict, name: dict, key: dict
+) -> VerificationReport:
+    t0 = time.perf_counter()
+    instance = {"base": name[site.base.masks], "u": site.u, "v": site.v, "k": site.k, "l": site.l}
+    rm = radius[member.masks]
+    # FAIL unless some disjunct certifies or stays open: isomorphic or reversed refutes one
+    outcome, gap = FAIL, 0.0
+    witness: dict = {"member": name[member.masks]}
+    for label, shifted in shifts:
+        witness[label] = name[shifted.masks]
+        rs = radius[shifted.masks]
+        order = certified_compare(rm, rs)
+        overlap = order.relation is Relation.INDISTINGUISHABLE
+        if overlap and key[shifted.masks] == key[member.masks]:
+            witness[f"{label}_isomorphic_to_member"] = True
+            continue
+        witness[f"{label}_member_bracket"] = _bracket(rm)
+        witness[f"{label}_shift_bracket"] = _bracket(rs)
+        if order.relation is Relation.LESS:
+            outcome, gap = PASS, order.gap_lower_bound
+            witness["certified_disjunct"] = label
+            break
+        if overlap:
+            outcome, gap = INCONCLUSIVE, None
+            witness[f"{label}_needs_exact_followup"] = True
     return VerificationReport(
         theorem="graft-shift",
         instance=instance,
@@ -211,8 +232,14 @@ def verify_pendant_sum(
             f"need a strictly longer first path, got lengths "
             f"{p_long.length} and {p_short.length}"
         )
+    return _pendant_sum(g, p_long, p_short, perron_of(g), encode_graph6(g))
+
+
+def _pendant_sum(
+    g: Graph, p_long: PendantPath, p_short: PendantPath, res: PerronResult, g6: str
+) -> VerificationReport:
+    """verify_pendant_sum's report from g's bracket and graph6, its paths already checked."""
     t0 = time.perf_counter()
-    res = perron_of(g)
     tol = g.n * (res.width + res.residual)
     long_mass, short_mass = _mass(res, p_long), _mass(res, p_short)
     diff = long_mass - short_mass
@@ -222,7 +249,6 @@ def verify_pendant_sum(
         outcome = FAIL
     else:
         outcome = INCONCLUSIVE
-    g6 = encode_graph6(g)
     witness = {
         "graph": g6,
         "long_root": p_long.root,
@@ -463,51 +489,55 @@ _MIN_CLAIMS = {
 }
 
 
-def _verify_min(theorem: str, n: int, k: int) -> VerificationReport:
-    """Certify the claim's target as the unique minimizer of its class.
+def _min_reports(theorem: str, n: int, ks: list[int]) -> Iterator[VerificationReport]:
+    """Certify the claim's target as the unique minimizer of its class, for each k.
 
     Members' cut counts and brackets are read from the catalog table by
-    index; only the graphs the report names are keyed or encoded, from rows.
+    index; only the graphs a report names are encoded, from rows, and the
+    targets and minimizers are keyed in one batch.
     """
-    t0 = time.perf_counter()
     which, target_of, noun = _MIN_CLAIMS[theorem]
-    target = target_of(n, k)
+    targets = [target_of(n, k) for k in ks]
     level = catalog(n)
     cuts, radii = level.analysed()
-    picked = [i for i, c in enumerate(cuts) if c[which] == k]
-    if not picked:
-        raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
-    cand, *others = sorted(picked, key=lambda i: radii[i].value)  # stable: ties keep key order
-    minimizer = Graph(tuple(level.masks[cand].tolist()))
-    isomorphic = canonical_key(minimizer) == canonical_key(target)
-    witness = {
-        "target": encode_graph6(target),
-        "minimizer": encode_graph6(minimizer),
-        "minimizer_isomorphic_to_target": isomorphic,
-        "minimizer_bracket": _bracket(radii[cand]),
-    }
-    if others:
-        witness["runner_up"] = encode_graph6(Graph(tuple(level.masks[others[0]].tolist())))
-        witness["runner_up_bracket"] = _bracket(radii[others[0]])
-    if not isomorphic:
-        outcome, gap = FAIL, None
-    elif not others:
-        outcome, gap = PASS, None
-    else:
-        gap = min(radii[i].lower for i in others) - radii[cand].upper
-        if gap > 0:
-            outcome = PASS
+    ranked = []
+    for k in ks:
+        picked = [i for i, c in enumerate(cuts) if c[which] == k]
+        if not picked:
+            raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
+        ranked.append(sorted(picked, key=lambda i: radii[i].value))  # stable: ties keep key order
+    keys = keys_from_masks(n, [t.masks for t in targets] + [level.masks[r[0]] for r in ranked])
+    for k, target, (cand, *others), tkey, key in zip(ks, targets, ranked, keys, keys[len(ks):]):
+        t0 = time.perf_counter()
+        isomorphic = key == tkey
+        witness = {
+            "target": encode_graph6(target),
+            "minimizer": encode_graph6(Graph(tuple(level.masks[cand].tolist()))),
+            "minimizer_isomorphic_to_target": isomorphic,
+            "minimizer_bracket": _bracket(radii[cand]),
+        }
+        if others:
+            witness["runner_up"] = encode_graph6(Graph(tuple(level.masks[others[0]].tolist())))
+            witness["runner_up_bracket"] = _bracket(radii[others[0]])
+        if not isomorphic:
+            outcome, gap = FAIL, None
+        elif not others:
+            outcome, gap = PASS, None
         else:
-            outcome, gap = INCONCLUSIVE, None
-            witness["needs_exact_followup"] = True
-    return VerificationReport(
-        theorem=theorem,
-        instance={"n": n, "k": k, "class_size": len(picked)},
-        outcome=outcome,
-        certified_gap=gap,
-        witness=witness,
-        wall_time=time.perf_counter() - t0,
-    )
+            gap = min(radii[i].lower for i in others) - radii[cand].upper
+            if gap > 0:
+                outcome = PASS
+            else:
+                outcome, gap = INCONCLUSIVE, None
+                witness["needs_exact_followup"] = True
+        yield VerificationReport(
+            theorem=theorem,
+            instance={"n": n, "k": k, "class_size": 1 + len(others)},
+            outcome=outcome,
+            certified_gap=gap,
+            witness=witness,
+            wall_time=time.perf_counter() - t0,
+        )
 
 
 def verify_min_cut_vertices(n: int, k: int, width=None, jobs=1) -> VerificationReport:
@@ -515,7 +545,7 @@ def verify_min_cut_vertices(n: int, k: int, width=None, jobs=1) -> VerificationR
 
     width and jobs are deprecated and ignored.
     """
-    return _verify_min("min-cut-vertices", n, k)
+    return next(_min_reports("min-cut-vertices", n, [k]))
 
 
 def verify_min_cut_edges(n: int, k: int, width=None, jobs=1) -> VerificationReport:
@@ -523,13 +553,13 @@ def verify_min_cut_edges(n: int, k: int, width=None, jobs=1) -> VerificationRepo
 
     width and jobs are deprecated and ignored.
     """
-    return _verify_min("min-cut-edges", n, k)
+    return next(_min_reports("min-cut-edges", n, [k]))
 
 
 # ---------------------------------------------------------------------------
 # Sweeps: finite exhaustive grids of the verifiers above, run serially in
 # deterministic order.  Each sweep but claims 3 and 4 hands its claim's
-# batch function one unit at a time.
+# batch function consecutive runs of instances, across bases and orders.
 
 
 # Most instances a sweep hands its batch function at once: bounds the graphs
@@ -537,17 +567,16 @@ def verify_min_cut_edges(n: int, k: int, width=None, jobs=1) -> VerificationRepo
 SWEEP_BATCH = 256
 
 
-def _by_unit(items, unit, reports) -> list[VerificationReport]:
-    """reports() over each run of consecutive items with the same unit.
+def _batches(items, reports) -> list[VerificationReport]:
+    """reports() over consecutive runs of at most SWEEP_BATCH items.
 
-    A run longer than SWEEP_BATCH goes in consecutive batches of at most
-    that many; the reports do not depend on the split, since the batched
-    radii equal the scalar ones bit for bit.
+    A batch may span graft bases and orders; the reports do not depend on
+    the split, since a matrix gets the same bracket bits in any stack.
     """
+    items = iter(items)
     out: list[VerificationReport] = []
-    for _, group in groupby(items, key=unit):
-        while batch := list(islice(group, SWEEP_BATCH)):
-            out += reports(batch)
+    while batch := list(islice(items, SWEEP_BATCH)):
+        out += reports(batch)
     return out
 
 
@@ -570,11 +599,8 @@ def graft_sites(max_base_n: int, max_total: int, equal_only: bool | None = None)
                 for a, b in ((u, v), (v, u)):
                     for k in range(1, max_total):
                         for l in range(1, min(k, max_total - k) + 1):
-                            if equal_only is True and k != l:
-                                continue
-                            if equal_only is False and k == l:
-                                continue
-                            yield GraftSite(base=base, u=a, v=b, k=k, l=l)
+                            if equal_only in (None, k == l):
+                                yield GraftSite(base=base, u=a, v=b, k=k, l=l)
 
 
 def sweep_graft(
@@ -585,7 +611,8 @@ def sweep_graft(
     equal_only: bool | None = None,
 ) -> list[VerificationReport]:
     sites = graft_sites(max_base_n, max_total, equal_only)
-    return _by_unit(sites, lambda s: s.base, _graft_reports)
+    names: dict = {}  # graph6 of every graph the sweep's reports name
+    return _batches(sites, lambda batch: _graft_reports(batch, names))
 
 
 def pendant_report_for_site(site: GraftSite, width=None):
@@ -599,28 +626,24 @@ def pendant_report_for_site(site: GraftSite, width=None):
 
 
 def _pendant_reports(sites: list[GraftSite]) -> list[VerificationReport]:
-    """Pendant-mass reports for sites with k > l >= 1, members bracketed as one batch."""
-    members = [graft(s) for s in sites]
-    perron_many(members)
-    return [_pendant_report(s, m) for s, m in zip(sites, members)]
+    """Pendant-mass reports for sites with k > l >= 1; the members, all distinct, as one batch."""
+    _check_sites(sites)
+    members = [_at(s, s.k, s.l) for s in sites]
+    return [_pendant_report(*case) for case in zip(sites, members, perron_many(members))]
 
 
-def _pendant_report(site: GraftSite, member: Graph) -> VerificationReport:
-    nb = site.base.n
-    long_path = PendantPath(
-        root=site.u, vertices=tuple(range(nb, nb + site.k)), length=site.k
-    )
-    short_path = PendantPath(
-        root=site.v, vertices=tuple(range(nb + site.k, nb + site.k + site.l)), length=site.l
-    )
-    return verify_pendant_sum(member, long_path, short_path)
+def _pendant_report(site: GraftSite, g: Graph, res: PerronResult) -> VerificationReport:
+    nb, k, l = site.base.n, site.k, site.l
+    long_path = PendantPath(root=site.u, vertices=tuple(range(nb, nb + k)), length=k)
+    short_path = PendantPath(root=site.v, vertices=tuple(range(nb + k, nb + k + l)), length=l)
+    return _pendant_sum(g, long_path, short_path, res, encode_graph6(g))
 
 
 def sweep_pendant(
     max_base_n: int = 6, max_total: int = 4, width=None, jobs=1
 ) -> list[VerificationReport]:
     sites = graft_sites(max_base_n, max_total, equal_only=False)
-    return _by_unit(sites, lambda s: s.base, _pendant_reports)
+    return _batches(sites, _pendant_reports)
 
 
 def relocation_specs(max_n: int):
@@ -645,7 +668,7 @@ def relocation_specs(max_n: int):
 
 
 def sweep_relocation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
-    return _by_unit(relocation_specs(max_n), lambda s: s.g.n, _relocation_reports)
+    return _batches(relocation_specs(max_n), _relocation_reports)
 
 
 def edge_addition_pairs(max_n: int):
@@ -661,19 +684,19 @@ def edge_addition_pairs(max_n: int):
 
 def sweep_perturbation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
     pairs = edge_addition_pairs(max_n)
-    return _by_unit(pairs, lambda p: p[0].n, lambda batch: _bound_reports(batch, BOUND_TOL))
+    return _batches(pairs, lambda batch: _bound_reports(batch, BOUND_TOL))
 
 
 def sweep_monotonicity(max_n: int = 7, width=None, jobs=1) -> list[VerificationReport]:
     graphs = (g for n in _orders(1, max_n) for g in connected_graphs(n))
-    return _by_unit(graphs, lambda g: g.n, _monotonicity_reports)
+    return _batches(graphs, _monotonicity_reports)
 
 
 def _sweep_min(theorem: str, n: int):
     """One report per k, ascending, that some class of the order's catalog has."""
     which = _MIN_CLAIMS[theorem][0]
     present = {c[which] for c in catalog(n).analysed()[0]}
-    return [_verify_min(theorem, n, k) for k in sorted(present)]
+    return list(_min_reports(theorem, n, sorted(present)))
 
 
 def sweep_min_cut_vertices(n: int, width=None, jobs=1) -> list[VerificationReport]:

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,8 @@ from distspec.transforms import (
     GraftSite,
     RelocationSpec,
     block_clique_closure,
+    graft,
+    graft_family,
     make_base,
     make_relocation_spec,
 )
@@ -83,6 +86,28 @@ def test_graft_requires_positive_budgets():
         verify_graft_monotonicity(
             GraftSite(base=make_base("complete", 3), u=0, v=1, k=1, l=0)
         )
+
+
+@pytest.mark.parametrize(
+    "site, message",
+    [
+        (GraftSite(base=make_base("path", 3), u=1, v=1, k=2, l=1), "roots must be distinct"),
+        (GraftSite(base=make_base("path", 3), u=0, v=2, k=2, l=1), "must be adjacent"),
+        (GraftSite(base=build_graph(4, [(0, 1), (2, 3)]), u=0, v=1, k=2, l=1), "connected"),
+    ],
+)
+def test_graft_site_checks_match_the_builders(site, message):
+    # the batch functions check their sites themselves, each base's
+    # connectivity once; a malformed site raises as graft would, also
+    # behind a valid one in the same batch
+    for check in (graft, graft_family, verify_graft_monotonicity, pendant_report_for_site):
+        with pytest.raises(GraphError, match=message):
+            check(site)
+    valid = GraftSite(base=make_base("path", 3), u=0, v=1, k=2, l=1)
+    with pytest.raises(GraphError, match=message):
+        verify._graft_reports([valid, site], {})
+    with pytest.raises(GraphError, match=message):
+        verify._pendant_reports([valid, site])
 
 
 def test_pendant_sum_pass_and_validation():
@@ -237,6 +262,28 @@ def test_min_sweeps_cover_expected_grid():
     assert all(r.outcome == "PASS" for r in cv + ce)
 
 
+def test_min_sweep_keys_targets_and_minimizers_in_one_batch(monkeypatch):
+    calls = []
+    real = verify.keys_from_masks
+
+    def many(n, rows):
+        calls.append((n, len(rows)))
+        return real(n, rows)
+
+    def untouched(*args):
+        raise AssertionError("a graph was keyed alone")
+
+    monkeypatch.setattr(verify, "keys_from_masks", many)
+    monkeypatch.setattr(verify, "canonical_key", untouched)
+    for sweep in (sweep_min_cut_vertices, sweep_min_cut_edges):
+        calls.clear()
+        assert len(sweep(7)) == 6
+        assert calls == [(7, 12)]  # six targets, six minimizers
+    calls.clear()
+    assert verify_min_cut_vertices(7, 2).outcome == "PASS"
+    assert calls == [(7, 2)]
+
+
 def test_min_cut_vertex_sweep_covers_k1():
     # the catalog of order 1 holds K1, the one class with no cut vertex
     assert [report_json(r) for r in sweep_min_cut_vertices(1)] == [
@@ -325,19 +372,60 @@ def test_min_sweeps_read_the_catalog_table_not_the_memo():
     assert not any(holds_graph(getattr(level, f.name)) for f in dataclasses.fields(level))
 
 
-def test_graft_sweep_reports_golden_bytes():
+def test_graft_sweep_reports_golden_bytes(monkeypatch):
     # sha256 of the graft-shift and pendant-mass reports over bases n <= 5,
-    # one per line: the bracket-first isomorphism test must not move a byte
-    lines = [report_json(r) for r in sweep_graft(5, 4)]
-    lines += [report_json(r) for r in sweep_pendant(5, 4)]
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "1b3d58e4e4ca8c95ca92721e06e794a87af29e4dac8c89b5ab5384ed08c219e1"
+    # one per line: the bracket-first isomorphism test must not move a
+    # byte, nor must batches that span bases or split one
+    for batch in (verify.SWEEP_BATCH, 7, 1):
+        spectral.perron_of.cache_clear()
+        monkeypatch.setattr(verify, "SWEEP_BATCH", batch)
+        lines = [report_json(r) for r in sweep_graft(5, 4)]
+        lines += [report_json(r) for r in sweep_pendant(5, 4)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "1b3d58e4e4ca8c95ca92721e06e794a87af29e4dac8c89b5ab5384ed08c219e1", batch
+
+
+def test_graft_sweep_builds_names_and_brackets_each_graph_once(monkeypatch):
+    # one sweep_graft(5, 4): every distinct graph is encoded once; each
+    # batch brackets an order in at most two stacks (members with shifts
+    # to u, then the shifts to v the reports need), never one shift at a
+    # time; and no radius is read back through perron_of's memo
+    encoded, stacks, batches = [], Counter(), []
+    real_encode, real_stack, real_batch = (
+        verify.encode_graph6,
+        spectral._bracket_stack,
+        verify._graft_reports,
+    )
+
+    def encode(g):
+        encoded.append(g.masks)
+        return real_encode(g)
+
+    def stack(d, *args):
+        stacks[len(batches), d.shape[-1]] += 1
+        return real_stack(d, *args)
+
+    def batch(sites, *args):
+        batches.append(len(sites))
+        return real_batch(sites, *args)
+
+    def untouched(*args):
+        raise AssertionError("a radius was read through perron_of")
+
+    spectral.perron_of.cache_clear()
+    monkeypatch.setattr(verify, "encode_graph6", encode)
+    monkeypatch.setattr(spectral, "_bracket_stack", stack)
+    monkeypatch.setattr(verify, "_graft_reports", batch)
+    monkeypatch.setattr(verify, "perron_of", untouched)
+    assert len(sweep_graft(5, 4)) == sum(batches) == 1288
+    assert len(encoded) == len(set(encoded)) == 1737
+    assert stacks and max(stacks.values()) <= 2
 
 
 def test_relocation_bound_and_mono_sweep_reports_golden_bytes(monkeypatch):
     # sha256 of the relocation (n <= 6), perturbation-bound (n <= 6) and
     # closure-monotonicity (n <= 7) reports, one per line; the bytes must
-    # not depend on how _by_unit splits a unit into batches
+    # not depend on how _batches splits the instances into batches
     def lines():
         out = [report_json(r) for r in sweep_relocation(6)]
         out += [report_json(r) for r in sweep_perturbation(6)]
@@ -371,13 +459,15 @@ def test_closure_idempotence_counts_block_edges():
 @pytest.fixture
 def overlapping_brackets(monkeypatch):
     """Widen every bracket the verifier sees so that no two are disjoint."""
-    real = verify.perron_of
+    real = verify.perron_many
 
-    def wide(g, *args):
-        res = real(g, *args)
-        return dataclasses.replace(res, lower=res.lower - 1.0, upper=res.upper + 1.0)
+    def wide(graphs, *args):
+        return [
+            dataclasses.replace(res, lower=res.lower - 1.0, upper=res.upper + 1.0)
+            for res in real(graphs, *args)
+        ]
 
-    monkeypatch.setattr(verify, "perron_of", wide)
+    monkeypatch.setattr(verify, "perron_many", wide)
 
 
 def test_graft_overlap_isomorphic_shift_fails(overlapping_brackets):
@@ -404,14 +494,20 @@ def test_graft_overlap_distinct_shift_inconclusive(overlapping_brackets):
 
 
 def test_graft_sweep_keys_only_overlapping_brackets(monkeypatch):
+    # every keyed graph counts, whether keyed alone or in a batch
     calls = []
-    real = verify.canonical_key
+    real_one, real_many = verify.canonical_key, verify.keys_from_masks
 
-    def counting(g, *args):
-        calls.append(g)
-        return real(g, *args)
+    def one(g, *args):
+        calls.append(g.masks)
+        return real_one(g, *args)
 
-    monkeypatch.setattr(verify, "canonical_key", counting)
+    def many(n, rows):
+        calls.extend(rows)
+        return real_many(n, rows)
+
+    monkeypatch.setattr(verify, "canonical_key", one)
+    monkeypatch.setattr(verify, "keys_from_masks", many)
     reports = sweep_graft(5, 4)
     flags = sum(
         key.endswith("_isomorphic_to_member") for r in reports for key in r.witness
