@@ -29,15 +29,14 @@ from .transforms import (
     make_base,
 )
 from .verify import (
+    _bound_batches,
+    _graft_batches,
+    _min_batches,
+    _monotonicity_batches,
+    _pendant_batches,
+    _relocation_batches,
     pendant_report_for_site,
     report_json,
-    sweep_graft,
-    sweep_min_cut_edges,
-    sweep_min_cut_vertices,
-    sweep_monotonicity,
-    sweep_pendant,
-    sweep_perturbation,
-    sweep_relocation,
     verify_distance_monotonicity,
     verify_graft_monotonicity,
     verify_min_cut_edges,
@@ -77,13 +76,7 @@ def _read_graph(args, flag="--g6"):
     return build_graph(n, edges)
 
 
-def _emit_reports(reports) -> int:
-    if isinstance(reports, list):
-        print("[" + ", ".join(report_json(r) for r in reports) + "]")
-        outcomes = {r.outcome for r in reports}
-    else:
-        print(report_json(reports))
-        outcomes = {reports.outcome}
+def _exit_code(outcomes: set) -> int:
     if "FAIL" in outcomes:
         return EXIT_FAIL
     if "INCONCLUSIVE" in outcomes:
@@ -175,26 +168,35 @@ def _cmd_verify(args) -> int:
         )
     else:
         rep = verify_distance_monotonicity(_read_graph(args))
-    return _emit_reports(rep)
+    print(report_json(rep))
+    return _exit_code({rep.outcome})
 
 
 def _cmd_sweep(args) -> int:
+    """The JSON array of the sweep's reports, written and dropped one batch at a time."""
     t = args.theorem
     if t == "1":
-        reps = sweep_graft(args.max_base_n, args.max_total)
+        batches = _graft_batches(args.max_base_n, args.max_total)
     elif t == "cor1":
-        reps = sweep_pendant(args.max_base_n, args.max_total)
+        batches = _pendant_batches(args.max_base_n, args.max_total)
     elif t == "2":
-        reps = sweep_relocation(args.max_n)
+        batches = _relocation_batches(args.max_n)
     elif t == "3":
-        reps = sweep_min_cut_vertices(_req(args, "n"))
+        batches = _min_batches("min-cut-vertices", _req(args, "n"))
     elif t == "4":
-        reps = sweep_min_cut_edges(_req(args, "n"))
+        batches = _min_batches("min-cut-edges", _req(args, "n"))
     elif t == "bound":
-        reps = sweep_perturbation(args.max_n)
+        batches = _bound_batches(args.max_n)
     else:
-        reps = sweep_monotonicity(args.max_n)
-    return _emit_reports(reps)
+        batches = _monotonicity_batches(args.max_n)
+    head, outcomes = "[", set()
+    for batch in batches:
+        sys.stdout.write(head + ", ".join(map(report_json, batch)))
+        head = ", "
+        outcomes.update(r.outcome for r in batch)
+        del batch  # dropped before the next batch is built
+    sys.stdout.write("[]\n" if head == "[" else "]\n")
+    return _exit_code(outcomes)
 
 
 def build_parser() -> argparse.ArgumentParser:

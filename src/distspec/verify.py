@@ -16,7 +16,9 @@ needs them anyway).  Graft and pendant reports take those radii as values,
 and name and key each distinct graph once; the others read perron_of's
 cache.  A single verifier call is a batch of one; sweeps run serially, in
 runs of at most SWEEP_BATCH consecutive instances that may span bases and
-orders.  The width and jobs parameters are deprecated and ignored.
+orders.  One driver, _batches, yields each run's reports as they are made:
+the public sweep_* return them as one list, the CLI writes each run and
+drops it.  The width and jobs parameters are deprecated and ignored.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterator
 
 from .enumeration import catalog, connected_graphs
@@ -563,21 +565,21 @@ def verify_min_cut_edges(n: int, k: int, width=None, jobs=1) -> VerificationRepo
 
 
 # Most instances a sweep hands its batch function at once: bounds the graphs
-# and distance matrices held together, not the reports.
+# and distance matrices held together, and the reports the CLI holds.
 SWEEP_BATCH = 256
 
 
-def _batches(items, reports) -> list[VerificationReport]:
-    """reports() over consecutive runs of at most SWEEP_BATCH items.
+def _batches(items, reports) -> Iterator[list[VerificationReport]]:
+    """The one sweep driver: yields reports() of consecutive runs of at most SWEEP_BATCH items.
 
-    A batch may span graft bases and orders; the reports do not depend on
-    the split, since a matrix gets the same bracket bits in any stack.
+    Each batch is built only when the previous one has been taken, so a
+    consumer that drops a written batch holds one at a time.  A batch may
+    span graft bases and orders; the reports do not depend on the split,
+    since a matrix gets the same bracket bits in any stack.
     """
     items = iter(items)
-    out: list[VerificationReport] = []
     while batch := list(islice(items, SWEEP_BATCH)):
-        out += reports(batch)
-    return out
+        yield reports(batch)
 
 
 def _orders(lo: int, hi: int) -> range:
@@ -604,12 +606,12 @@ def graft_sites(max_base_n: int, max_total: int, equal_only: bool | None = None)
 
 
 def sweep_graft(
-    max_base_n: int = 6,
-    max_total: int = 4,
-    width=None,
-    jobs=1,
-    equal_only: bool | None = None,
+    max_base_n: int = 6, max_total: int = 4, width=None, jobs=1, equal_only: bool | None = None
 ) -> list[VerificationReport]:
+    return list(chain.from_iterable(_graft_batches(max_base_n, max_total, equal_only)))
+
+
+def _graft_batches(max_base_n: int, max_total: int, equal_only: bool | None = None):
     sites = graft_sites(max_base_n, max_total, equal_only)
     names: dict = {}  # graph6 of every graph the sweep's reports name
     return _batches(sites, lambda batch: _graft_reports(batch, names))
@@ -642,8 +644,11 @@ def _pendant_report(site: GraftSite, g: Graph, res: PerronResult) -> Verificatio
 def sweep_pendant(
     max_base_n: int = 6, max_total: int = 4, width=None, jobs=1
 ) -> list[VerificationReport]:
-    sites = graft_sites(max_base_n, max_total, equal_only=False)
-    return _batches(sites, _pendant_reports)
+    return list(chain.from_iterable(_pendant_batches(max_base_n, max_total)))
+
+
+def _pendant_batches(max_base_n: int, max_total: int):
+    return _batches(graft_sites(max_base_n, max_total, equal_only=False), _pendant_reports)
 
 
 def relocation_specs(max_n: int):
@@ -668,6 +673,10 @@ def relocation_specs(max_n: int):
 
 
 def sweep_relocation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
+    return list(chain.from_iterable(_relocation_batches(max_n)))
+
+
+def _relocation_batches(max_n: int):
     return _batches(relocation_specs(max_n), _relocation_reports)
 
 
@@ -683,25 +692,32 @@ def edge_addition_pairs(max_n: int):
 
 
 def sweep_perturbation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
-    pairs = edge_addition_pairs(max_n)
-    return _batches(pairs, lambda batch: _bound_reports(batch, BOUND_TOL))
+    return list(chain.from_iterable(_bound_batches(max_n)))
+
+
+def _bound_batches(max_n: int):
+    return _batches(edge_addition_pairs(max_n), lambda batch: _bound_reports(batch, BOUND_TOL))
 
 
 def sweep_monotonicity(max_n: int = 7, width=None, jobs=1) -> list[VerificationReport]:
+    return list(chain.from_iterable(_monotonicity_batches(max_n)))
+
+
+def _monotonicity_batches(max_n: int):
     graphs = (g for n in _orders(1, max_n) for g in connected_graphs(n))
     return _batches(graphs, _monotonicity_reports)
 
 
-def _sweep_min(theorem: str, n: int):
-    """One report per k, ascending, that some class of the order's catalog has."""
+def _min_batches(theorem: str, n: int):
+    """One batch: a report per k, ascending, that some class of the order's catalog has."""
     which = _MIN_CLAIMS[theorem][0]
-    present = {c[which] for c in catalog(n).analysed()[0]}
-    return list(_min_reports(theorem, n, sorted(present)))
+    ks = sorted({c[which] for c in catalog(n).analysed()[0]})
+    return _batches([ks], lambda batch: list(_min_reports(theorem, n, batch[0])))
 
 
 def sweep_min_cut_vertices(n: int, width=None, jobs=1) -> list[VerificationReport]:
-    return _sweep_min("min-cut-vertices", n)
+    return list(chain.from_iterable(_min_batches("min-cut-vertices", n)))
 
 
 def sweep_min_cut_edges(n: int, width=None, jobs=1) -> list[VerificationReport]:
-    return _sweep_min("min-cut-edges", n)
+    return list(chain.from_iterable(_min_batches("min-cut-edges", n)))

@@ -6,14 +6,17 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from distspec import cli, verify
 from distspec.cli import main
 from distspec.graph6 import decode_graph6
+from distspec.graphs import GraphError
 from distspec.spectral import BracketError
 from distspec.transforms import GraftSite, graft, make_base
+from distspec.verify import report_json
 
 
 def run(capsys, argv):
@@ -213,6 +216,116 @@ def test_repeated_runs_identical(capsys):
     # --jobs and --width are deprecated no-ops
     third = run(capsys, argv + ["--jobs", "4", "--width", "1e-3"])[:2]
     assert first == second == third
+
+
+# (sweep arguments, the in-process sweep that makes the same reports).  The
+# pendant sweep's 644 reports are 92 batches of 7; the relocation sweep's
+# FAILs come only at n = 6, after batches of PASS and INCONCLUSIVE.
+SWEEPS = {
+    "1": (["--theorem", "1", "--max-base-n", "4"], lambda: verify.sweep_graft(4, 4)),
+    "cor1": (["--theorem", "cor1", "--max-base-n", "5"], lambda: verify.sweep_pendant(5, 4)),
+    "2": (["--theorem", "2"], lambda: verify.sweep_relocation(6)),
+    "bound": (["--theorem", "bound", "--max-n", "5"], lambda: verify.sweep_perturbation(5)),
+    "mono": (["--theorem", "mono", "--max-n", "6"], lambda: verify.sweep_monotonicity(6)),
+    "3": (["--theorem", "3", "--n", "6"], lambda: verify.sweep_min_cut_vertices(6)),
+    "4": (["--theorem", "4", "--n", "6"], lambda: verify.sweep_min_cut_edges(6)),
+    "2-empty": (["--theorem", "2", "--max-n", "0"], lambda: verify.sweep_relocation(0)),
+    "1-empty": (["--theorem", "1", "--max-base-n", "1"], lambda: verify.sweep_graft(1, 4)),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 7, verify.SWEEP_BATCH])
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_streamed_sweep_is_the_whole_array(capsys, monkeypatch, name, batch):
+    # stdout, written batch by batch, is the array of the sweep's reports,
+    # and the exit code is the worst outcome over all of them
+    args, sweep = SWEEPS[name]
+    monkeypatch.setattr(verify, "SWEEP_BATCH", batch)
+    code, out, _ = run(capsys, ["sweep", *args])
+    reports = sweep()
+    assert out == "[" + ", ".join(report_json(r) for r in reports) + "]\n"
+    outcomes = {r.outcome for r in reports}
+    assert code == (1 if "FAIL" in outcomes else 3 if "INCONCLUSIVE" in outcomes else 0)
+    assert name.endswith("-empty") == (out == "[]\n")
+
+
+class Discard:
+    """A stdout that keeps nothing but, when given a list, the order of writes."""
+
+    def __init__(self, events=None):
+        self.events = events
+
+    def write(self, text):
+        if self.events is not None:
+            self.events.append("write")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_sweep_writes_each_batch_before_building_the_next(monkeypatch):
+    events = []
+    real = verify._graft_reports
+
+    def batch(sites, names):
+        events.append("batch")
+        return real(sites, names)
+
+    monkeypatch.setattr(verify, "_graft_reports", batch)
+    monkeypatch.setattr(verify, "SWEEP_BATCH", 7)
+    monkeypatch.setattr(sys, "stdout", Discard(events))
+    assert main(["sweep", "--theorem", "1", "--max-base-n", "4"]) == 1
+    batches = 36  # 248 reports, 7 at a time
+    assert events == ["batch", "write"] * batches + ["write"]
+
+
+def test_streamed_sweep_peaks_below_half_the_whole_text(monkeypatch):
+    # The first run builds what both measured runs share and leave as they
+    # are: the catalogs, the key tables and perron_of's radius memo.  So the
+    # peaks count the sweep's own graphs, names, reports and text.
+    argv = ["sweep", "--theorem", "1", "--max-base-n", "5"]
+    monkeypatch.setattr(sys, "stdout", Discard())
+    main(argv)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = peak(lambda: main(argv))
+    whole = peak(lambda: "[" + ", ".join(map(report_json, verify.sweep_graft(5, 4))) + "]\n")
+    assert streamed <= whole / 2, (streamed, whole)
+
+
+def test_sweep_above_the_cap_writes_nothing(capsys, monkeypatch):
+    monkeypatch.setenv("DISTSPEC_MAX_N", "4")
+    code, out, err = run(capsys, ["sweep", "--theorem", "1", "--max-base-n", "5"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_sweep_error_after_the_first_batch_leaves_a_truncated_array(capsys, monkeypatch):
+    argv = ["sweep", "--theorem", "1", "--max-base-n", "4"]
+    monkeypatch.setattr(verify, "SWEEP_BATCH", 7)
+    full = run(capsys, argv)[1]
+    real, calls = verify._graft_reports, []
+
+    def failing(sites, names):
+        calls.append(len(sites))
+        if len(calls) == 2:
+            raise GraphError("second batch")
+        return real(sites, names)
+
+    monkeypatch.setattr(verify, "_graft_reports", failing)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (2, "error: second batch\n")
+    assert out and full.startswith(out) and out != full
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
 
 
 def test_console_script_installed():
