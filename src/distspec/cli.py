@@ -29,6 +29,7 @@ from .transforms import (
     make_base,
 )
 from .verify import (
+    BOUND_TOL,
     _bound_batches,
     _graft_batches,
     _min_batches,
@@ -49,8 +50,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
-
-THEOREMS = ("1", "2", "3", "4", "cor1", "bound", "mono")
 
 
 def _read_graph(args, flag="--g6"):
@@ -136,61 +135,58 @@ def _site_from(args) -> GraftSite:
     )
 
 
+def _spec_from(args) -> RelocationSpec:
+    g = _read_graph(args)
+    targets = tuple(int(s) for s in _req(args, "targets").split(","))
+    # Unvalidated on purpose: verify_relocation reports a failed
+    # hypothesis as INCONCLUSIVE instead of erroring out.
+    return RelocationSpec(
+        g=g,
+        u=_req(args, "u"),
+        v=_req(args, "v"),
+        c1=component_without(g, args.u, args.v),
+        targets=tuple(sorted(set(targets))),
+        witness=args.witness,
+    )
+
+
+def _pair_from(args):
+    if args.old is None or args.new is None:
+        raise GraphError("--theorem bound needs --old and --new graph6 strings")
+    return decode_graph6(args.old), decode_graph6(args.new)
+
+
+# theorem -> (its report on one instance, its sweep's batches), both from the
+# parsed flags.  A new claim is one row here and its batch function in verify.
+CLAIMS = {
+    "1": (lambda a: verify_graft_monotonicity(_site_from(a)),
+          lambda a: _graft_batches(a.max_base_n, a.max_total)),
+    "2": (lambda a: verify_relocation(_spec_from(a)),
+          lambda a: _relocation_batches(a.max_n)),
+    "3": (lambda a: verify_min_cut_vertices(_req(a, "n"), _req(a, "k")),
+          lambda a: _min_batches("min-cut-vertices", _req(a, "n"))),
+    "4": (lambda a: verify_min_cut_edges(_req(a, "n"), _req(a, "k")),
+          lambda a: _min_batches("min-cut-edges", _req(a, "n"))),
+    "cor1": (lambda a: pendant_report_for_site(_site_from(a)),
+             lambda a: _pendant_batches(a.max_base_n, a.max_total)),
+    "bound": (lambda a: verify_perturbation_bound(*_pair_from(a), tol=a.tol),
+              lambda a: _bound_batches(a.max_n)),
+    "mono": (lambda a: verify_distance_monotonicity(_read_graph(a)),
+             lambda a: _monotonicity_batches(a.max_n)),
+}
+THEOREMS = tuple(CLAIMS)
+
+
 def _cmd_verify(args) -> int:
-    t = args.theorem
-    if t == "1":
-        rep = verify_graft_monotonicity(_site_from(args))
-    elif t == "cor1":
-        rep = pendant_report_for_site(_site_from(args))
-    elif t == "2":
-        g = _read_graph(args)
-        targets = tuple(int(s) for s in _req(args, "targets").split(","))
-        # Unvalidated on purpose: verify_relocation reports a failed
-        # hypothesis as INCONCLUSIVE instead of erroring out.
-        spec = RelocationSpec(
-            g=g,
-            u=_req(args, "u"),
-            v=_req(args, "v"),
-            c1=component_without(g, args.u, args.v),
-            targets=tuple(sorted(set(targets))),
-            witness=args.witness,
-        )
-        rep = verify_relocation(spec)
-    elif t == "3":
-        rep = verify_min_cut_vertices(_req(args, "n"), _req(args, "k"))
-    elif t == "4":
-        rep = verify_min_cut_edges(_req(args, "n"), _req(args, "k"))
-    elif t == "bound":
-        if args.old is None or args.new is None:
-            raise GraphError("--theorem bound needs --old and --new graph6 strings")
-        rep = verify_perturbation_bound(
-            decode_graph6(args.old), decode_graph6(args.new), tol=args.tol
-        )
-    else:
-        rep = verify_distance_monotonicity(_read_graph(args))
+    rep = CLAIMS[args.theorem][0](args)
     print(report_json(rep))
     return _exit_code({rep.outcome})
 
 
 def _cmd_sweep(args) -> int:
     """The JSON array of the sweep's reports, written and dropped one batch at a time."""
-    t = args.theorem
-    if t == "1":
-        batches = _graft_batches(args.max_base_n, args.max_total)
-    elif t == "cor1":
-        batches = _pendant_batches(args.max_base_n, args.max_total)
-    elif t == "2":
-        batches = _relocation_batches(args.max_n)
-    elif t == "3":
-        batches = _min_batches("min-cut-vertices", _req(args, "n"))
-    elif t == "4":
-        batches = _min_batches("min-cut-edges", _req(args, "n"))
-    elif t == "bound":
-        batches = _bound_batches(args.max_n)
-    else:
-        batches = _monotonicity_batches(args.max_n)
     head, outcomes = "[", set()
-    for batch in batches:
+    for batch in CLAIMS[args.theorem][1](args):
         sys.stdout.write(head + ", ".join(map(report_json, batch)))
         head = ", "
         outcomes.update(r.outcome for r in batch)
@@ -259,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--witness", type=int, help="witness vertex override (theorem 2)")
     sp.add_argument("--old", help="graph6 before perturbation (bound)")
     sp.add_argument("--new", help="graph6 after perturbation (bound)")
-    sp.add_argument("--tol", type=float, default=1e-8,
+    sp.add_argument("--tol", type=float, default=BOUND_TOL,
                     help="slack for the perturbation bound")
     add_verify_common(sp)
     sp.set_defaults(func=_cmd_verify)

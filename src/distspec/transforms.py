@@ -167,34 +167,6 @@ def k_nk(n: int, k: int) -> Graph:
 
 
 @dataclass(frozen=True)
-class EdgePartition:
-    """Vertices split by relative distance to the endpoints of an edge."""
-
-    side_a: frozenset[int]
-    equidistant: frozenset[int]
-    side_b: frozenset[int]
-
-
-def classify_by_edge(g: Graph, a: int, b: int) -> EdgePartition:
-    """Partition all vertices by distance to a versus b (ab must be an edge).
-
-    Adjacency forces |dist(j,a) - dist(j,b)| <= 1, so the three parts cover
-    everything; a bipartite graph has an empty equidistant part.
-    """
-    if not g.has_edge(a, b):
-        raise GraphError(f"({a}, {b}) is not an edge")
-    da = bfs_distances(g, a)
-    db = bfs_distances(g, b)
-    if min(da) < 0:
-        raise GraphError("classification undefined: graph is not connected")
-    others = [j for j in range(g.n) if j not in (a, b)]
-    side_a = frozenset(j for j in others if da[j] < db[j])
-    side_b = frozenset(j for j in others if db[j] < da[j])
-    equi = frozenset(j for j in others if da[j] == db[j])
-    return EdgePartition(side_a=side_a, equidistant=equi, side_b=side_b)
-
-
-@dataclass(frozen=True)
 class RelocationSpec:
     """Move the edges u-t (t in targets) to v-t.
 

@@ -12,19 +12,18 @@ read theirs from the order's catalog table (enumeration.Level.analysed).
 Every other claim has one internal function that reports on a batch of
 instances: it builds their graphs once and has their radii bracketed
 together by spectral.perron_many (from the distance matrices when the claim
-needs them anyway).  Graft and pendant reports take those radii as values,
-and name and key each distinct graph once; the others read perron_of's
-cache.  A single verifier call is a batch of one; sweeps run serially, in
-runs of at most SWEEP_BATCH consecutive instances that may span bases and
-orders.  One driver, _batches, yields each run's reports as they are made:
-the public sweep_* return them as one list, the CLI writes each run and
-drops it.  The width and jobs parameters are deprecated and ignored.
+needs them anyway), and its reports take those radii as values.  Graft and
+pendant reports also name and key each distinct graph once.  A single
+verifier call is a batch of one; sweeps run serially, in runs of at most
+SWEEP_BATCH consecutive instances that may span bases and orders.  One
+driver, _batches, yields each run's reports as they are made: the public
+sweep_* return them as one list, the CLI writes each run and drops it.
+The width and jobs parameters are deprecated and ignored.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Iterator
@@ -82,8 +81,7 @@ class VerificationReport:
     certified_gap is a lower bound on the strict margin when one was
     certified (None when not applicable); witness carries the reproducing
     data: graph6 strings, brackets, and whichever vertices or clauses the
-    outcome hinges on.  wall_time is measurement-only and deliberately left
-    out of the serialized report so identical runs emit identical bytes.
+    outcome hinges on.
     """
 
     theorem: str
@@ -91,7 +89,6 @@ class VerificationReport:
     outcome: str
     certified_gap: float | None
     witness: dict | None
-    wall_time: float
 
 
 def report_json(rep: VerificationReport) -> str:
@@ -108,13 +105,6 @@ def report_json(rep: VerificationReport) -> str:
 
 def _bracket(res: PerronResult) -> dict:
     return {"lambda": res.value, "lower": res.lower, "upper": res.upper}
-
-
-def _compare(a: Graph, b: Graph):
-    """Certified order of the two radii, with both brackets."""
-    ra = perron_of(a)
-    rb = perron_of(b)
-    return certified_compare(ra, rb), ra, rb
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +166,14 @@ def _at(site: GraftSite, a: int, b: int) -> Graph:
     return _grafted(site.base, (site.u, a), (site.v, b))
 
 
-def _radii(graphs: list[Graph]) -> dict[tuple[int, ...], PerronResult]:
-    """Masks -> bracket of each graph, all bracketed by one perron_many call."""
-    return dict(zip([g.masks for g in graphs], perron_many(graphs)))
+def _radii(graphs: list[Graph], dms=None) -> dict[tuple[int, ...], PerronResult]:
+    """Masks -> bracket of each graph, from one perron_many call (on dms, if given)."""
+    return dict(zip([g.masks for g in graphs], perron_many(graphs, dms)))
 
 
 def _graft_report(
     site: GraftSite, member: Graph, shifts: list, radius: dict, name: dict, key: dict
 ) -> VerificationReport:
-    t0 = time.perf_counter()
     instance = {"base": name[site.base.masks], "u": site.u, "v": site.v, "k": site.k, "l": site.l}
     rm = radius[member.masks]
     # FAIL unless some disjunct certifies or stays open: isomorphic or reversed refutes one
@@ -213,7 +202,6 @@ def _graft_report(
         outcome=outcome,
         certified_gap=gap,
         witness=witness,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -241,7 +229,6 @@ def _pendant_sum(
     g: Graph, p_long: PendantPath, p_short: PendantPath, res: PerronResult, g6: str
 ) -> VerificationReport:
     """verify_pendant_sum's report from g's bracket and graph6, its paths already checked."""
-    t0 = time.perf_counter()
     tol = g.n * (res.width + res.residual)
     long_mass, short_mass = _mass(res, p_long), _mass(res, p_short)
     diff = long_mass - short_mass
@@ -271,7 +258,6 @@ def _pendant_sum(
         outcome=outcome,
         certified_gap=diff - tol if outcome == PASS else None,
         witness=witness,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -297,8 +283,8 @@ def verify_relocation(spec: RelocationSpec, width=None) -> VerificationReport:
 def _relocation_reports(specs: list[RelocationSpec]) -> list[VerificationReport]:
     """Relocation reports; every compared pair is bracketed in one batch."""
     cases = [(s, *_relocated(s)) for s in specs]
-    perron_many([g for s, r, _ in cases if r is not None for g in (s.g, r)])
-    return [_relocation_report(*c) for c in cases]
+    radius = _radii([g for s, r, _ in cases if r is not None for g in (s.g, r)])
+    return [_relocation_report(*c, radius) for c in cases]
 
 
 def _relocated(spec: RelocationSpec):
@@ -313,8 +299,7 @@ def _relocated(spec: RelocationSpec):
     return relocated, w
 
 
-def _relocation_report(spec: RelocationSpec, relocated, w) -> VerificationReport:
-    t0 = time.perf_counter()
+def _relocation_report(spec: RelocationSpec, relocated, w, radius: dict) -> VerificationReport:
     instance = {
         "graph": encode_graph6(spec.g),
         "u": spec.u,
@@ -324,7 +309,8 @@ def _relocation_report(spec: RelocationSpec, relocated, w) -> VerificationReport
     if relocated is None:
         outcome, gap, witness = INCONCLUSIVE, None, w
     else:
-        order, ro, rn = _compare(spec.g, relocated)
+        ro, rn = radius[spec.g.masks], radius[relocated.masks]
+        order = certified_compare(ro, rn)
         witness = {
             "relocated": encode_graph6(relocated),
             "witness_vertex": w,
@@ -344,7 +330,6 @@ def _relocation_report(spec: RelocationSpec, relocated, w) -> VerificationReport
         outcome=outcome,
         certified_gap=gap,
         witness=witness,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -377,25 +362,28 @@ def _bound_reports(pairs: list[tuple[Graph, Graph]], tol: float) -> list[Verific
     """
     graphs = [g for pair in pairs for g in pair]
     dms = distance_matrices(graphs)
-    perron_many(graphs, dms)
+    radius = _radii(graphs, dms)
     return [
-        _bound_report(a, b, dms[2 * i], dms[2 * i + 1], tol)
+        _bound_report(a, b, dms[2 * i], dms[2 * i + 1], radius, tol)
         for i, (a, b) in enumerate(pairs)
     ]
 
 
 def _bound_report(
-    g_old: Graph, g_new: Graph, d_old: DistanceMatrix, d_new: DistanceMatrix, tol: float
+    g_old: Graph,
+    g_new: Graph,
+    d_old: DistanceMatrix,
+    d_new: DistanceMatrix,
+    radius: dict,
+    tol: float,
 ) -> VerificationReport:
-    t0 = time.perf_counter()
     margins = {}
     ok = True
     for name, a, b, da, db in (
         ("forward", g_old, g_new, d_old, d_new),
         ("reverse", g_new, g_old, d_new, d_old),
     ):
-        ra = perron_of(a)
-        rb = perron_of(b)
+        ra, rb = radius[a.masks], radius[b.masks]
         bound = quadratic_form_delta(da, db, ra.vector)
         actual = rb.value - ra.value
         margins[name] = {"bound": bound, "actual": actual, "margin": actual - bound}
@@ -412,7 +400,6 @@ def _bound_report(
         outcome=PASS if ok else FAIL,
         certified_gap=None,
         witness={"directions": margins, "worst_margin": worst},
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -439,14 +426,15 @@ def _monotonicity_reports(graphs: list[Graph]) -> list[VerificationReport]:
     dms = distance_matrices(both)
     changed = [i for i in range(n) if both[n + i] != both[i]]
     compared = changed + [n + i for i in changed]
-    perron_many([both[i] for i in compared], [dms[i] for i in compared])
-    return [_monotonicity_report(both[i], both[n + i], dms[i], dms[n + i]) for i in range(n)]
+    radius = _radii([both[i] for i in compared], [dms[i] for i in compared])
+    return [
+        _monotonicity_report(both[i], both[n + i], dms[i], dms[n + i], radius) for i in range(n)
+    ]
 
 
 def _monotonicity_report(
-    g: Graph, closure: Graph, d_g: DistanceMatrix, d_closure: DistanceMatrix
+    g: Graph, closure: Graph, d_g: DistanceMatrix, d_closure: DistanceMatrix, radius: dict
 ) -> VerificationReport:
-    t0 = time.perf_counter()
     dominated = distance_dominates(d_closure, d_g)
     # blocks partition the edges, so this holds iff every block is complete
     idempotent = sum(len(b) * (len(b) - 1) // 2 for b in blocks(closure).blocks) == closure.m
@@ -455,7 +443,8 @@ def _monotonicity_report(
         relation = "EQUAL"
         gap = 0.0
     else:
-        order, rg, rc = _compare(g, closure)
+        rg, rc = radius[g.masks], radius[closure.masks]
+        order = certified_compare(rg, rc)
         relation = order.relation.value
         gap = order.gap_lower_bound if order.relation is Relation.GREATER else 0.0
     ok = dominated and idempotent and relation != "LESS"
@@ -474,7 +463,6 @@ def _monotonicity_report(
         outcome=PASS if ok else FAIL,
         certified_gap=gap if ok else None,
         witness=witness,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -510,7 +498,6 @@ def _min_reports(theorem: str, n: int, ks: list[int]) -> Iterator[VerificationRe
         ranked.append(sorted(picked, key=lambda i: radii[i].value))  # stable: ties keep key order
     keys = keys_from_masks(n, [t.masks for t in targets] + [level.masks[r[0]] for r in ranked])
     for k, target, (cand, *others), tkey, key in zip(ks, targets, ranked, keys, keys[len(ks):]):
-        t0 = time.perf_counter()
         isomorphic = key == tkey
         witness = {
             "target": encode_graph6(target),
@@ -538,7 +525,6 @@ def _min_reports(theorem: str, n: int, ks: list[int]) -> Iterator[VerificationRe
             outcome=outcome,
             certified_gap=gap,
             witness=witness,
-            wall_time=time.perf_counter() - t0,
         )
 
 

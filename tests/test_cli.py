@@ -15,7 +15,7 @@ from distspec.cli import main
 from distspec.graph6 import decode_graph6
 from distspec.graphs import GraphError
 from distspec.spectral import BracketError
-from distspec.transforms import GraftSite, graft, make_base
+from distspec.transforms import GraftSite, graft, make_base, make_relocation_spec
 from distspec.verify import report_json
 
 
@@ -218,6 +218,34 @@ def test_repeated_runs_identical(capsys):
     assert first == second == third
 
 
+# theorem -> (verify arguments of one instance, the in-process verifier's report)
+K3_SITE = GraftSite(base=decode_graph6("Bw"), u=0, v=1, k=2, l=1)
+DROPPING = make_relocation_spec(decode_graph6("Es`_"), 0, 3, (1,))  # the radius drops: FAIL
+VERIFIES = {
+    "1": (["--base", "Bw", "--u", "0", "--v", "1", "--k", "2", "--l", "1"],
+          lambda: verify.verify_graft_monotonicity(K3_SITE)),
+    "2": (["--g6", "Es`_", "--u", "0", "--v", "3", "--targets", "1"],
+          lambda: verify.verify_relocation(DROPPING)),
+    "3": (["--n", "5", "--k", "2"], lambda: verify.verify_min_cut_vertices(5, 2)),
+    "4": (["--n", "5", "--k", "4"], lambda: verify.verify_min_cut_edges(5, 4)),
+    "cor1": (["--base", "Bw", "--u", "0", "--v", "1", "--k", "2", "--l", "1"],
+             lambda: verify.pendant_report_for_site(K3_SITE)),
+    "bound": (["--old", "Cs", "--new", "C~"],
+              lambda: verify.verify_perturbation_bound(decode_graph6("Cs"), decode_graph6("C~"))),
+    "mono": (["--g6", "Dhc"], lambda: verify.verify_distance_monotonicity(decode_graph6("Dhc"))),
+}
+
+
+@pytest.mark.parametrize("theorem", cli.THEOREMS)
+def test_verify_runs_every_claim(capsys, theorem):
+    # every row of the claim table answers verify with its verifier's report
+    args, verifier = VERIFIES[theorem]
+    code, out, _ = run(capsys, ["verify", "--theorem", theorem, *args])
+    rep = verifier()
+    assert out == report_json(rep) + "\n"
+    assert code == {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 3}[rep.outcome]
+
+
 # (sweep arguments, the in-process sweep that makes the same reports).  The
 # pendant sweep's 644 reports are 92 batches of 7; the relocation sweep's
 # FAILs come only at n = 6, after batches of PASS and INCONCLUSIVE.
@@ -247,6 +275,10 @@ def test_streamed_sweep_is_the_whole_array(capsys, monkeypatch, name, batch):
     outcomes = {r.outcome for r in reports}
     assert code == (1 if "FAIL" in outcomes else 3 if "INCONCLUSIVE" in outcomes else 0)
     assert name.endswith("-empty") == (out == "[]\n")
+
+
+def test_every_claim_is_swept():
+    assert {name for name in SWEEPS if not name.endswith("-empty")} == set(cli.THEOREMS)
 
 
 class Discard:

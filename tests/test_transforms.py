@@ -10,7 +10,6 @@ from distspec.enumeration import connected_graphs
 from distspec.graph6 import decode_graph6
 from distspec.graphs import (
     GraphError,
-    bfs_distances,
     build_graph,
     canonical_key,
     cut_edges,
@@ -24,7 +23,6 @@ from distspec.transforms import (
     RelocationSpec,
     attach_path,
     block_clique_closure,
-    classify_by_edge,
     component_without,
     distance_dominates,
     find_witness,
@@ -203,39 +201,6 @@ def test_k_nk_invariants():
         k_nk(5, 3)
     with pytest.raises(GraphError):
         k_nk(5, 5)
-
-
-def test_classify_by_edge():
-    k3 = make_base("complete", 3)
-    part = classify_by_edge(k3, 0, 1)
-    assert part.equidistant == frozenset({2})
-    assert part.side_a == part.side_b == frozenset()
-
-    p4 = make_base("path", 4)
-    part = classify_by_edge(p4, 1, 2)
-    assert part.side_a == frozenset({0})
-    assert part.side_b == frozenset({3})
-    assert part.equidistant == frozenset()
-
-    # bipartite graphs admit no equidistant vertex relative to an edge
-    for g in (make_base("cycle", 4), make_base("cycle", 6), make_base("path", 5)):
-        for a, b in sorted(g.edges):
-            assert classify_by_edge(g, a, b).equidistant == frozenset()
-
-    with pytest.raises(GraphError):
-        classify_by_edge(p4, 0, 2)
-
-
-def test_classify_partition_property():
-    for g in connected_graphs(5):
-        for a, b in sorted(g.edges):
-            part = classify_by_edge(g, a, b)
-            union = part.side_a | part.side_b | part.equidistant
-            assert union == frozenset(range(g.n)) - {a, b}
-            da = bfs_distances(g, a)
-            db = bfs_distances(g, b)
-            for j in union:
-                assert abs(da[j] - db[j]) <= 1
 
 
 def test_relocation_star_to_path():

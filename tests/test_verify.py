@@ -321,7 +321,6 @@ def test_report_json_shape():
     loaded = json.loads(text)
     assert list(loaded) == ["theorem", "instance", "outcome", "certified_gap", "witness"]
     assert "wall_time" not in text
-    assert rep.wall_time >= 0
     assert report_json(verify_min_cut_vertices(4, 1)) == text
 
 
@@ -450,7 +449,7 @@ def test_closure_idempotence_counts_block_edges():
         for g in connected_graphs(n):
             for h in (g, block_clique_closure(g)):
                 dm = spectral.distance_matrix(h)
-                idempotent = verify._monotonicity_report(h, h, dm, dm).witness["idempotent"]
+                idempotent = verify._monotonicity_report(h, h, dm, dm, {}).witness["idempotent"]
                 assert idempotent == (block_clique_closure(h).edges == h.edges), h.edges
                 seen.add(idempotent)
     assert seen == {True, False}
@@ -491,6 +490,30 @@ def test_graft_overlap_distinct_shift_inconclusive(overlapping_brackets):
     assert rep.witness["shift_to_u_needs_exact_followup"] is True
     assert "shift_to_u_isomorphic_to_member" not in rep.witness
     assert rep.witness["shift_to_u_member_bracket"]["upper"] > rep.witness["shift_to_u_shift_bracket"]["lower"]
+
+
+def test_relocation_overlap_inconclusive(overlapping_brackets):
+    # the report reads the brackets the batch computed, not perron_of's memo
+    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    rep = verify_relocation(make_relocation_spec(star, 0, 1, (2,)))
+    assert rep.outcome == "INCONCLUSIVE"
+    assert rep.certified_gap is None
+    assert rep.witness["needs_exact_followup"] is True
+
+
+def test_sweeps_take_their_radii_as_values(monkeypatch):
+    def sweeps():
+        reports = sweep_relocation(5) + sweep_perturbation(5) + sweep_monotonicity(6)
+        return [report_json(r) for r in reports]
+
+    def untouched(*args):
+        raise AssertionError("a radius was read through perron_of")
+
+    spectral.perron_of.cache_clear()
+    expected = sweeps()
+    spectral.perron_of.cache_clear()
+    monkeypatch.setattr(verify, "perron_of", untouched)
+    assert sweeps() == expected
 
 
 def test_graft_sweep_keys_only_overlapping_brackets(monkeypatch):
