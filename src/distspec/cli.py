@@ -12,10 +12,11 @@ one FAIL, 2 usage or input error, 3 INCONCLUSIVE reports but no FAIL.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .enumeration import EnumFilter, connected_graphs, filtered_graphs
-from .graph6 import decode_graph6, encode_graph6
+from .graph6 import decode_graph6, encode_graph6, encode_rows
 from .graphs import GraphError, build_graph
 from .spectral import DEFAULT_BRACKET_WIDTH, BracketError, perron_json, perron_of
 from .transforms import (
@@ -30,6 +31,7 @@ from .transforms import (
 )
 from .verify import (
     BOUND_TOL,
+    _batches,
     _bound_batches,
     _graft_batches,
     _min_batches,
@@ -105,14 +107,12 @@ def _cmd_construct(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.cut_vertices is not None or args.cut_edges is not None:
-        filt = EnumFilter(
-            cut_vertex_count=args.cut_vertices, cut_edge_count=args.cut_edges
-        )
+        filt = EnumFilter(cut_vertex_count=args.cut_vertices, cut_edge_count=args.cut_edges)
         stream = filtered_graphs(args.n, filt)
     else:
         stream = connected_graphs(args.n)
-    for g in stream:
-        print(encode_graph6(g))
+    for names in _batches((g.masks for g in stream), encode_rows):
+        print("\n".join(names))
     return EXIT_PASS
 
 
@@ -279,6 +279,9 @@ def main(argv=None) -> int:
     except (GraphError, HypothesisError, BracketError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if argv is None:  # the process exits next: spare its teardown a collection of the heap
+            gc.freeze()
 
 
 if __name__ == "__main__":

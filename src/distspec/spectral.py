@@ -13,21 +13,21 @@ gives a rigorous bracket a few ulps wide, with no tolerance behind it (Rump,
 One loop brackets a stack of same-order matrices: one stacked eigh, the
 step per matrix, and, for a matrix still wider than requested, power
 iteration with every refined vector certified the same way.  perron() runs
-it on one matrix, perron_many() on each order's graphs missing from
-perron_of()'s cache, and brackets() on a catalog's adjacency bitmask rows
-without the cache.  Every distance stack, of catalog rows or of graphs'
-masks, starts from one adjacency builder.  A matrix gets the same bits in
-any stack: the stacked eigh makes the same LAPACK call on each matrix, and
-the step is exact.
+it on one matrix, perron_many() on each order's distinct graphs of a
+batch, and brackets() on a catalog's adjacency bitmask rows; only the
+one-graph perron_of() keeps radii, in a small bounded cache.  Every
+distance stack starts from one adjacency builder.  A matrix gets the same
+bits in any stack: the stacked eigh makes the same LAPACK call on each
+matrix, and the step is exact.
 Comparisons are made only between disjoint brackets; overlapping brackets
 are reported as indistinguishable instead of being resolved by an epsilon.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -68,26 +68,19 @@ class DistanceMatrix:
 def distance_matrices(graphs: Sequence[Graph]) -> list[DistanceMatrix]:
     """Distance matrices of many graphs, built once each as one stack per order.
 
-    Raises GraphError if any of the graphs is disconnected.
+    The masks are read as int64 below 63 vertices and as Python ints from 63
+    up.  Raises GraphError if any of the graphs is disconnected.
     """
     built = {}
     for n, gs in _by_order(dict.fromkeys(graphs)).items():
-        built.update(zip(gs, (DistanceMatrix(n=n, d=d) for d in _distance_stack(gs, n))))
+        masks = np.array([g.masks for g in gs], dtype=np.int64 if n < 63 else object)
+        built.update(zip(gs, (DistanceMatrix(n, d) for d in _hop_counts(_adjacency(masks)))))
     return [built[g] for g in graphs]
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """Hop-count matrix of one graph; raises on a disconnected graph."""
     return distance_matrices([g])[0]
-
-
-def _distance_stack(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    """_hop_counts of order-n graphs, from their masks.
-
-    The masks are read as int64 below 63 vertices and as Python ints from 63 up.
-    """
-    masks = np.array([g.masks for g in graphs], dtype=np.int64 if n < 63 else object)
-    return _hop_counts(_adjacency(masks))
 
 
 def _adjacency(masks: np.ndarray) -> np.ndarray:
@@ -229,60 +222,40 @@ def _ulps(x: float, toward: float) -> float:
     return math.nextafter(math.nextafter(x, toward), toward)
 
 
-# perron_of's cache: graph -> its result at the default width.  hits counts
-# perron_of lookups it answered, misses every radius computed into it.
-_radii: dict[Graph, PerronResult] = {}
-_tally = {"hits": 0, "misses": 0}
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+@functools.lru_cache(maxsize=128)
+def _perron_at_default(g: Graph) -> PerronResult:
+    return perron_many([g])[0]
 
 
 def perron_of(g: Graph, bracket_width: float = DEFAULT_BRACKET_WIDTH) -> PerronResult:
-    """Certified radius of a graph's distance matrix.
+    """Certified radius of one graph's distance matrix.
 
-    At the default width the result is cached, a miss being a batch of one
-    for perron_many; the cache is unbounded and cache_info() and
-    cache_clear() work as on functools.lru_cache.  Any other width is
-    computed by perron() and not cached.
+    The default width is served by a bounded lru_cache, whose cache_info()
+    and cache_clear() perron_of exposes; any other width by perron(), uncached.
     """
     if bracket_width != DEFAULT_BRACKET_WIDTH:
         return perron(distance_matrix(g), bracket_width=bracket_width)
-    res = _radii.get(g)
-    if res is None:
-        return perron_many([g])[0]
-    _tally["hits"] += 1
-    return res
+    return _perron_at_default(g)
 
 
-def _cache_info() -> CacheInfo:
-    return CacheInfo(_tally["hits"], _tally["misses"], None, len(_radii))
-
-
-def _cache_clear() -> None:
-    _radii.clear()
-    _tally.update(hits=0, misses=0)
-
-
-perron_of.cache_info = _cache_info
-perron_of.cache_clear = _cache_clear
+perron_of.cache_info = _perron_at_default.cache_info
+perron_of.cache_clear = _perron_at_default.cache_clear
 
 
 def perron_many(
     graphs: Iterable[Graph], dms: Sequence[DistanceMatrix] | None = None
 ) -> list[PerronResult]:
-    """perron_of(g) for every graph, with the uncached ones bracketed together.
+    """Default-width brackets of many graphs, kept nowhere after the call.
 
-    dms, when given, are the graphs' distance matrices, already built;
-    otherwise those of the uncached graphs are built one stack per order.
-    Each order's stack is bracketed once, into perron_of's cache.
+    The distinct graphs are bracketed once, as one stack per order, from
+    their distance matrices: dms when given, else distance_matrices().
     """
     graphs = list(graphs)
-    built = {} if dms is None else dict(zip(graphs, dms))
-    todo = [g for g in dict.fromkeys(graphs) if g not in _radii]
-    for n, gs in _by_order(todo).items():
-        d = _distance_stack(gs, n) if dms is None else np.stack([built[g].d for g in gs])
-        _radii.update(zip(gs, _bracket_stack(d)))
-    _tally["misses"] += len(todo)
-    return [_radii[g] for g in graphs]
+    built = dict(zip(graphs, distance_matrices(graphs) if dms is None else dms))
+    radius: dict[Graph, PerronResult] = {}
+    for gs in _by_order(built).values():
+        radius.update(zip(gs, _bracket_stack(np.stack([built[g].d for g in gs]))))
+    return [radius[g] for g in graphs]
 
 
 def brackets(masks: np.ndarray) -> list[PerronResult]:

@@ -12,12 +12,13 @@ read theirs from the order's catalog table (enumeration.Level.analysed).
 Every other claim has one internal function that reports on a batch of
 instances: it builds their graphs once and has their radii bracketed
 together by spectral.perron_many (from the distance matrices when the claim
-needs them anyway), and its reports take those radii as values.  Graft and
-pendant reports also name and key each distinct graph once.  A single
-verifier call is a batch of one; sweeps run serially, in runs of at most
-SWEEP_BATCH consecutive instances that may span bases and orders.  One
-driver, _batches, yields each run's reports as they are made: the public
-sweep_* return them as one list, the CLI writes each run and drops it.
+needs them anyway), and its reports take those radii as values; names
+travel the same way, from one encode_rows call per batch.  Graft reports
+also key each distinct graph once.  A single verifier call is a batch of
+one; sweeps run serially, in runs of at most SWEEP_BATCH consecutive
+instances that may span bases and orders.  One driver, _batches, yields
+each run's reports as they are made: the public sweep_* return them as one
+list, the CLI writes each run and drops it.
 The width and jobs parameters are deprecated and ignored.
 """
 
@@ -29,7 +30,7 @@ from itertools import chain, combinations, islice
 from typing import Iterator
 
 from .enumeration import catalog, connected_graphs
-from .graph6 import encode_graph6
+from .graph6 import encode_rows
 from .graphs import (
     MAX_CANONICAL_N,
     MAX_KEY_N,
@@ -155,9 +156,8 @@ def _graft_reports(sites: list[GraftSite], names: dict) -> list[VerificationRepo
             key.update((g.masks, canonical_key(g, MAX_KEY_N)) for g in gs)
         else:
             key.update(zip(rows, keys_from_masks(n, rows)))
-    for g in [s.base for s in sites] + [g for p in pairs for g in p]:
-        if g.masks not in names:
-            names[g.masks] = encode_graph6(g)
+    named = [s.base for s in sites] + [g for p in pairs for g in p]
+    names.update(_names(g.masks for g in named if g.masks not in names))
     return [_graft_report(s, m, sh, radius, names, key) for s, m, sh in fams]
 
 
@@ -169,6 +169,12 @@ def _at(site: GraftSite, a: int, b: int) -> Graph:
 def _radii(graphs: list[Graph], dms=None) -> dict[tuple[int, ...], PerronResult]:
     """Masks -> bracket of each graph, from one perron_many call (on dms, if given)."""
     return dict(zip([g.masks for g in graphs], perron_many(graphs, dms)))
+
+
+def _names(rows) -> dict[tuple[int, ...], str]:
+    """Masks -> graph6 of each distinct bitmask row, from one encode_rows call."""
+    rows = list(dict.fromkeys(rows))
+    return dict(zip(rows, encode_rows(rows)))
 
 
 def _graft_report(
@@ -222,7 +228,7 @@ def verify_pendant_sum(
             f"need a strictly longer first path, got lengths "
             f"{p_long.length} and {p_short.length}"
         )
-    return _pendant_sum(g, p_long, p_short, perron_of(g), encode_graph6(g))
+    return _pendant_sum(g, p_long, p_short, perron_of(g), encode_rows([g.masks])[0])
 
 
 def _pendant_sum(
@@ -281,10 +287,11 @@ def verify_relocation(spec: RelocationSpec, width=None) -> VerificationReport:
 
 
 def _relocation_reports(specs: list[RelocationSpec]) -> list[VerificationReport]:
-    """Relocation reports; every compared pair is bracketed in one batch."""
+    """Relocation reports; every compared pair is bracketed, every graph named, in one batch."""
     cases = [(s, *_relocated(s)) for s in specs]
     radius = _radii([g for s, r, _ in cases if r is not None for g in (s.g, r)])
-    return [_relocation_report(*c, radius) for c in cases]
+    names = _names(g.masks for s, r, _ in cases for g in (s.g, r) if g is not None)
+    return [_relocation_report(*c, radius, names) for c in cases]
 
 
 def _relocated(spec: RelocationSpec):
@@ -299,9 +306,9 @@ def _relocated(spec: RelocationSpec):
     return relocated, w
 
 
-def _relocation_report(spec: RelocationSpec, relocated, w, radius: dict) -> VerificationReport:
+def _relocation_report(spec: RelocationSpec, relocated, w, radius, name) -> VerificationReport:
     instance = {
-        "graph": encode_graph6(spec.g),
+        "graph": name[spec.g.masks],
         "u": spec.u,
         "v": spec.v,
         "targets": list(spec.targets),
@@ -312,7 +319,7 @@ def _relocation_report(spec: RelocationSpec, relocated, w, radius: dict) -> Veri
         ro, rn = radius[spec.g.masks], radius[relocated.masks]
         order = certified_compare(ro, rn)
         witness = {
-            "relocated": encode_graph6(relocated),
+            "relocated": name[relocated.masks],
             "witness_vertex": w,
             "original_bracket": _bracket(ro),
             "relocated_bracket": _bracket(rn),
@@ -358,13 +365,14 @@ def _bound_reports(pairs: list[tuple[Graph, Graph]], tol: float) -> list[Verific
     """Perturbation-bound reports; each distance matrix is built once.
 
     The matrices come as one stack per order and serve both the radius
-    brackets and the quadratic forms.
+    brackets and the quadratic forms; the graphs are named in one batch.
     """
     graphs = [g for pair in pairs for g in pair]
     dms = distance_matrices(graphs)
     radius = _radii(graphs, dms)
+    names = _names(g.masks for g in graphs)
     return [
-        _bound_report(a, b, dms[2 * i], dms[2 * i + 1], radius, tol)
+        _bound_report(a, b, dms[2 * i], dms[2 * i + 1], radius, names, tol)
         for i, (a, b) in enumerate(pairs)
     ]
 
@@ -375,26 +383,27 @@ def _bound_report(
     d_old: DistanceMatrix,
     d_new: DistanceMatrix,
     radius: dict,
+    name: dict,
     tol: float,
 ) -> VerificationReport:
     margins = {}
     ok = True
-    for name, a, b, da, db in (
+    for direction, a, b, da, db in (
         ("forward", g_old, g_new, d_old, d_new),
         ("reverse", g_new, g_old, d_new, d_old),
     ):
         ra, rb = radius[a.masks], radius[b.masks]
         bound = quadratic_form_delta(da, db, ra.vector)
         actual = rb.value - ra.value
-        margins[name] = {"bound": bound, "actual": actual, "margin": actual - bound}
+        margins[direction] = {"bound": bound, "actual": actual, "margin": actual - bound}
         if actual < bound - tol:
             ok = False
     worst = min(m["margin"] for m in margins.values())
     return VerificationReport(
         theorem="perturbation-bound",
         instance={
-            "old": encode_graph6(g_old),
-            "new": encode_graph6(g_new),
+            "old": name[g_old.masks],
+            "new": name[g_new.masks],
             "tolerance": tol,
         },
         outcome=PASS if ok else FAIL,
@@ -427,13 +436,15 @@ def _monotonicity_reports(graphs: list[Graph]) -> list[VerificationReport]:
     changed = [i for i in range(n) if both[n + i] != both[i]]
     compared = changed + [n + i for i in changed]
     radius = _radii([both[i] for i in compared], [dms[i] for i in compared])
+    names = _names(g.masks for g in both)
     return [
-        _monotonicity_report(both[i], both[n + i], dms[i], dms[n + i], radius) for i in range(n)
+        _monotonicity_report(both[i], both[n + i], dms[i], dms[n + i], radius, names)
+        for i in range(n)
     ]
 
 
 def _monotonicity_report(
-    g: Graph, closure: Graph, d_g: DistanceMatrix, d_closure: DistanceMatrix, radius: dict
+    g: Graph, closure: Graph, d_g: DistanceMatrix, d_closure: DistanceMatrix, radius, name
 ) -> VerificationReport:
     dominated = distance_dominates(d_closure, d_g)
     # blocks partition the edges, so this holds iff every block is complete
@@ -449,7 +460,7 @@ def _monotonicity_report(
         gap = order.gap_lower_bound if order.relation is Relation.GREATER else 0.0
     ok = dominated and idempotent and relation != "LESS"
     witness = {
-        "closure": encode_graph6(closure),
+        "closure": name[closure.masks],
         "distances_dominated": dominated,
         "idempotent": idempotent,
         "relation_original_vs_closure": relation,
@@ -459,7 +470,7 @@ def _monotonicity_report(
         witness["closure_bracket"] = _bracket(rc)
     return VerificationReport(
         theorem="closure-monotonicity",
-        instance={"graph": encode_graph6(g)},
+        instance={"graph": name[g.masks]},
         outcome=PASS if ok else FAIL,
         certified_gap=gap if ok else None,
         witness=witness,
@@ -483,8 +494,8 @@ def _min_reports(theorem: str, n: int, ks: list[int]) -> Iterator[VerificationRe
     """Certify the claim's target as the unique minimizer of its class, for each k.
 
     Members' cut counts and brackets are read from the catalog table by
-    index; only the graphs a report names are encoded, from rows, and the
-    targets and minimizers are keyed in one batch.
+    index; the targets and minimizers are keyed in one batch, and the
+    graphs the reports name are encoded from their rows in another.
     """
     which, target_of, noun = _MIN_CLAIMS[theorem]
     targets = [target_of(n, k) for k in ks]
@@ -497,16 +508,18 @@ def _min_reports(theorem: str, n: int, ks: list[int]) -> Iterator[VerificationRe
             raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
         ranked.append(sorted(picked, key=lambda i: radii[i].value))  # stable: ties keep key order
     keys = keys_from_masks(n, [t.masks for t in targets] + [level.masks[r[0]] for r in ranked])
+    row = {i: tuple(level.masks[i].tolist()) for r in ranked for i in r[:2]}
+    name = _names([t.masks for t in targets] + list(row.values()))
     for k, target, (cand, *others), tkey, key in zip(ks, targets, ranked, keys, keys[len(ks):]):
         isomorphic = key == tkey
         witness = {
-            "target": encode_graph6(target),
-            "minimizer": encode_graph6(Graph(tuple(level.masks[cand].tolist()))),
+            "target": name[target.masks],
+            "minimizer": name[row[cand]],
             "minimizer_isomorphic_to_target": isomorphic,
             "minimizer_bracket": _bracket(radii[cand]),
         }
         if others:
-            witness["runner_up"] = encode_graph6(Graph(tuple(level.masks[others[0]].tolist())))
+            witness["runner_up"] = name[row[others[0]]]
             witness["runner_up_bracket"] = _bracket(radii[others[0]])
         if not isomorphic:
             outcome, gap = FAIL, None
@@ -617,14 +630,15 @@ def _pendant_reports(sites: list[GraftSite]) -> list[VerificationReport]:
     """Pendant-mass reports for sites with k > l >= 1; the members, all distinct, as one batch."""
     _check_sites(sites)
     members = [_at(s, s.k, s.l) for s in sites]
-    return [_pendant_report(*case) for case in zip(sites, members, perron_many(members))]
+    names = encode_rows([g.masks for g in members])
+    return [
+        _pendant_sum(g, _path(s.u, s.base.n, s.k), _path(s.v, s.base.n + s.k, s.l), res, g6)
+        for s, g, res, g6 in zip(sites, members, perron_many(members), names)
+    ]
 
 
-def _pendant_report(site: GraftSite, g: Graph, res: PerronResult) -> VerificationReport:
-    nb, k, l = site.base.n, site.k, site.l
-    long_path = PendantPath(root=site.u, vertices=tuple(range(nb, nb + k)), length=k)
-    short_path = PendantPath(root=site.v, vertices=tuple(range(nb + k, nb + k + l)), length=l)
-    return _pendant_sum(g, long_path, short_path, res, encode_graph6(g))
+def _path(root: int, first: int, length: int) -> PendantPath:
+    return PendantPath(root=root, vertices=tuple(range(first, first + length)), length=length)
 
 
 def sweep_pendant(

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from distspec import cli, verify
+from distspec import cli, spectral, verify
 from distspec.cli import main
 from distspec.graph6 import decode_graph6
 from distspec.graphs import GraphError
-from distspec.spectral import BracketError
+from distspec.spectral import DEFAULT_BRACKET_WIDTH, BracketError
 from distspec.transforms import GraftSite, graft, make_base, make_relocation_spec
 from distspec.verify import report_json
 
@@ -314,8 +316,8 @@ def test_sweep_writes_each_batch_before_building_the_next(monkeypatch):
 
 def test_streamed_sweep_peaks_below_half_the_whole_text(monkeypatch):
     # The first run builds what both measured runs share and leave as they
-    # are: the catalogs, the key tables and perron_of's radius memo.  So the
-    # peaks count the sweep's own graphs, names, reports and text.
+    # are: the catalogs and the key tables.  So the peaks count the sweep's
+    # own graphs, brackets, names, reports and text.
     argv = ["sweep", "--theorem", "1", "--max-base-n", "5"]
     monkeypatch.setattr(sys, "stdout", Discard())
     main(argv)
@@ -358,6 +360,41 @@ def test_sweep_error_after_the_first_batch_leaves_a_truncated_array(capsys, monk
     assert out and full.startswith(out) and out != full
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def test_cli_sweeps_leave_perron_of_within_its_bound(monkeypatch):
+    # the four sweeps the benchmark runs, in one process: radii travel as
+    # values, so perron_of's cache holds at most its bound afterwards
+    monkeypatch.setattr(sys, "stdout", Discard())
+    for argv, code in (
+        (["sweep", "--theorem", "1", "--max-base-n", "5", "--jobs", "2"], 1),
+        (["sweep", "--theorem", "2", "--jobs", "2"], 1),
+        (["sweep", "--theorem", "bound", "--jobs", "2"], 0),
+        (["sweep", "--theorem", "mono", "--max-n", "7", "--jobs", "2"], 0),
+    ):
+        assert main(argv) == code
+    info = spectral.perron_of.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    g = make_base("cycle", 5)
+    assert spectral.perron_of(g) is spectral.perron_of(g, DEFAULT_BRACKET_WIDTH)
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, ["construct", "--family", "path", "--n", "3"])[:2] == (0, "Bg\n")
+    assert run(capsys, ["compute", "--g6", "A~"])[0] == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_command_line_run_freezes_the_heap_after_its_output():
+    code = (
+        "import gc, sys; from distspec.cli import main; "
+        "sys.argv = ['distspec', 'construct', '--family', 'path', '--n', '3']; "
+        "main(); print(gc.get_freeze_count() > 0)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "Bg\nTrue\n")
 
 
 def test_console_script_installed():

@@ -227,18 +227,22 @@ def test_level_build_encodes_no_graph6(monkeypatch):
     import distspec
 
     calls = []
-    real = graph6.encode_graph6
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(real):
+        def encode(*args):
+            calls.append(args)
+            return real(*args)
+
+        return encode
 
     modules = [distspec] + [
         m for m in vars(distspec).values() if getattr(m, "__name__", "").startswith("distspec.")
     ]
-    for mod in modules:
-        if getattr(mod, "encode_graph6", None) is real:
-            monkeypatch.setattr(mod, "encode_graph6", counted)
+    for name in ("encode_graph6", "encode_rows"):
+        real = getattr(graph6, name)
+        for mod in modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted(real))
     _level.cache_clear()
     try:
         assert len(_level(7)) == 853

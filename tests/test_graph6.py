@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distspec.enumeration import connected_graphs
-from distspec.graph6 import decode_graph6, encode_graph6
+from distspec.graph6 import decode_graph6, encode_graph6, encode_rows
 from distspec.graphs import GraphError, build_graph, is_connected
 
 
@@ -69,6 +69,17 @@ def test_encode_matches_scan_on_catalog():
 @given(graphs())
 def test_encode_matches_scan(g):
     assert encode_graph6(g) == scan_graph6(g)
+
+
+def test_one_array_call_over_mixed_orders():
+    # one call over orders 1, 2, 7, 62, 63 (the four-byte header) and 70,
+    # each order twice and interleaved, equals the per-graph results and
+    # the scan oracle
+    rng = random.Random(11)
+    gs = [random_graph(rng, n, p=0.3) for _ in range(2) for n in (1, 2, 7, 62, 63, 70)]
+    rows = [g.masks for g in gs]
+    assert encode_rows(rows) == [encode_graph6(g) for g in gs] == [scan_graph6(g) for g in gs]
+    assert encode_rows([]) == []
 
 
 def test_hand_checked_strings():

@@ -385,20 +385,22 @@ def test_graft_sweep_reports_golden_bytes(monkeypatch):
 
 
 def test_graft_sweep_builds_names_and_brackets_each_graph_once(monkeypatch):
-    # one sweep_graft(5, 4): every distinct graph is encoded once; each
-    # batch brackets an order in at most two stacks (members with shifts
-    # to u, then the shifts to v the reports need), never one shift at a
-    # time; and no radius is read back through perron_of's memo
-    encoded, stacks, batches = [], Counter(), []
+    # one sweep_graft(5, 4): every distinct graph is encoded once, in one
+    # array call per batch; each batch brackets an order in at most two
+    # stacks (members with shifts to u, then the shifts to v the reports
+    # need), never one shift at a time; and no radius is read through
+    # perron_of
+    encoded, encode_calls, stacks, batches = [], [], Counter(), []
     real_encode, real_stack, real_batch = (
-        verify.encode_graph6,
+        verify.encode_rows,
         spectral._bracket_stack,
         verify._graft_reports,
     )
 
-    def encode(g):
-        encoded.append(g.masks)
-        return real_encode(g)
+    def encode(rows):
+        encoded.extend(rows)
+        encode_calls.append(len(batches))
+        return real_encode(rows)
 
     def stack(d, *args):
         stacks[len(batches), d.shape[-1]] += 1
@@ -412,13 +414,44 @@ def test_graft_sweep_builds_names_and_brackets_each_graph_once(monkeypatch):
         raise AssertionError("a radius was read through perron_of")
 
     spectral.perron_of.cache_clear()
-    monkeypatch.setattr(verify, "encode_graph6", encode)
+    monkeypatch.setattr(verify, "encode_rows", encode)
     monkeypatch.setattr(spectral, "_bracket_stack", stack)
     monkeypatch.setattr(verify, "_graft_reports", batch)
     monkeypatch.setattr(verify, "perron_of", untouched)
     assert len(sweep_graft(5, 4)) == sum(batches) == 1288
     assert len(encoded) == len(set(encoded)) == 1737
+    assert sorted(encode_calls) == list(range(1, len(batches) + 1))
     assert stacks and max(stacks.values()) <= 2
+
+
+def test_every_batch_names_its_graphs_in_one_encoder_call(monkeypatch):
+    # names travel like radii: each batch of every claim but graft (tested
+    # above) encodes its graphs in one encode_rows call, never per report
+    calls = []
+    real = verify.encode_rows
+
+    def encode(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(verify, "encode_rows", encode)
+    monkeypatch.setattr(verify, "SWEEP_BATCH", 40)
+    assert not hasattr(verify, "encode_graph6")
+    seen = []
+    for batches in (
+        verify._pendant_batches(4, 4),
+        verify._relocation_batches(5),
+        verify._bound_batches(5),
+        verify._monotonicity_batches(6),
+        verify._min_batches("min-cut-vertices", 6),
+        verify._min_batches("min-cut-edges", 6),
+    ):
+        seen.append(0)
+        for reports in batches:
+            assert len(calls) == 1 and reports, calls
+            calls.clear()
+            seen[-1] += 1
+    assert min(seen) >= 1 and max(seen) > 1, seen
 
 
 def test_relocation_bound_and_mono_sweep_reports_golden_bytes(monkeypatch):
@@ -449,7 +482,8 @@ def test_closure_idempotence_counts_block_edges():
         for g in connected_graphs(n):
             for h in (g, block_clique_closure(g)):
                 dm = spectral.distance_matrix(h)
-                idempotent = verify._monotonicity_report(h, h, dm, dm, {}).witness["idempotent"]
+                rep = verify._monotonicity_report(h, h, dm, dm, {}, verify._names([h.masks]))
+                idempotent = rep.witness["idempotent"]
                 assert idempotent == (block_clique_closure(h).edges == h.edges), h.edges
                 seen.add(idempotent)
     assert seen == {True, False}
@@ -493,7 +527,7 @@ def test_graft_overlap_distinct_shift_inconclusive(overlapping_brackets):
 
 
 def test_relocation_overlap_inconclusive(overlapping_brackets):
-    # the report reads the brackets the batch computed, not perron_of's memo
+    # the report reads the brackets the batch computed, not perron_of's cache
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     rep = verify_relocation(make_relocation_spec(star, 0, 1, (2,)))
     assert rep.outcome == "INCONCLUSIVE"
