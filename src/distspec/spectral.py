@@ -5,18 +5,28 @@ Collatz-Wielandt ratios (Dx)_i/x_i enclose the Perron value from both sides.
 The certification step scales |x| of a dense symmetric eigensolver's top
 eigenvector to a positive integer vector X with max X = 2^50 and forms
 Y = DX exactly: in int64 for n <= 64, where D holds hop counts below 64 and
-no sum can overflow, and in Python ints beyond.  Each ratio Y_i/X_i is then
-rounded once, so widening min and max of the ratios outward by two ulps
-gives a rigorous bracket a few ulps wide, with no tolerance behind it (Rump,
-"Verification methods", Acta Numerica 19, 2010).
+no sum can overflow, and in Python ints beyond.  The least and greatest
+ratio Y_i/X_i, correctly rounded and moved two ulps outward, give a rigorous
+bracket a few ulps wide, with no tolerance behind it (Rump, "Verification
+methods", Acta Numerica 19, 2010).
+
+The step is array code over a stack.  A float ratio fl(fl(Y_i)/X_i) lies
+within 2u (u = 2^-53) of Y_i/X_i, so only the ratios within a factor
+1 +- 2^-50 of a row's float min or max can hold its exact min or max; just
+those are divided as Python ints, and as rounding is monotone the extremes
+are the bits that dividing every ratio would give.  x.x and x.y are summed
+as Python ints over object arrays, exact at every order (int64 limb sums
+measured no faster at n <= 9), and one division per matrix gives the
+Rayleigh quotient.  Hop counts come from Floyd-Warshall on the stack (Floyd,
+CACM 5(6), 1962): n add/minimum steps in a narrow unsigned type, n marking
+an unreached pair, cheaper than a boolean matrix product per hop.
 
 One loop brackets a stack of same-order matrices: one stacked eigh, the
-step per matrix, and, for a matrix still wider than requested, power
-iteration with every refined vector certified the same way.  perron() runs
-it on one matrix, perron_many() on each order's distinct graphs of a
-batch, and brackets() on a catalog's adjacency bitmask rows; only the
-one-graph perron_of() keeps radii, in a small bounded cache.  Every
-distance stack starts from one adjacency builder.  A matrix gets the same
+step, and, for a matrix still wider than requested, power iteration with
+every refined vector certified the same way.  perron() runs it on one
+matrix, perron_many() on each order's distinct graphs of a batch, and
+brackets() on a catalog's adjacency bitmask rows; only the one-graph
+perron_of() keeps radii, in a small bounded cache.  A matrix gets the same
 bits in any stack: the stacked eigh makes the same LAPACK call on each
 matrix, and the step is exact.
 Comparisons are made only between disjoint brackets; overlapping brackets
@@ -26,11 +36,9 @@ are reported as indistinguishable instead of being resolved by an epsilon.
 from __future__ import annotations
 
 import functools
-import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,19 +76,23 @@ class DistanceMatrix:
 def distance_matrices(graphs: Sequence[Graph]) -> list[DistanceMatrix]:
     """Distance matrices of many graphs, built once each as one stack per order.
 
-    The masks are read as int64 below 63 vertices and as Python ints from 63
-    up.  Raises GraphError if any of the graphs is disconnected.
+    Raises GraphError if any of the graphs is disconnected.
     """
     built = {}
     for n, gs in _by_order(dict.fromkeys(graphs)).items():
-        masks = np.array([g.masks for g in gs], dtype=np.int64 if n < 63 else object)
-        built.update(zip(gs, (DistanceMatrix(n, d) for d in _hop_counts(_adjacency(masks)))))
+        built.update(zip(gs, (DistanceMatrix(n, d) for d in _hop_stack(gs))))
     return [built[g] for g in graphs]
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """Hop-count matrix of one graph; raises on a disconnected graph."""
     return distance_matrices([g])[0]
+
+
+def _hop_stack(gs: list[Graph]) -> np.ndarray:
+    """Hop-count stack of same-order graphs (masks int64 below 63 vertices, else Python ints)."""
+    masks = np.array([g.masks for g in gs], dtype=np.int64 if gs[0].n < 63 else object)
+    return _hop_counts(_adjacency(masks))
 
 
 def _adjacency(masks: np.ndarray) -> np.ndarray:
@@ -91,24 +103,18 @@ def _adjacency(masks: np.ndarray) -> np.ndarray:
 def _hop_counts(a: np.ndarray) -> np.ndarray:
     """Read-only int64 stack of the hop-count matrices of a boolean adjacency stack.
 
-    Every source of every graph advances together: the vertices first
-    reached at hop k are the neighbours of those first reached at hop k-1
-    (a boolean product with the stacked adjacency) that no earlier hop
-    reached.
+    Floyd-Warshall on every graph at once: step k lets every path pass
+    through vertex k.  n marks an unreached pair, and a sum through it
+    stays at least n, so an n left in row 0 means a disconnected graph.
     """
-    d = a.astype(np.int64)
-    reached = a | np.eye(a.shape[-1], dtype=bool)
-    frontier = a
-    hop = 1
-    while True:
-        hop += 1
-        frontier = frontier @ a & ~reached
-        if not frontier.any():
-            break
-        d[frontier] = hop
-        reached |= frontier
-    if not reached.all():
+    n = a.shape[-1]
+    small = np.min_scalar_type(2 * n).type
+    d = np.where(a, small(1), small(n) * ~np.eye(n, dtype=bool))
+    for k in range(n):
+        np.minimum(d, d[:, :, k, None] + d[:, None, k], out=d)
+    if (d[:, 0] == n).any():
         raise GraphError("distance matrix undefined: graph is not connected")
+    d = d.astype(np.int64)
     d.setflags(write=False)
     return d
 
@@ -158,25 +164,31 @@ def _bracket_stack(
     """
     n = d.shape[-1]
     stack = d.reshape(-1, n, n)
-    if n == 1:
-        return [_result([1], [0], 0.0, 0.0, 0)] * len(stack)  # D = [0]: radius exactly 0
+    if n == 1:  # D = [0]: radius exactly 0
+        one = np.ones(1)
+        one.setflags(write=False)
+        return [PerronResult(0.0, 0.0, 0.0, 0.0, 0, one)] * len(stack)
     x = np.abs(np.linalg.eigh(d)[1][..., -1]).reshape(-1, n)
+    exact = _exact(stack)
     out: list = [None] * len(stack)
-    bounds = [(-math.inf, math.inf)] * len(stack)
-    todo = list(range(len(stack)))
+    lower, upper = np.full(len(stack), -np.inf), np.full(len(stack), np.inf)
+    todo = np.arange(len(stack))
     for it in range(1, max_iter + 1):
-        for i, step in zip(todo, _steps(_exact(stack[todo]), x[todo])):
-            if step is not None:
-                xs, ys, lower, upper = step
-                bounds[i] = lower, upper = max(bounds[i][0], lower), min(bounds[i][1], upper)
-                if upper - lower <= bracket_width:
-                    out[i] = _result(xs, ys, lower, upper, it)
-        todo = [i for i in todo if out[i] is None]
-        if not todo:
-            return out
+        ok, xs, ys, lo, hi = _step(exact[todo], x[todo])
+        t = todo[ok]
+        lower[t] = np.maximum(lower[t], lo)
+        upper[t] = np.minimum(upper[t], hi)
+        done = upper[t] - lower[t] <= bracket_width
+        t = t[done]
+        if t.size:
+            for i, res in zip(t.tolist(), _results(xs[done], ys[done], lower[t], upper[t], it)):
+                out[i] = res
+            todo = todo[upper[todo] - lower[todo] > bracket_width]
+            if not todo.size:
+                return out
         y = np.matmul(stack[todo], x[todo][:, :, None])[:, :, 0]
         x[todo] = y / y.max(axis=1, keepdims=True)
-    raise BracketError(*bounds[todo[0]], max_iter)
+    raise BracketError(float(lower[todo[0]]), float(upper[todo[0]]), max_iter)
 
 
 def _exact(d: np.ndarray) -> np.ndarray:
@@ -184,42 +196,50 @@ def _exact(d: np.ndarray) -> np.ndarray:
     return d if d.shape[-1] <= INT64_MAX_N else d.astype(object)
 
 
-def _steps(d: np.ndarray, x: np.ndarray) -> Iterator[tuple | None]:
+def _step(d: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """One exact Collatz-Wielandt step per matrix of the stack d, at the rows of x.
 
     Each row of x is scaled to max 2^50 and truncated to an integer vector
-    X, which keeps X <= 2^50 (any positive integer vector certifies), and
-    Y = DX is formed exactly in d's dtype.  Each Python int quotient
-    Y_i/X_i is correctly rounded, so two ulps outward more than cover the
-    one rounding.  Yields a step (X, Y, lower, upper) per matrix, or None
-    where truncation left a zero in X.
+    X <= 2^50 (any positive integer vector certifies); Y = DX is exact in
+    d's dtype.  Returns the mask of the rows whose X stayed positive and,
+    for those, X, Y and the bracket from the ratios near each row's extremes.
     """
     big = (x / x.max(axis=1, keepdims=True) * 2.0**50).astype(np.int64)
-    positive = (big.min(axis=1) >= 1).tolist()
-    y = np.matmul(d, big.astype(d.dtype, copy=False)[:, :, None])[:, :, 0]
-    for ok, xrow, yrow in zip(positive, big, y):
-        if not ok:
-            yield None
-            continue
-        xs, ys = xrow.tolist(), yrow.tolist()
-        ratios = [yi / xi for yi, xi in zip(ys, xs)]
-        yield xs, ys, _ulps(min(ratios), -math.inf), _ulps(max(ratios), math.inf)
+    ok = big.min(axis=1) >= 1
+    y = np.matmul(d, big.astype(d.dtype, copy=False)[:, :, None])[ok, :, 0]
+    big = big[ok]
+    r = y.astype(np.float64) / big
+    near = r <= r.min(axis=1, keepdims=True) * (1 + 2.0**-50)
+    near |= r >= r.max(axis=1, keepdims=True) * (1 - 2.0**-50)
+    rows, cols = np.nonzero(near)
+    q = np.array([yi / xi for yi, xi in zip(y[rows, cols].tolist(), big[rows, cols].tolist())])
+    starts = np.searchsorted(rows, np.arange(len(big)))
+    lower = _ulps(np.minimum.reduceat(q, starts), -np.inf)
+    return ok, big, y, lower, _ulps(np.maximum.reduceat(q, starts), np.inf)
 
 
-def _result(xs: list, ys: list, lower: float, upper: float, iterations: int) -> PerronResult:
-    """Result for the certified vector X with Y = DX, clamped into the bracket."""
-    sq = sum(map(operator.mul, xs, xs))
-    lam = min(max(sum(map(operator.mul, xs, ys)) / sq, lower), upper)
-    norm = math.sqrt(sq)
-    residual = max([abs(y - lam * x) for x, y in zip(xs, ys)]) / norm
-    vec = np.array(xs, dtype=np.float64) / norm
+def _results(
+    x: np.ndarray, y: np.ndarray, lower: np.ndarray, upper: np.ndarray, iterations: int
+) -> list[PerronResult]:
+    """Results for the certified vectors X (rows of x) with Y = DX, clamped into their brackets.
+
+    The residual and the vector repeat the one-vector float operations elementwise.
+    """
+    xo = x.astype(object)  # exact Python int products and sums
+    sq, xy = (xo * xo).sum(axis=1).tolist(), (xo * y).sum(axis=1).tolist()
+    lam = np.minimum(np.maximum([a / b for a, b in zip(xy, sq)], lower), upper)
+    norm = np.sqrt([float(s) for s in sq])
+    xf = x.astype(np.float64)
+    residual = np.abs(y.astype(np.float64) - lam[:, None] * xf).max(axis=1) / norm
+    vec = xf / norm[:, None]
     vec.setflags(write=False)
-    return PerronResult(lam, lower, upper, residual, iterations, vec)
+    rows = zip(lam.tolist(), lower.tolist(), upper.tolist(), residual.tolist())
+    return [PerronResult(*row, iterations, v) for row, v in zip(rows, vec)]
 
 
-def _ulps(x: float, toward: float) -> float:
+def _ulps(x: np.ndarray, toward: float) -> np.ndarray:
     """x moved two ulps toward +-inf."""
-    return math.nextafter(math.nextafter(x, toward), toward)
+    return np.nextafter(np.nextafter(x, toward), toward)
 
 
 @functools.lru_cache(maxsize=128)
@@ -247,14 +267,15 @@ def perron_many(
 ) -> list[PerronResult]:
     """Default-width brackets of many graphs, kept nowhere after the call.
 
-    The distinct graphs are bracketed once, as one stack per order, from
-    their distance matrices: dms when given, else distance_matrices().
+    The distinct graphs are bracketed once, as one stack per order: of
+    their matrices in dms when given, else straight from their masks.
     """
     graphs = list(graphs)
-    built = dict(zip(graphs, distance_matrices(graphs) if dms is None else dms))
+    given = None if dms is None else dict(zip(graphs, dms))
     radius: dict[Graph, PerronResult] = {}
-    for gs in _by_order(built).values():
-        radius.update(zip(gs, _bracket_stack(np.stack([built[g].d for g in gs]))))
+    for gs in _by_order(dict.fromkeys(graphs)).values():
+        d = _hop_stack(gs) if given is None else np.stack([given[g].d for g in gs])
+        radius.update(zip(gs, _bracket_stack(d)))
     return [radius[g] for g in graphs]
 
 

@@ -1,21 +1,26 @@
 """Certified radius: closed forms, bracket invariants, dense-solver parity,
-50-digit enclosure, power-iteration refinement and the batched path."""
+50-digit enclosure, power-iteration refinement, the batched path against a
+one-matrix Python-int reference, and Floyd-Warshall hop counts against BFS."""
 
 from __future__ import annotations
 
 import math
+import operator
 
 import mpmath
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distspec import spectral
-from distspec.enumeration import connected_graphs
+from distspec.enumeration import catalog, connected_graphs
 from distspec.graphs import GraphError, bfs_distances, build_graph
 from distspec.spectral import (
     BracketError,
     Relation,
+    brackets,
     certified_compare,
     distance_matrices,
     distance_matrix,
@@ -78,6 +83,41 @@ def test_distance_matrices_of_a_mixed_order_batch():
     for g, dm in zip(graphs[::-1] + graphs, batch):
         assert dm.n == g.n
         assert np.array_equal(dm.d, distance_matrix(g).d)
+
+
+def bfs_rows(g):
+    return [bfs_distances(g, s) for s in range(g.n)]
+
+
+def test_floyd_warshall_matches_bfs_on_every_small_graph():
+    for n in range(1, 8):
+        graphs = list(connected_graphs(n))
+        for g, dm in zip(graphs, distance_matrices(graphs)):
+            assert dm.d.dtype == np.int64 and not dm.d.flags.writeable
+            assert dm.d.tolist() == bfs_rows(g), g.edges
+
+
+@st.composite
+def same_order_connected_graphs(draw):
+    """One to three connected graphs of one order up to 70: a random tree plus
+    random chords, relabelled by a random permutation."""
+    n = draw(st.integers(1, 70))
+    graphs = []
+    for _ in range(draw(st.integers(1, 3))):
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        if n > 1:
+            pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            edges |= {(a, b) for a, b in draw(st.lists(pair, max_size=2 * n)) if a < b}
+        perm = draw(st.permutations(range(n)))
+        graphs.append(build_graph(n, {tuple(sorted((perm[a], perm[b]))) for a, b in edges}))
+    return graphs
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_order_connected_graphs())
+def test_floyd_warshall_matches_bfs_up_to_order_70(graphs):
+    for g, dm in zip(graphs, distance_matrices(graphs)):
+        assert dm.d.tolist() == bfs_rows(g)
 
 
 def test_distance_matrix_requires_connected():
@@ -300,27 +340,124 @@ def test_unreachable_width_raises_certified_bracket():
     assert err.value.iterations == 3
     assert 0 < err.value.upper - err.value.lower < 1e-12
     assert encloses(err.value, mp_radius(dm))
+    # the message and the bounds carry Python floats, never numpy scalars
+    assert type(err.value.lower) is float and type(err.value.upper) is float
+    assert "np.float64" not in str(err.value)
 
 
 def fields(res):
     return (res.value, res.lower, res.upper, res.residual, res.iterations, res.vector.tolist())
 
 
-def batch_graphs():
-    """Every connected graph with n <= 7, then the graft families of bases n <= 4."""
-    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
-    for site in graft_sites(4, 4):
+def two_ulps(x, toward):
+    return math.nextafter(math.nextafter(x, toward), toward)
+
+
+def reference_fields(d):
+    """Default-width bracket fields of each matrix of a same-order int64 stack d,
+    one matrix at a time in Python ints: the stacked eigh, then per matrix
+    Y = DX, every ratio Y_i/X_i divided exactly, x.x and x.y summed exactly,
+    and power iteration on the matrices still too wide."""
+    n = d.shape[-1]
+    if n == 1:
+        return [(0.0, 0.0, 0.0, 0.0, 0, [1.0])] * len(d)
+    x = np.abs(np.linalg.eigh(d)[1][..., -1])
+    out = [None] * len(d)
+    bounds = [(-math.inf, math.inf)] * len(d)
+    todo = list(range(len(d)))
+    for it in range(1, spectral.MAX_ITER + 1):
+        big = (x[todo] / x[todo].max(axis=1, keepdims=True) * 2.0**50).astype(np.int64)
+        for i, xs in zip(todo, big.tolist()):
+            if min(xs) < 1:
+                continue
+            ys = [sum(map(operator.mul, row, xs)) for row in d[i].tolist()]
+            ratios = [yi / xi for yi, xi in zip(ys, xs)]
+            lower = max(bounds[i][0], two_ulps(min(ratios), -math.inf))
+            upper = min(bounds[i][1], two_ulps(max(ratios), math.inf))
+            bounds[i] = lower, upper
+            if upper - lower <= spectral.DEFAULT_BRACKET_WIDTH:
+                sq = sum(map(operator.mul, xs, xs))
+                lam = min(max(sum(map(operator.mul, xs, ys)) / sq, lower), upper)
+                norm = math.sqrt(sq)
+                residual = max([abs(y - lam * x) for x, y in zip(xs, ys)]) / norm
+                out[i] = (lam, lower, upper, residual, it, [x / norm for x in xs])
+        todo = [i for i in todo if out[i] is None]
+        if not todo:
+            return out
+        y = np.matmul(d[todo], x[todo][:, :, None])[:, :, 0]
+        x[todo] = y / y.max(axis=1, keepdims=True)
+    raise AssertionError("reference bracket did not reach the default width")
+
+
+def reference_by_graph(graphs):
+    """Reference fields of each distinct graph, one stack per order of its BFS distances."""
+    by_order = {}
+    for g in dict.fromkeys(graphs):
+        by_order.setdefault(g.n, []).append(g)
+    ref = {}
+    for gs in by_order.values():
+        ref.update(zip(gs, reference_fields(np.array([bfs_rows(g) for g in gs], dtype=np.int64))))
+    return ref
+
+
+def oracle_graphs():
+    """Every connected graph with n <= 8, the graft families of bases n <= 5 with
+    k + l <= 6, and paths on both sides of the int64 step's order limit."""
+    graphs = [g for n in range(1, 9) for g in connected_graphs(n)]
+    for site in graft_sites(5, 6):
         fam = graft_family(site)
         graphs += [fam.member, fam.shift_to_u, fam.shift_to_v]
-    return graphs
+    return graphs + [make_base("path", n) for n in (63, 64, 65, 70)]
 
 
 def test_perron_many_matches_scalar_path_exactly():
+    # the array step (float ratios, exact division only near a row's extremes,
+    # limb sums) gives the reference's bits on every entry point
     perron_of.cache_clear()
-    graphs = batch_graphs()
-    assert len(graphs) == 996 + 3 * 248
+    graphs = oracle_graphs()
+    assert len(graphs) == 20811
+    ref = reference_by_graph(graphs)
     for g, res in zip(graphs, perron_many(graphs)):
-        assert fields(res) == fields(perron(distance_matrix(g))), g.edges
+        assert fields(res) == ref[g], g.edges
+        assert [type(v) for v in fields(res)[:5]] == [float] * 4 + [int]
+    for g in graphs[::101] + graphs[-4:]:
+        assert fields(perron(distance_matrix(g))) == ref[g], g.edges
+    for n in range(1, 9):
+        assert [fields(r) for r in brackets(catalog(n).masks)] == [
+            ref[g] for g in connected_graphs(n)
+        ]
+
+
+def test_exact_division_settles_ratios_one_float_apart(monkeypatch):
+    # On the 6-cycle this X puts the float ratios of vertices 3 and 5 one ulp
+    # apart at the row's max, in the opposite order to their exact quotients:
+    # the float max (vertex 5) rounds exactly to one ulp below the true max
+    # (vertex 3), so the candidate window must hold both
+    c6 = make_base("cycle", 6)
+    d6 = distance_matrix(c6).d
+    xs = [2**50 - e for e in (0, 3, 6, 8, 1, 9)]
+    ys = [sum(map(operator.mul, row, xs)) for row in d6.tolist()]
+    floats = [float(y) / x for y, x in zip(ys, xs)]
+    exact = [y / x for y, x in zip(ys, xs)]
+    assert floats[5] == max(floats) and floats[3] == math.nextafter(floats[5], 0)
+    assert exact[3] == max(exact) and exact[5] == math.nextafter(exact[3], 0)
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        w, v = real_eigh(a)
+        n = a.shape[-1]
+        for m, vecs in zip(a.reshape(-1, n, n), v if a.ndim == 3 else v[None]):
+            if np.array_equal(m, d6):
+                vecs[:, -1] = np.array(xs) / 2.0**50
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    graphs = [c6] + list(connected_graphs(6))
+    ref = reference_fields(np.array([bfs_rows(g) for g in graphs], dtype=np.int64))
+    out = perron_many(graphs)
+    assert out[0].upper == two_ulps(exact[3], math.inf)
+    assert [fields(r) for r in out] == ref
+    assert fields(perron(distance_matrix(c6))) == ref[0]
 
 
 def test_perron_many_leaves_perron_of_cache_alone():
