@@ -93,14 +93,6 @@ def build_graph(n: int, edge_list) -> Graph:
     return Graph(tuple(masks))
 
 
-def relabel(g: Graph, perm) -> Graph:
-    """Apply a vertex permutation: vertex i of g becomes perm[i]."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise GraphError(f"not a permutation of 0..{g.n - 1}: {perm}")
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from source; unreachable vertices get -1."""
     if not 0 <= source < g.n:
@@ -284,7 +276,7 @@ MAX_CANONICAL_N = 10
 MAX_KEY_N = 16
 
 
-def canonical_key(g: Graph, max_n: int = MAX_CANONICAL_N) -> bytes:
+def canonical_key(g: Graph) -> bytes:
     """Canonical form: equal keys exactly for isomorphic graphs.
 
     The key is the lexicographically minimal upper-triangle adjacency bit
@@ -294,8 +286,8 @@ def canonical_key(g: Graph, max_n: int = MAX_CANONICAL_N) -> bytes:
     fixed), which keeps it exact while pruning hard enough for n <= 10.
     """
     n = g.n
-    if n > max_n:
-        raise GraphError(f"canonical_key supports n <= {max_n}, got {n}")
+    if n > MAX_CANONICAL_N:
+        raise GraphError(f"canonical_key supports n <= {MAX_CANONICAL_N}, got {n}")
     return key_from_masks(n, g.masks)
 
 

@@ -291,17 +291,6 @@ def _by_order(graphs: Iterable[Graph]) -> dict[int, list[Graph]]:
     return by_order
 
 
-def rayleigh_quotient(dm: DistanceMatrix, x: np.ndarray) -> float:
-    """x.D.x / x.x, a lower bound on the spectral radius for any real x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dm.n,):
-        raise ValueError(f"vector length {x.shape} does not match order {dm.n}")
-    denom = float(x @ x)
-    if denom == 0.0:
-        raise ValueError("rayleigh quotient undefined for the zero vector")
-    return float(x @ (dm.d @ x)) / denom
-
-
 def quadratic_form_delta(
     d_old: DistanceMatrix, d_new: DistanceMatrix, x: np.ndarray
 ) -> float:

@@ -42,21 +42,6 @@ def make_base(kind: str, n: int) -> Graph:
     raise GraphError(f"unknown base kind {kind!r}")
 
 
-def attach_path(g: Graph, root: int, length: int) -> Graph:
-    """Append a pendant path of `length` edges at root.
-
-    New vertices take labels n..n+length-1 in walk order; length 0 returns
-    the graph unchanged.
-    """
-    if not 0 <= root < g.n:
-        raise GraphError(f"root {root} outside 0..{g.n - 1}")
-    if length < 0:
-        raise GraphError(f"path length must be >= 0, got {length}")
-    if length == 0:
-        return g
-    return _grafted(g, (root, length))
-
-
 def _grafted(g: Graph, *paths: tuple[int, int]) -> Graph:
     """g's masks with a path of `length` new vertices hung off root per (root, length), unchecked.
 
@@ -104,30 +89,6 @@ def graft(site: GraftSite) -> Graph:
     """
     _check_sites([site])
     return _grafted(site.base, (site.u, site.k), (site.v, site.l))
-
-
-@dataclass(frozen=True)
-class GraftFamily:
-    """G_{k,l} together with its two one-unit shifts.
-
-    shift_to_u is G_{k+1,l-1} (None when l = 0); shift_to_v is G_{k-1,l+1}
-    (None when k = 0).  All members share the base labels and vertex count.
-    """
-
-    member: Graph
-    shift_to_u: Graph | None
-    shift_to_v: Graph | None
-
-
-def graft_family(site: GraftSite) -> GraftFamily:
-    """Build G_{k,l} and its defined shifts, checking the site once."""
-    _check_sites([site])
-    base, u, v, k, l = site.base, site.u, site.v, site.k, site.l
-    return GraftFamily(
-        member=_grafted(base, (u, k), (v, l)),
-        shift_to_u=_grafted(base, (u, k + 1), (v, l - 1)) if l >= 1 else None,
-        shift_to_v=_grafted(base, (u, k - 1), (v, l + 1)) if k >= 1 else None,
-    )
 
 
 def g_nk(n: int, k: int) -> Graph:

@@ -31,16 +31,7 @@ from typing import Iterator
 
 from .enumeration import catalog, connected_graphs
 from .graph6 import encode_rows
-from .graphs import (
-    MAX_CANONICAL_N,
-    MAX_KEY_N,
-    Graph,
-    GraphError,
-    PendantPath,
-    blocks,
-    canonical_key,
-    keys_from_masks,
-)
+from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, blocks, keys_from_masks
 from .jsonio import dumps
 from .spectral import (
     DistanceMatrix,
@@ -121,7 +112,8 @@ def verify_graft_monotonicity(site: GraftSite, width=None, jobs=1) -> Verificati
     Isomorphic graphs have equal radii, so disjoint certified brackets
     already prove a shift non-isomorphic to the member.  Only when the
     brackets overlap are canonical keys computed: equal keys refute the
-    strict claim exactly, unequal ones leave the disjunct unresolved.
+    strict claim exactly, unequal ones leave the disjunct unresolved, and
+    so does a pair past MAX_KEY_N vertices, which gets no key.
     width and jobs are deprecated and ignored.
     """
     if not site.k >= site.l >= 1:
@@ -134,7 +126,8 @@ def _graft_reports(sites: list[GraftSite], names: dict) -> list[VerificationRepo
 
     Members and shifts to u are bracketed as one batch, the shifts to v the
     reports need as a second; overlapping pairs are keyed in one batch per
-    order.  names (masks -> graph6) is shared by a sweep's batches.
+    order up to MAX_KEY_N, and a larger pair gets no key.  names (masks ->
+    graph6) is shared by a sweep's batches.
     """
     _check_sites(sites)
     fams = [(s, _at(s, s.k, s.l), [("shift_to_u", _at(s, s.k + 1, s.l - 1))]) for s in sites]
@@ -151,10 +144,8 @@ def _graft_reports(sites: list[GraftSite], names: dict) -> list[VerificationRepo
     tied = [p for p in pairs if relation(*p) is Relation.INDISTINGUISHABLE]
     key = {}
     for n, gs in _by_order({g.masks: g for p in tied for g in p}.values()).items():
-        rows = [g.masks for g in gs]
-        if n > MAX_CANONICAL_N:
-            key.update((g.masks, canonical_key(g, MAX_KEY_N)) for g in gs)
-        else:
+        if n <= MAX_KEY_N:
+            rows = [g.masks for g in gs]
             key.update(zip(rows, keys_from_masks(n, rows)))
     named = [s.base for s in sites] + [g for p in pairs for g in p]
     names.update(_names(g.masks for g in named if g.masks not in names))
@@ -190,7 +181,8 @@ def _graft_report(
         rs = radius[shifted.masks]
         order = certified_compare(rm, rs)
         overlap = order.relation is Relation.INDISTINGUISHABLE
-        if overlap and key[shifted.masks] == key[member.masks]:
+        # a pair past MAX_KEY_N vertices has no key, and so stays open
+        if overlap and shifted.masks in key and key[shifted.masks] == key[member.masks]:
             witness[f"{label}_isomorphic_to_member"] = True
             continue
         witness[f"{label}_member_bracket"] = _bracket(rm)

@@ -137,12 +137,17 @@ def test_verify_relocation_exit_codes(capsys):
     assert json.loads(out)["outcome"] == "FAIL"
 
 
-def test_verify_graft_shift_past_the_catalog_cap(capsys):
-    # the member and both shifts are the 12-vertex path: FAIL by isomorphism
-    code, out, _ = run(capsys, ["verify", "--theorem", "1", "--base", "A_", "--u", "0",
-                                "--v", "1", "--k", "5", "--l", "5"])
-    assert code == 1
-    assert json.loads(out)["outcome"] == "FAIL"
+@pytest.mark.parametrize("k, code, outcome", [(5, 1, "FAIL"), (8, 3, "INCONCLUSIVE")])
+def test_verify_graft_shift_past_the_catalog_cap(capsys, k, code, outcome):
+    # the member and both shifts are the (2k+2)-vertex path: FAIL by
+    # isomorphism at 12 vertices; at 18, past the keyed orders, the
+    # overlapping brackets stay open
+    got, out, _ = run(capsys, ["verify", "--theorem", "1", "--base", "A_", "--u", "0",
+                               "--v", "1", "--k", str(k), "--l", str(k)])
+    assert got == code
+    report = json.loads(out)
+    assert report["outcome"] == outcome
+    assert ("shift_to_u_needs_exact_followup" in report["witness"]) == (code == 3)
 
 
 def test_verify_graft_shift_root_outside_the_base(capsys):

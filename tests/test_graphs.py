@@ -29,7 +29,6 @@ from distspec.graphs import (
     key_from_masks,
     keys_from_masks,
     pendant_paths,
-    relabel,
 )
 
 
@@ -48,6 +47,11 @@ def to_nx(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     return h
+
+
+def relabelled(g, perm):
+    """g with vertex i renamed perm[i]."""
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def test_build_graph_basic():
@@ -78,13 +82,6 @@ def test_build_graph_rejects_bad_edges():
         build_graph(3, [(0, 3)])
     with pytest.raises(GraphError):
         build_graph(0, [])
-
-
-def test_relabel_permutes_structure():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    h = relabel(g, (2, 0, 1))
-    assert h.edges == frozenset({(0, 2), (0, 1)})
-    assert sorted(h.degrees) == sorted(g.degrees)
 
 
 def test_bfs_distances_path_and_disconnected():
@@ -203,7 +200,7 @@ def test_canonical_key_relabel_invariant():
             key = canonical_key(g)
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canonical_key(relabel(g, perm)) == key
+            assert canonical_key(relabelled(g, perm)) == key
 
 
 def test_canonical_key_separates_nonisomorphic():
@@ -252,7 +249,7 @@ def relabelled_batches(draw):
     for _ in range(draw(st.integers(1, 4))):
         picks = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         g = build_graph(n, picks)
-        batch += [masks_of(g), masks_of(relabel(g, draw(st.permutations(range(n)))))]
+        batch += [masks_of(g), masks_of(relabelled(g, draw(st.permutations(range(n)))))]
     return n, batch
 
 

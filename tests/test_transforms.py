@@ -21,14 +21,12 @@ from distspec.transforms import (
     GraftSite,
     HypothesisError,
     RelocationSpec,
-    attach_path,
     block_clique_closure,
     component_without,
     distance_dominates,
     find_witness,
     g_nk,
     graft,
-    graft_family,
     k_nk,
     make_base,
     make_relocation_spec,
@@ -46,25 +44,17 @@ def test_make_base():
         make_base("torus", 3)
 
 
-def test_attach_path_labels():
-    g = make_base("complete", 3)
-    h = attach_path(g, 1, 2)
-    assert h.n == 5
-    assert h.edges - g.edges == frozenset({(1, 3), (3, 4)})
-    assert attach_path(g, 1, 0) is g
-
-
 def test_graft_and_family_shapes():
-    site = GraftSite(base=make_base("complete", 3), u=0, v=1, k=2, l=1)
-    fam = graft_family(site)
-    assert fam.member.n == 6
-    assert fam.member.degrees[5] == 1
-    assert fam.shift_to_u.n == 6
-    assert fam.shift_to_v.n == 6
+    base = make_base("complete", 3)
+    member = graft(GraftSite(base=base, u=0, v=1, k=2, l=1))
+    assert member.n == 6
+    assert member.edges - base.edges == frozenset({(0, 3), (3, 4), (1, 5)})
+    assert member.degrees[5] == 1
 
-    flat = graft_family(GraftSite(base=make_base("complete", 3), u=0, v=1, k=2, l=0))
-    assert flat.shift_to_u is None
-    assert flat.shift_to_v is not None
+    # one path only: new labels in walk order from the root
+    flat = graft(GraftSite(base=base, u=1, v=0, k=2, l=0))
+    assert flat.edges - base.edges == frozenset({(1, 3), (3, 4)})
+    assert graft(GraftSite(base=base, u=1, v=0, k=0, l=0)) == base
 
 
 def test_grafted_graphs_equal_build_graph():
@@ -283,7 +273,7 @@ def test_block_clique_closure():
     bull = build_graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
     assert block_clique_closure(bull).edges == bull.edges
 
-    tadpole = attach_path(make_base("cycle", 4), 0, 1)
+    tadpole = graft(GraftSite(base=make_base("cycle", 4), u=0, v=1, k=1, l=0))
     closed = block_clique_closure(tadpole)
     assert closed.edges == frozenset(
         {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)}

@@ -19,7 +19,6 @@ from distspec.transforms import (
     RelocationSpec,
     block_clique_closure,
     graft,
-    graft_family,
     make_base,
     make_relocation_spec,
 )
@@ -100,7 +99,7 @@ def test_graft_site_checks_match_the_builders(site, message):
     # the batch functions check their sites themselves, each base's
     # connectivity once; a malformed site raises as graft would, also
     # behind a valid one in the same batch
-    for check in (graft, graft_family, verify_graft_monotonicity, pendant_report_for_site):
+    for check in (graft, verify_graft_monotonicity, pendant_report_for_site):
         with pytest.raises(GraphError, match=message):
             check(site)
     valid = GraftSite(base=make_base("path", 3), u=0, v=1, k=2, l=1)
@@ -270,11 +269,7 @@ def test_min_sweep_keys_targets_and_minimizers_in_one_batch(monkeypatch):
         calls.append((n, len(rows)))
         return real(n, rows)
 
-    def untouched(*args):
-        raise AssertionError("a graph was keyed alone")
-
     monkeypatch.setattr(verify, "keys_from_masks", many)
-    monkeypatch.setattr(verify, "canonical_key", untouched)
     for sweep in (sweep_min_cut_vertices, sweep_min_cut_edges):
         calls.clear()
         assert len(sweep(7)) == 6
@@ -382,6 +377,16 @@ def test_graft_sweep_reports_golden_bytes(monkeypatch):
         lines += [report_json(r) for r in sweep_pendant(5, 4)]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "1b3d58e4e4ca8c95ca92721e06e794a87af29e4dac8c89b5ab5384ed08c219e1", batch
+
+
+def test_graft_sweep_equal_only_splits_the_full_sweep():
+    # k = l and k > l are the full sweep's reports of each kind, in its order
+    full = sweep_graft(4, 4)
+    equal = [report_json(r) for r in full if r.instance["k"] == r.instance["l"]]
+    unequal = [report_json(r) for r in full if r.instance["k"] > r.instance["l"]]
+    assert len(equal) == len(unequal) == 124
+    assert [report_json(r) for r in sweep_graft(4, 4, equal_only=True)] == equal
+    assert [report_json(r) for r in sweep_graft(4, 4, equal_only=False)] == unequal
 
 
 def test_graft_sweep_builds_names_and_brackets_each_graph_once(monkeypatch):
@@ -551,19 +556,13 @@ def test_sweeps_take_their_radii_as_values(monkeypatch):
 
 
 def test_graft_sweep_keys_only_overlapping_brackets(monkeypatch):
-    # every keyed graph counts, whether keyed alone or in a batch
     calls = []
-    real_one, real_many = verify.canonical_key, verify.keys_from_masks
-
-    def one(g, *args):
-        calls.append(g.masks)
-        return real_one(g, *args)
+    real = verify.keys_from_masks
 
     def many(n, rows):
         calls.extend(rows)
-        return real_many(n, rows)
+        return real(n, rows)
 
-    monkeypatch.setattr(verify, "canonical_key", one)
     monkeypatch.setattr(verify, "keys_from_masks", many)
     reports = sweep_graft(5, 4)
     flags = sum(
