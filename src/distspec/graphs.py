@@ -4,8 +4,8 @@ Simple undirected graphs on vertices 0..n-1, kept immutable so that every
 operation downstream is a pure function of its inputs.  A Graph is its
 adjacency bitmasks and nothing else; its edge set, adjacency lists and
 degrees are views of them.  Algorithms here are the standard linear-time
-ones on those masks (BFS for distances and connectivity, one lowpoint DFS
-for the blocks, from which cut vertices and bridges follow).
+ones on those masks: reach for connectivity, one lowpoint DFS for the
+blocks and the cut counts.  Hop distances come from spectral's hop stack.
 
 A canonical key is the minimal graph6 bit string over the vertex orderings
 that list the 1-WL refinement classes in class order.  Two evaluators give
@@ -93,24 +93,6 @@ def build_graph(n: int, edge_list) -> Graph:
     return Graph(tuple(masks))
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop distances from source; unreachable vertices get -1."""
-    if not 0 <= source < g.n:
-        raise GraphError(f"source vertex {source} is outside 0..{g.n - 1}")
-    dist = [-1] * g.n
-    reached = frontier = 1 << source
-    hop = 0
-    while frontier:
-        nxt = 0
-        for u in _bits(frontier):
-            dist[u] = hop
-            nxt |= g.masks[u]
-        frontier = nxt & ~reached
-        reached |= frontier
-        hop += 1
-    return dist
-
-
 def reach(masks, seed: int, avoid: int = 0) -> int:
     """Bitmask of the vertices that seed reaches through vertices outside the mask avoid."""
     reached = frontier = 1 << seed
@@ -126,28 +108,6 @@ def reach(masks, seed: int, avoid: int = 0) -> int:
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0."""
     return reach(g.masks, 0) == (1 << g.n) - 1
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks (maximal 2-connected subgraphs plus bridges) and cut structure."""
-
-    cut_vertices: frozenset[int]
-    cut_edges: frozenset[tuple[int, int]]
-    blocks: tuple[frozenset[int], ...]
-
-
-def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected decomposition, the blocks in block_masks' completion order.
-
-    Every edge lands in exactly one block; a 2-vertex block is a bridge and
-    a vertex shared by two blocks is a cut vertex.  An isolated vertex
-    (n = 1) forms its own block.
-    """
-    found = block_masks(g.masks)
-    block_sets = tuple(frozenset(_bits(b)) for b in found)
-    cut_es = frozenset((min(bs), max(bs)) for bs in block_sets if len(bs) == 2)
-    return BlockDecomposition(frozenset(_bits(_shared(found))), cut_es, block_sets)
 
 
 def block_masks(masks) -> list[int]:
@@ -195,18 +155,13 @@ def block_masks(masks) -> list[int]:
 
 
 def cut_counts(masks) -> tuple[int, int]:
-    """(cut vertices, cut edges) of a connected graph given by adjacency bitmasks."""
+    """(cut vertices, cut edges) of a connected graph's bitmasks: shared and 2-vertex blocks."""
     found = block_masks(masks)
-    return _shared(found).bit_count(), sum(b.bit_count() == 2 for b in found)
-
-
-def _shared(found: list[int]) -> int:
-    """Bitmask of the vertices in two or more of the blocks: the cut vertices."""
     seen = shared = 0
     for b in found:
         shared |= seen & b
         seen |= b
-    return shared
+    return shared.bit_count(), sum(b.bit_count() == 2 for b in found)
 
 
 def _bits(m: int) -> Iterator[int]:
@@ -219,16 +174,6 @@ def _bits(m: int) -> Iterator[int]:
 def edges_of(masks) -> list[tuple[int, int]]:
     """The edges (i, j), i < j, of adjacency bitmasks, by j and then i."""
     return [(i, j) for j, m in enumerate(masks) for i in _bits(m & ((1 << j) - 1))]
-
-
-def cut_vertices(g: Graph) -> frozenset[int]:
-    """Vertices whose removal disconnects the graph."""
-    return blocks(g).cut_vertices
-
-
-def cut_edges(g: Graph) -> frozenset[tuple[int, int]]:
-    """Bridges: edges whose removal disconnects the graph."""
-    return blocks(g).cut_edges
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,7 @@ def perron(
 ) -> PerronResult:
     """Certified bracket of one matrix: the bracket loop on a stack of one.
 
-    BracketError carries the bracket reached after max_iter steps short of bracket_width.
+    BracketError carries the bracket reached when the vector cycles or max_iter steps end.
     """
     if not bracket_width > 0:
         raise ValueError(f"bracket width must be positive, got {bracket_width}")
@@ -159,8 +159,10 @@ def _bracket_stack(
     Each matrix's first step certifies its top eigenvector from one stacked
     eigh.  While its bracket, the intersection of its steps, is wider than
     bracket_width, power iteration refines the vector; iterations counts
-    the steps.  After max_iter steps BracketError carries the bracket of
-    the first matrix still too wide.
+    the steps.  A refined vector equal to the one saved at the last
+    power-of-two step (Brent, BIT 20, 1980) starts a cycle of brackets
+    already taken: BracketError then carries that matrix's bracket and the
+    steps made, and after max_iter steps the first one still too wide.
     """
     n = d.shape[-1]
     stack = d.reshape(-1, n, n)
@@ -186,8 +188,13 @@ def _bracket_stack(
             todo = todo[upper[todo] - lower[todo] > bracket_width]
             if not todo.size:
                 return out
+        if it & (it - 1) == 0:
+            saved = x.copy()
         y = np.matmul(stack[todo], x[todo][:, :, None])[:, :, 0]
         x[todo] = y / y.max(axis=1, keepdims=True)
+        cycled = todo[(x[todo] == saved[todo]).all(axis=1)]
+        if cycled.size:
+            raise BracketError(float(lower[cycled[0]]), float(upper[cycled[0]]), it)
     raise BracketError(float(lower[todo[0]]), float(upper[todo[0]]), max_iter)
 
 

@@ -7,14 +7,18 @@ constructions keep base vertex labels and append new vertices, so results
 are deterministic and easy to cross-reference.  Each edits the adjacency
 bitmasks of its input and builds the result with Graph(masks), unchecked:
 the inputs are validated up front, and every edit keeps the masks
-symmetric and loop-free.
+symmetric and loop-free.  The relocation witness reads its distances from
+the hop-count matrices of spectral's Floyd-Warshall stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, _bits, bfs_distances, block_masks, is_connected, reach
+import numpy as np
+
+from .graphs import Graph, GraphError, _bits, block_masks, is_connected, reach
+from .spectral import DistanceMatrix, distance_matrices
 
 
 class HypothesisError(ValueError):
@@ -208,7 +212,8 @@ def relocate_edges(spec: RelocationSpec) -> Graph:
     """Delete the u-target edges and add v-target edges.
 
     Validation puts every target in u's neighbourhood and outside v's and
-    c1's, so the moved masks stay symmetric and loop-free, unchecked.
+    c1's, so the moved masks stay symmetric and loop-free, unchecked; uv
+    stays, so u-v-t replaces each moved edge u-t and keeps it connected.
     """
     validate_relocation(spec)
     u, v = spec.u, spec.v
@@ -217,29 +222,40 @@ def relocate_edges(spec: RelocationSpec) -> Graph:
         masks[u] &= ~(1 << t)
         masks[v] |= 1 << t
         masks[t] = masks[t] & ~(1 << u) | 1 << v
-    out = Graph(tuple(masks))
-    if not is_connected(out):
-        raise HypothesisError("component", "relocated graph is not connected")
-    return out
+    return Graph(tuple(masks))
 
 
 def find_witness(spec: RelocationSpec, relocated: Graph | None = None) -> int | None:
     """Smallest vertex outside c1 and u whose distance to every target grows.
 
     Returns None when no vertex qualifies, in which case the strict
-    inequality machinery does not apply to this relocation.
+    inequality machinery does not apply to this relocation.  The distances
+    are g's and the relocated graph's hop-count matrices, as a batch of one.
     """
     if relocated is None:
         relocated = relocate_edges(spec)
-    g = spec.g
-    old = {t: bfs_distances(g, t) for t in spec.targets}
-    new = {t: bfs_distances(relocated, t) for t in spec.targets}
-    for w in range(g.n):
-        if w == spec.u or w in spec.c1:
-            continue
-        if all(old[t][w] < new[t][w] for t in spec.targets):
-            return w
-    return None
+    return _witnesses([spec], distance_matrices([spec.g, relocated]))[0]
+
+
+def _witnesses(specs: list[RelocationSpec], dms: list[DistanceMatrix]) -> list[int | None]:
+    """find_witness of each spec, from dms: the graphs' matrices, then the relocated graphs'.
+
+    One array comparison per order: w qualifies when d_old[t, w] < d_new[t, w]
+    for every target t and w lies outside c1 and u.
+    """
+    found: list[int | None] = [None] * len(specs)
+    for n in {s.g.n for s in specs}:
+        at = [i for i, s in enumerate(specs) if s.g.n == n]
+        target, barred = np.zeros((2, len(at), n), dtype=bool)
+        for row, s in enumerate(specs[i] for i in at):
+            target[row, list(s.targets)] = True
+            barred[row, [s.u, *s.c1]] = True
+        d_old = np.stack([dms[i].d for i in at])
+        d_new = np.stack([dms[len(specs) + i].d for i in at])
+        ok = ((d_old < d_new) | ~target[..., None]).all(axis=-2) & ~barred
+        for i, row in zip(at, ok.tolist()):
+            found[i] = row.index(True) if True in row else None
+    return found
 
 
 def block_clique_closure(g: Graph) -> Graph:

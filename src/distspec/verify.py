@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .enumeration import catalog, connected_graphs
 from .graph6 import encode_rows
-from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, blocks, keys_from_masks
+from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, block_masks, keys_from_masks
 from .jsonio import dumps
 from .spectral import (
     DistanceMatrix,
@@ -50,9 +50,9 @@ from .transforms import (
     RelocationSpec,
     _check_sites,
     _grafted,
+    _witnesses,
     block_clique_closure,
     distance_dominates,
-    find_witness,
     g_nk,
     k_nk,
     relocate_edges,
@@ -279,23 +279,27 @@ def verify_relocation(spec: RelocationSpec, width=None) -> VerificationReport:
 
 
 def _relocation_reports(specs: list[RelocationSpec]) -> list[VerificationReport]:
-    """Relocation reports; every compared pair is bracketed, every graph named, in one batch."""
-    cases = [(s, *_relocated(s)) for s in specs]
-    radius = _radii([g for s, r, _ in cases if r is not None for g in (s.g, r)])
-    names = _names(g.masks for s, r, _ in cases for g in (s.g, r) if g is not None)
-    return [_relocation_report(*c, radius, names) for c in cases]
+    """Relocation reports; each distance matrix built, each reported graph named, once per batch.
 
-
-def _relocated(spec: RelocationSpec):
-    """(relocated graph, witness vertex), or (None, why the claim does not apply)."""
-    try:
-        relocated = relocate_edges(spec)
-    except HypothesisError as exc:
-        return None, {"failed_clause": exc.clause, "detail": str(exc)}
-    w = spec.witness if spec.witness is not None else find_witness(spec, relocated)
-    if w is None:
-        return None, {"failed_clause": "witness", "detail": "no qualifying witness vertex"}
-    return relocated, w
+    The matrices give the open witnesses (_witnesses) and the compared pairs' brackets.
+    """
+    moved: list = []  # the relocated graph, or why the claim does not apply
+    for s in specs:
+        try:
+            moved.append(relocate_edges(s))
+        except HypothesisError as exc:
+            moved.append({"failed_clause": exc.clause, "detail": str(exc)})
+    live = [i for i, r in enumerate(moved) if isinstance(r, Graph)]
+    graphs = [specs[i].g for i in live] + [moved[i] for i in live]
+    dms = distance_matrices(graphs)
+    vertex = dict(zip(live, _witnesses([specs[i] for i in live], dms)))
+    vertex.update((i, specs[i].witness) for i in live if specs[i].witness is not None)
+    paired = [j for j, i in enumerate(live) if vertex[i] is not None]
+    paired += [len(live) + j for j in paired]
+    radius = _radii([graphs[j] for j in paired], [dms[j] for j in paired])
+    names = _names([s.g.masks for s in specs] + [graphs[j].masks for j in paired])
+    cases = enumerate(zip(specs, moved))
+    return [_relocation_report(s, r, vertex.get(i), radius, names) for i, (s, r) in cases]
 
 
 def _relocation_report(spec: RelocationSpec, relocated, w, radius, name) -> VerificationReport:
@@ -305,8 +309,11 @@ def _relocation_report(spec: RelocationSpec, relocated, w, radius, name) -> Veri
         "v": spec.v,
         "targets": list(spec.targets),
     }
-    if relocated is None:
-        outcome, gap, witness = INCONCLUSIVE, None, w
+    if not isinstance(relocated, Graph):
+        outcome, gap, witness = INCONCLUSIVE, None, relocated
+    elif w is None:
+        outcome, gap = INCONCLUSIVE, None
+        witness = {"failed_clause": "witness", "detail": "no qualifying witness vertex"}
     else:
         ro, rn = radius[spec.g.masks], radius[relocated.masks]
         order = certified_compare(ro, rn)
@@ -440,7 +447,7 @@ def _monotonicity_report(
 ) -> VerificationReport:
     dominated = distance_dominates(d_closure, d_g)
     # blocks partition the edges, so this holds iff every block is complete
-    idempotent = sum(len(b) * (len(b) - 1) // 2 for b in blocks(closure).blocks) == closure.m
+    idempotent = closure.m == sum(math.comb(b.bit_count(), 2) for b in block_masks(closure.masks))
     rg = rc = None
     if closure == g:
         relation = "EQUAL"

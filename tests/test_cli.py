@@ -75,6 +75,14 @@ def test_unreachable_bracket_is_an_input_error(capsys, monkeypatch):
     assert err.startswith("error: bracket [4.0, 4.0000001] still wider")
 
 
+def test_cycling_bracket_exits_early(capsys):
+    """A --tol whose power iteration cycles exits 2 at the cycle, with the bracket reached."""
+    code, out, err = run(capsys, ["compute", "--g6", "G{CI?C", "--tol", "2e-14"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bracket [18.80340747096862, 18.803407470968654] still wider")
+
+
 def test_construct_known_families(capsys):
     code, out, _ = run(capsys, ["construct", "--family", "knk", "--n", "4", "--k", "3"])
     assert code == 0

@@ -33,9 +33,9 @@ from distspec.graphs import (
     _ordering_table,
     _refine_many,
     _refinement_classes,
-    blocks,
     build_graph,
     canonical_key,
+    cut_counts,
     edges_of,
     is_connected,
     key_from_masks,
@@ -183,8 +183,7 @@ def test_catalog_keys_and_cut_counts():
         assert level.masks.dtype == np.uint16 and level.masks.shape == (len(graphs), n)
         for g, row, counts, res in zip(graphs, level.masks.tolist(), cuts, radii):
             assert row == masks_of(g)
-            dec = blocks(g)
-            assert counts == (len(dec.cut_vertices), len(dec.cut_edges))
+            assert counts == cut_counts(row)
             if n <= 6:
                 assert counts == brute_force_cut_counts(g)
             assert fields(res) == fields(perron(distance_matrix(g)))
@@ -362,8 +361,6 @@ def test_twin_swaps_are_automorphisms():
 
 def test_mask_cut_counts_match_networkx():
     # every class with n <= 8, from its catalog row alone
-    from distspec.graphs import cut_counts
-
     for n in range(1, 9):
         for row in catalog(n).masks.tolist():
             h = nx.Graph()
@@ -375,19 +372,19 @@ def test_mask_cut_counts_match_networkx():
 
 def test_claim_table_reads_the_mask_array(monkeypatch):
     # the catalog stores its graphs as one uint16 mask array, and the claim
-    # 3/4 sweeps decode no graph6 and run no blocks() on the way to their
-    # reports
+    # 3/4 sweeps decode no graph6 on the way to their reports and count
+    # each class's cuts once, for both claims and every k
     import distspec
     from distspec import graph6, graphs, verify
 
     level = catalog(7)
     assert isinstance(level.masks, np.ndarray)
     assert level.masks.dtype == np.uint16 and level.masks.shape == (853, 7)
-    calls = {"decode_graph6": 0, "blocks": 0}
+    calls = {"decode_graph6": 0, "cut_counts": 0}
     modules = [distspec] + [
         m for m in vars(distspec).values() if getattr(m, "__name__", "").startswith("distspec.")
     ]
-    for name, real in (("decode_graph6", graph6.decode_graph6), ("blocks", graphs.blocks)):
+    for name, real in (("decode_graph6", graph6.decode_graph6), ("cut_counts", graphs.cut_counts)):
 
         def counted(*args, _name=name, _real=real):
             calls[_name] += 1
@@ -402,7 +399,7 @@ def test_claim_table_reads_the_mask_array(monkeypatch):
         assert len(verify.sweep_min_cut_edges(7)) == 6
     finally:
         _level.cache_clear()
-    assert calls == {"decode_graph6": 0, "blocks": 0}
+    assert calls == {"decode_graph6": 0, "cut_counts": 853}
 
 
 def dense_rank(values):

@@ -19,17 +19,16 @@ from distspec.graphs import (
     GraphError,
     _refine_many,
     _refinement_classes,
-    bfs_distances,
-    blocks,
+    block_masks,
     build_graph,
     canonical_key,
-    cut_edges,
-    cut_vertices,
+    cut_counts,
     is_connected,
     key_from_masks,
     keys_from_masks,
     pendant_paths,
 )
+from distspec.spectral import distance_matrix
 
 
 def labeled_connected_graphs(n):
@@ -84,26 +83,35 @@ def test_build_graph_rejects_bad_edges():
         build_graph(0, [])
 
 
-def test_bfs_distances_path_and_disconnected():
+def block_sets(g):
+    """The blocks of g as vertex sets, in block_masks' completion order."""
+    return tuple(frozenset(v for v in range(g.n) if b >> v & 1) for b in block_masks(g.masks))
+
+
+def cut_sets(g):
+    """(cut vertices, cut edges) read off the blocks: a vertex in two of them, a 2-vertex one."""
+    found = block_sets(g)
+    cut_vs = {v for v in range(g.n) if sum(v in b for b in found) > 1}
+    return frozenset(cut_vs), frozenset((min(b), max(b)) for b in found if len(b) == 2)
+
+
+def test_distance_rows_path_and_disconnected():
+    # hop distances are the rows of the distance matrix; a disconnected
+    # graph has none, where a BFS would mark the unreached vertices
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert bfs_distances(g, 0) == [0, 1, 2, 3]
+    assert distance_matrix(g).d[0].tolist() == [0, 1, 2, 3]
     g2 = build_graph(4, [(0, 1), (2, 3)])
-    assert bfs_distances(g2, 0) == [0, 1, -1, -1]
     assert not is_connected(g2)
-
-
-def test_bfs_distances_guards_the_source():
-    p3 = build_graph(3, [(0, 1), (1, 2)])
-    for source in (-1, 3):
-        with pytest.raises(GraphError, match=rf"{source}.*0\.\.2"):
-            bfs_distances(p3, source)
+    with pytest.raises(GraphError, match="not connected"):
+        distance_matrix(g2)
 
 
 def test_cut_structure_against_brute_force():
     """Articulation vertices and bridges agree with removal-based checks."""
     for n in range(2, 6):
         for g in labeled_connected_graphs(n):
-            cv = cut_vertices(g)
+            cv, ce = cut_sets(g)
+            assert cut_counts(g.masks) == (len(cv), len(ce))
             brute_cv = set()
             for v in range(n):
                 keep = [x for x in range(n) if x != v]
@@ -119,7 +127,6 @@ def test_cut_structure_against_brute_force():
                     brute_cv.add(v)
             assert cv == frozenset(brute_cv)
 
-            ce = cut_edges(g)
             brute_ce = set()
             for e in g.edges:
                 sub = build_graph(n, [f for f in g.edges if f != e])
@@ -130,24 +137,20 @@ def test_cut_structure_against_brute_force():
 
 def test_blocks_tree_and_bull():
     tree = build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-    dec = blocks(tree)
-    assert sorted(sorted(b) for b in dec.blocks) == [[0, 1], [1, 2], [1, 3], [3, 4]]
-    assert dec.cut_vertices == frozenset({1, 3})
-    assert dec.cut_edges == tree.edges
+    assert sorted(sorted(b) for b in block_sets(tree)) == [[0, 1], [1, 2], [1, 3], [3, 4]]
+    assert cut_sets(tree) == (frozenset({1, 3}), tree.edges)
 
     bull = build_graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
-    dec = blocks(bull)
-    assert sorted(sorted(b) for b in dec.blocks) == [[0, 1, 2], [1, 3], [2, 4]]
-    assert dec.cut_vertices == frozenset({1, 2})
-    assert dec.cut_edges == frozenset({(1, 3), (2, 4)})
+    assert sorted(sorted(b) for b in block_sets(bull)) == [[0, 1, 2], [1, 3], [2, 4]]
+    assert cut_sets(bull) == (frozenset({1, 2}), frozenset({(1, 3), (2, 4)}))
+    assert cut_counts(bull.masks) == (2, 2)
 
 
 def test_blocks_partition_edges():
     for n in range(2, 6):
         for g in labeled_connected_graphs(n):
-            dec = blocks(g)
             covered = []
-            for b in dec.blocks:
+            for b in block_sets(g):
                 covered.extend(
                     e for e in g.edges if e[0] in b and e[1] in b
                 )
@@ -156,9 +159,9 @@ def test_blocks_partition_edges():
 
 def test_single_vertex_block():
     g = build_graph(1, [])
-    dec = blocks(g)
-    assert tuple(dec.blocks) == (frozenset({0}),)
-    assert dec.cut_vertices == frozenset()
+    assert block_sets(g) == (frozenset({0}),)
+    assert cut_sets(g) == (frozenset(), frozenset())
+    assert cut_counts(g.masks) == (0, 0)
 
 
 def test_pendant_paths_spider():
@@ -361,17 +364,18 @@ def edge_stack_blocks(g):
     """Reference oracle: the biconnected decomposition by an edge-stack DFS.
 
     From vertex 0, neighbours in ascending order; a block's vertices are
-    those of the edges popped when (p, u) closes it, in completion order.
+    those of the edges popped when (p, u) closes it.  Returns the block
+    vertex sets in completion order.
     """
     assert is_connected(g)
     if g.n == 1:
-        return graphs.BlockDecomposition(frozenset(), frozenset(), (frozenset({0}),))
+        return (frozenset({0}),)
     disc = [-1] * g.n
     low = [0] * g.n
     parent = [-1] * g.n
     counter = 0
     estack = []
-    block_sets = []
+    found = []
     stack = [(0, 0)]
     while stack:
         u, i = stack[-1]
@@ -400,31 +404,22 @@ def edge_stack_blocks(g):
                         members |= {a, b}
                         if (a, b) == (p, u):
                             break
-                    block_sets.append(frozenset(members))
-    cuts = {}
-    for bs in block_sets:
-        for v in bs:
-            cuts[v] = cuts.get(v, 0) + 1
-    return graphs.BlockDecomposition(
-        frozenset(v for v, c in cuts.items() if c >= 2),
-        frozenset((min(bs), max(bs)) for bs in block_sets if len(bs) == 2),
-        tuple(block_sets),
-    )
+                    found.append(frozenset(members))
+    return tuple(found)
 
 
 def test_mask_blocks_equal_the_edge_stack_dfs():
-    # field for field and in block order, on every connected graph with
-    # n <= 7 and on its block-clique closure
+    # block for block and in completion order, on every connected graph
+    # with n <= 7 and on its block-clique closure
     from distspec.enumeration import connected_graphs
     from distspec.transforms import block_clique_closure
 
     for n in range(1, 8):
         for g in connected_graphs(n):
             for h in (g, block_clique_closure(g)):
-                dec = blocks(h)
-                assert dec == edge_stack_blocks(h)
-                counts = (len(dec.cut_vertices), len(dec.cut_edges))
-                assert graphs.cut_counts(masks_of(h)) == counts
+                assert block_sets(h) == edge_stack_blocks(h)
+                cv, ce = cut_sets(h)
+                assert cut_counts(masks_of(h)) == (len(cv), len(ce))
 
 
 @st.composite
@@ -442,21 +437,21 @@ def connected_graphs_up_to_16(draw):
 @settings(max_examples=200, deadline=None)
 @given(connected_graphs_up_to_16())
 def test_mask_blocks_equal_the_edge_stack_dfs_random(g):
-    assert blocks(g) == edge_stack_blocks(g)
+    assert block_sets(g) == edge_stack_blocks(g)
+    cv, ce = cut_sets(g)
+    assert cut_counts(g.masks) == (len(cv), len(ce))
 
 
 def test_block_masks_guard_connectivity():
     # a disconnected input raises instead of returning the blocks of one component
     for masks in ([0, 0], [0b010, 0b001, 0], [0b0010, 0b0001, 0b1000, 0b0100]):
         with pytest.raises(GraphError, match="not connected"):
-            graphs.block_masks(masks)
+            block_masks(masks)
         with pytest.raises(GraphError, match="not connected"):
-            graphs.cut_counts(masks)
-    with pytest.raises(GraphError, match="not connected"):
-        blocks(build_graph(4, [(0, 1), (2, 3)]))
-    assert graphs.block_masks([0]) == [1]
-    assert graphs.cut_counts([0]) == (0, 0)
-    assert graphs.cut_counts([0b10, 0b01]) == (0, 1)
+            cut_counts(masks)
+    assert block_masks([0]) == [1]
+    assert cut_counts([0]) == (0, 0)
+    assert cut_counts([0b10, 0b01]) == (0, 1)
 
 
 def test_graph_from_masks_equals_build_graph():

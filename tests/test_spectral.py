@@ -1,6 +1,7 @@
 """Certified radius: closed forms, bracket invariants, dense-solver parity,
 50-digit enclosure, power-iteration refinement, the batched path against a
-one-matrix Python-int reference, and Floyd-Warshall hop counts against BFS."""
+one-matrix Python-int reference, and Floyd-Warshall hop counts against
+networkx's breadth-first search."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from distspec import spectral
 from distspec.enumeration import catalog, connected_graphs
-from distspec.graphs import GraphError, bfs_distances, build_graph
+from distspec.graph6 import decode_graph6
+from distspec.graphs import GraphError, build_graph
 from distspec.spectral import (
     BracketError,
     Relation,
@@ -55,6 +57,15 @@ def encloses(res, lam):
         return mpmath.mpf(res.lower) - slack <= lam <= mpmath.mpf(res.upper) + slack
 
 
+def bfs_rows(g):
+    """Hop counts by networkx's breadth-first search, row s from vertex s."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    rows = dict(nx.all_pairs_shortest_path_length(h))
+    return [[rows[s][w] for w in range(g.n)] for s in range(g.n)]
+
+
 def test_distance_matrix_values():
     p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     dm = distance_matrix(p4)
@@ -69,7 +80,7 @@ def test_distance_matrix_across_the_mask_dtype_boundary(n):
     star = build_graph(n, [(0, i) for i in range(1, n)])
     for g in (path, star):
         d = distance_matrix(g).d
-        assert [d[s].tolist() for s in range(n)] == [bfs_distances(g, s) for s in range(n)]
+        assert d.tolist() == bfs_rows(g)
 
 
 def test_distance_matrices_of_a_mixed_order_batch():
@@ -82,10 +93,6 @@ def test_distance_matrices_of_a_mixed_order_batch():
     for g, dm in zip(graphs[::-1] + graphs, batch):
         assert dm.n == g.n
         assert np.array_equal(dm.d, distance_matrix(g).d)
-
-
-def bfs_rows(g):
-    return [bfs_distances(g, s) for s in range(g.n)]
 
 
 def test_floyd_warshall_matches_bfs_on_every_small_graph():
@@ -341,6 +348,18 @@ def test_unreachable_width_raises_certified_bracket():
     # the message and the bounds carry Python floats, never numpy scalars
     assert type(err.value.lower) is float and type(err.value.upper) is float
     assert "np.float64" not in str(err.value)
+
+
+def test_cycling_vector_raises_within_a_few_steps():
+    # power iteration on this graph's vector repeats bit for bit at step 5,
+    # after which no bracket can narrow: the loop stops there instead of
+    # running MAX_ITER steps, with the bracket those would have ended on
+    dm = distance_matrix(decode_graph6("G{CI?C"))
+    with pytest.raises(BracketError) as err:
+        perron(dm, bracket_width=2e-14)
+    assert err.value.iterations <= 20
+    assert (err.value.lower, err.value.upper) == (18.80340747096862, 18.803407470968654)
+    assert encloses(err.value, mp_radius(dm))
 
 
 def fields(res):

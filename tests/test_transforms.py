@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from distspec.enumeration import connected_graphs
@@ -12,8 +13,7 @@ from distspec.graphs import (
     GraphError,
     build_graph,
     canonical_key,
-    cut_edges,
-    cut_vertices,
+    cut_counts,
     is_connected,
 )
 from distspec.spectral import distance_matrix
@@ -32,6 +32,7 @@ from distspec.transforms import (
     make_relocation_spec,
     relocate_edges,
 )
+from distspec.verify import relocation_specs
 
 
 def test_make_base():
@@ -162,7 +163,7 @@ def test_g_nk_invariants():
         for k in range(0, n - 1):
             g = g_nk(n, k)
             assert g.n == n
-            assert len(cut_vertices(g)) == k
+            assert cut_counts(g.masks)[0] == k
     assert g_nk(5, 0).edges == make_base("complete", 5).edges
     assert canonical_key(g_nk(6, 4)) == canonical_key(make_base("path", 6))
     with pytest.raises(GraphError):
@@ -185,7 +186,7 @@ def test_k_nk_invariants():
         for k in list(range(0, n - 2)) + [n - 1]:
             g = k_nk(n, k)
             assert g.n == n
-            assert len(cut_edges(g)) == k
+            assert cut_counts(g.masks)[1] == k
     assert canonical_key(k_nk(5, 4)) == canonical_key(build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))
     with pytest.raises(GraphError, match="n-2"):
         k_nk(5, 3)
@@ -241,6 +242,39 @@ def test_relocation_no_witness_on_path():
     assert find_witness(spec) is None
 
 
+def to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def articulation_points(g):
+    return set(nx.articulation_points(to_nx(g)))
+
+
+def test_find_witness_matches_networkx_distances():
+    # every spec the relocation sweep makes up to n = 6, against the
+    # smallest qualifying vertex by networkx shortest-path lengths
+    seen = {True: 0, False: 0}
+    for spec in relocation_specs(6):
+        old = dict(nx.all_pairs_shortest_path_length(to_nx(spec.g)))
+        new = dict(nx.all_pairs_shortest_path_length(to_nx(relocate_edges(spec))))
+        brute = next(
+            (
+                w
+                for w in range(spec.g.n)
+                if w != spec.u
+                and w not in spec.c1
+                and all(old[t][w] < new[t][w] for t in spec.targets)
+            ),
+            None,
+        )
+        assert find_witness(spec) == brute, spec
+        seen[brute is None] += 1
+    assert sum(seen.values()) == 643 and min(seen.values()) > 0, seen
+
+
 def test_relocation_preserves_connectivity():
     count = 0
     for n in range(3, 6):
@@ -285,7 +319,7 @@ def test_closure_idempotent_and_cut_preserving():
         for g in connected_graphs(n):
             closed = block_clique_closure(g)
             assert block_clique_closure(closed).edges == closed.edges
-            assert cut_vertices(closed) == cut_vertices(g)
+            assert articulation_points(closed) == articulation_points(g)
             assert distance_dominates(
                 distance_matrix(closed), distance_matrix(g)
             )
