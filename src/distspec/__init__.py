@@ -23,7 +23,6 @@ from .graphs import (
     GraphError,
     PendantPath,
     build_graph,
-    canonical_key,
     is_connected,
     pendant_paths,
 )
@@ -31,7 +30,6 @@ from .jsonio import dumps
 from .spectral import (
     DEFAULT_BRACKET_WIDTH,
     BracketError,
-    DistanceMatrix,
     PerronResult,
     Relation,
     SpectralOrdering,
@@ -51,12 +49,10 @@ from .transforms import (
     block_clique_closure,
     component_without,
     distance_dominates,
-    find_witness,
     g_nk,
     graft,
     k_nk,
     make_base,
-    make_relocation_spec,
     relocate_edges,
     validate_relocation,
 )
@@ -85,7 +81,6 @@ __all__ = [
     "BracketError",
     "DEFAULT_BRACKET_WIDTH",
     "DEFAULT_MAX_N",
-    "DistanceMatrix",
     "ENV_MAX_N",
     "EnumFilter",
     "GraftSite",
@@ -100,7 +95,6 @@ __all__ = [
     "VerificationReport",
     "block_clique_closure",
     "build_graph",
-    "canonical_key",
     "certified_compare",
     "component_without",
     "connected_graphs",
@@ -112,13 +106,11 @@ __all__ = [
     "dumps",
     "encode_graph6",
     "filtered_graphs",
-    "find_witness",
     "g_nk",
     "graft",
     "is_connected",
     "k_nk",
     "make_base",
-    "make_relocation_spec",
     "max_order",
     "pendant_paths",
     "perron",

@@ -25,17 +25,18 @@ child met with a new key is its class's representative, the only row kept.
 Each order is built once into a Level, the catalog of that order: one
 representative per isomorphism class, as the adjacency bitmasks it was
 keyed by, sorted by that key, which lives only inside the build.  The next
-order's parents, the claim table (cut counts and certified radius per
-class) and the cut filters read the masks; no Graph or graph6 string is
-made unless a caller names a graph, and a Graph is then its row's masks,
-Graph(masks), with nothing converted or validated.
+order's parents, the cut table (each class's cut counts, computed once for
+the cut filters and claims 3 and 4) and the radius brackets read the masks;
+no Graph or graph6 string is made unless a caller names a graph, and a
+Graph is then its row's masks, Graph(masks), with nothing converted or
+validated.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -75,14 +76,12 @@ class Level:
     """Catalog of one order: a representative per isomorphism class, in key order.
 
     masks[i] holds class i's adjacency bitmasks (a read-only uint16 array of
-    shape (classes, n), rows sorted by canonical key); analysed() adds the
-    claim table.
+    shape (classes, n), rows sorted by canonical key); cuts and analysed()
+    add the claim table.
     """
 
     masks: np.ndarray
-    _analysed: tuple[list[tuple[int, int]], list[PerronResult]] | None = field(
-        default=None, repr=False
-    )
+    _radii: list[PerronResult] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -91,20 +90,27 @@ class Level:
         """The graphs in key order, one Graph per mask row, built one row at a time."""
         return (Graph(tuple(row.tolist())) for row in self.masks)
 
-    def analysed(self) -> tuple[list[tuple[int, int]], list[PerronResult]]:
-        """Each class's (cut vertices, cut edges) and certified radius, by index.
+    @cached_property
+    def cuts(self) -> np.ndarray:
+        """Each class's (cut vertices, cut edges), by index: a read-only uint8 (classes, 2) array.
 
-        Computed on first use from the mask array, TABLE_CHUNK rows at a time
-        and without a Graph: cut counts from block masks, brackets from one stack.
+        Computed on first use from each row's block masks, without a Graph.
         """
-        if self._analysed is None:
-            cuts, radii = [], []
-            for lo in range(0, len(self), TABLE_CHUNK):
-                chunk = self.masks[lo:lo + TABLE_CHUNK]
-                cuts += map(cut_counts, chunk.tolist())
-                radii += brackets(chunk)
-            self._analysed = cuts, radii
-        return self._analysed
+        counts = map(cut_counts, map(np.ndarray.tolist, self.masks))
+        cuts = np.fromiter(counts, (np.uint8, 2), len(self))
+        cuts.setflags(write=False)
+        return cuts
+
+    def analysed(self) -> tuple[np.ndarray, list[PerronResult]]:
+        """The cut table and each class's certified radius, by index.
+
+        The radii are bracketed on first use from the mask array, TABLE_CHUNK
+        rows to a stack.
+        """
+        if self._radii is None:
+            chunks = range(0, len(self), TABLE_CHUNK)
+            self._radii = [r for lo in chunks for r in brackets(self.masks[lo:lo + TABLE_CHUNK])]
+        return self.cuts, self._radii
 
 
 def twin_classes(masks: Sequence[int]) -> list[list[int]]:
@@ -220,7 +226,10 @@ class EnumFilter:
 
 def filtered_graphs(n: int, filt: EnumFilter) -> Iterator[Graph]:
     """Stream the enumerated graphs matching the filter, order preserved, building only those."""
-    for masks in map(np.ndarray.tolist, catalog(n).masks):
-        cv, ce = cut_counts(masks)
-        if filt.cut_vertex_count in (None, cv) and filt.cut_edge_count in (None, ce):
-            yield Graph(tuple(masks))
+    level = catalog(n)
+    keep = np.ones(len(level), dtype=bool)
+    for column, count in enumerate((filt.cut_vertex_count, filt.cut_edge_count)):
+        if count is not None:
+            keep &= level.cuts[:, column] == count
+    for masks in level.masks[keep].tolist():
+        yield Graph(tuple(masks))

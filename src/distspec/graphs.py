@@ -2,7 +2,7 @@
 
 Simple undirected graphs on vertices 0..n-1, kept immutable so that every
 operation downstream is a pure function of its inputs.  A Graph is its
-adjacency bitmasks and nothing else; its edge set, adjacency lists and
+adjacency bitmasks and nothing else; its edge set, neighbour tuples and
 degrees are views of them.  Algorithms here are the standard linear-time
 ones on those masks: reach for connectivity, one lowpoint DFS for the
 blocks and the cut counts.  Hop distances come from spectral's hop stack.
@@ -51,10 +51,6 @@ class Graph:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(edges_of(self.masks))
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(_bits(m)) for m in self.masks)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -216,24 +212,11 @@ def pendant_paths(g: Graph) -> list[PendantPath]:
     return out
 
 
+# Largest order keys_from_masks batches (its sums are exact up to it), and so
+# the highest enumeration cap.
 MAX_CANONICAL_N = 10
 # Frontier states pack a vertex id into the low 4 bits of an int.
 MAX_KEY_N = 16
-
-
-def canonical_key(g: Graph) -> bytes:
-    """Canonical form: equal keys exactly for isomorphic graphs.
-
-    The key is the lexicographically minimal upper-triangle adjacency bit
-    string (column-major, the graph6 bit order) over all vertex orderings.
-    The search keeps a frontier of partial orderings tied on the minimal
-    prefix, deduplicated by (remaining vertices, adjacency columns already
-    fixed), which keeps it exact while pruning hard enough for n <= 10.
-    """
-    n = g.n
-    if n > MAX_CANONICAL_N:
-        raise GraphError(f"canonical_key supports n <= {MAX_CANONICAL_N}, got {n}")
-    return key_from_masks(n, g.masks)
 
 
 def _refinement_classes(n: int, masks) -> list[int]:

@@ -25,17 +25,16 @@ One loop brackets a stack of same-order matrices: one stacked eigh, the
 step, and, for a matrix still wider than requested, power iteration with
 every refined vector certified the same way.  perron() runs it on one
 matrix, perron_many() on each order's distinct graphs of a batch, and
-brackets() on a catalog's adjacency bitmask rows; only the one-graph
-perron_of() keeps radii, in a small bounded cache.  A matrix gets the same
-bits in any stack: the stacked eigh makes the same LAPACK call on each
-matrix, and the step is exact.
+brackets() on a catalog's adjacency bitmask rows; none keeps a radius.  A
+hop matrix is a plain read-only int64 array, its order its last axis.  A
+matrix gets the same bits in any stack: the stacked eigh makes the same
+LAPACK call on each matrix, and the step is exact.
 Comparisons are made only between disjoint brackets; overlapping brackets
 are reported as indistinguishable instead of being resolved by an epsilon.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -65,26 +64,18 @@ class BracketError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Symmetric matrix of shortest-path hop counts of a connected graph."""
-
-    n: int
-    d: np.ndarray
-
-
-def distance_matrices(graphs: Sequence[Graph]) -> list[DistanceMatrix]:
-    """Distance matrices of many graphs, built once each as one stack per order.
+def distance_matrices(graphs: Sequence[Graph]) -> list[np.ndarray]:
+    """Hop-count matrices of many graphs: read-only int64 rows of one stack per order.
 
     Raises GraphError if any of the graphs is disconnected.
     """
     built = {}
-    for n, gs in _by_order(dict.fromkeys(graphs)).items():
-        built.update(zip(gs, (DistanceMatrix(n, d) for d in _hop_stack(gs))))
+    for gs in _by_order(dict.fromkeys(graphs)).values():
+        built.update(zip(gs, _hop_stack(gs)))
     return [built[g] for g in graphs]
 
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
+def distance_matrix(g: Graph) -> np.ndarray:
     """Hop-count matrix of one graph; raises on a disconnected graph."""
     return distance_matrices([g])[0]
 
@@ -140,15 +131,15 @@ class PerronResult:
 
 
 def perron(
-    dm: DistanceMatrix, bracket_width: float = DEFAULT_BRACKET_WIDTH, max_iter: int = MAX_ITER
+    d: np.ndarray, bracket_width: float = DEFAULT_BRACKET_WIDTH, max_iter: int = MAX_ITER
 ) -> PerronResult:
-    """Certified bracket of one matrix: the bracket loop on a stack of one.
+    """Certified bracket of one hop matrix d: the bracket loop on a stack of one.
 
     BracketError carries the bracket reached when the vector cycles or max_iter steps end.
     """
     if not bracket_width > 0:
         raise ValueError(f"bracket width must be positive, got {bracket_width}")
-    return _bracket_stack(dm.d, bracket_width, max_iter)[0]
+    return _bracket_stack(d, bracket_width, max_iter)[0]
 
 
 def _bracket_stack(
@@ -249,28 +240,13 @@ def _ulps(x: np.ndarray, toward: float) -> np.ndarray:
     return np.nextafter(np.nextafter(x, toward), toward)
 
 
-@functools.lru_cache(maxsize=128)
-def _perron_at_default(g: Graph) -> PerronResult:
-    return perron_many([g])[0]
-
-
 def perron_of(g: Graph, bracket_width: float = DEFAULT_BRACKET_WIDTH) -> PerronResult:
-    """Certified radius of one graph's distance matrix.
-
-    The default width is served by a bounded lru_cache, whose cache_info()
-    and cache_clear() perron_of exposes; any other width by perron(), uncached.
-    """
-    if bracket_width != DEFAULT_BRACKET_WIDTH:
-        return perron(distance_matrix(g), bracket_width=bracket_width)
-    return _perron_at_default(g)
-
-
-perron_of.cache_info = _perron_at_default.cache_info
-perron_of.cache_clear = _perron_at_default.cache_clear
+    """Certified radius of one graph's distance matrix, kept nowhere after the call."""
+    return perron(distance_matrix(g), bracket_width)
 
 
 def perron_many(
-    graphs: Iterable[Graph], dms: Sequence[DistanceMatrix] | None = None
+    graphs: Iterable[Graph], dms: Sequence[np.ndarray] | None = None
 ) -> list[PerronResult]:
     """Default-width brackets of many graphs, kept nowhere after the call.
 
@@ -281,7 +257,7 @@ def perron_many(
     given = None if dms is None else dict(zip(graphs, dms))
     radius: dict[Graph, PerronResult] = {}
     for gs in _by_order(dict.fromkeys(graphs)).values():
-        d = _hop_stack(gs) if given is None else np.stack([given[g].d for g in gs])
+        d = _hop_stack(gs) if given is None else np.stack([given[g] for g in gs])
         radius.update(zip(gs, _bracket_stack(d)))
     return [radius[g] for g in graphs]
 
@@ -298,18 +274,17 @@ def _by_order(graphs: Iterable[Graph]) -> dict[int, list[Graph]]:
     return by_order
 
 
-def quadratic_form_delta(
-    d_old: DistanceMatrix, d_new: DistanceMatrix, x: np.ndarray
-) -> float:
+def quadratic_form_delta(d_old: np.ndarray, d_new: np.ndarray, x: np.ndarray) -> float:
     """x.(D_new - D_old).x for a unit vector x on a shared vertex set."""
-    if d_old.n != d_new.n:
-        raise ValueError(f"orders differ: {d_old.n} vs {d_new.n}")
+    n = d_old.shape[-1]
+    if n != d_new.shape[-1]:
+        raise ValueError(f"orders differ: {n} vs {d_new.shape[-1]}")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (d_old.n,):
-        raise ValueError(f"vector length {x.shape} does not match order {d_old.n}")
+    if x.shape != (n,):
+        raise ValueError(f"vector length {x.shape} does not match order {n}")
     if abs(float(np.linalg.norm(x)) - 1.0) > 1e-8:
         raise ValueError("vector must have unit 2-norm")
-    delta = d_new.d.astype(np.float64) - d_old.d.astype(np.float64)
+    delta = d_new.astype(np.float64) - d_old.astype(np.float64)
     return float(x @ (delta @ x))
 
 

@@ -7,8 +7,9 @@ constructions keep base vertex labels and append new vertices, so results
 are deterministic and easy to cross-reference.  Each edits the adjacency
 bitmasks of its input and builds the result with Graph(masks), unchecked:
 the inputs are validated up front, and every edit keeps the masks
-symmetric and loop-free.  The relocation witness reads its distances from
-the hop-count matrices of spectral's Floyd-Warshall stack.
+symmetric and loop-free.  A relocation is a RelocationSpec checked by
+validate_relocation; its witness is read from the hop matrices of
+spectral's Floyd-Warshall stack, a batch of relocations at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, GraphError, _bits, block_masks, is_connected, reach
-from .spectral import DistanceMatrix, distance_matrices
 
 
 class HypothesisError(ValueError):
@@ -157,22 +157,6 @@ def component_without(g: Graph, removed: int, seed: int) -> frozenset[int]:
     return frozenset(_bits(reach(g.masks, seed, 1 << removed)))
 
 
-def make_relocation_spec(
-    g: Graph, u: int, v: int, targets, witness: int | None = None
-) -> RelocationSpec:
-    """Assemble and validate a relocation; raises HypothesisError on failure."""
-    spec = RelocationSpec(
-        g=g,
-        u=u,
-        v=v,
-        c1=component_without(g, u, v) if g.has_edge(u, v) else frozenset(),
-        targets=tuple(sorted(set(targets))),
-        witness=witness,
-    )
-    validate_relocation(spec)
-    return spec
-
-
 def validate_relocation(spec: RelocationSpec) -> None:
     """Check every hypothesis of the relocation move, naming the failed clause."""
     g, u, v = spec.g, spec.u, spec.v
@@ -225,23 +209,13 @@ def relocate_edges(spec: RelocationSpec) -> Graph:
     return Graph(tuple(masks))
 
 
-def find_witness(spec: RelocationSpec, relocated: Graph | None = None) -> int | None:
-    """Smallest vertex outside c1 and u whose distance to every target grows.
+def _witnesses(specs: list[RelocationSpec], dms: list[np.ndarray]) -> list[int | None]:
+    """Each spec's smallest vertex outside c1 and u whose distance to every target grows.
 
-    Returns None when no vertex qualifies, in which case the strict
-    inequality machinery does not apply to this relocation.  The distances
-    are g's and the relocated graph's hop-count matrices, as a batch of one.
-    """
-    if relocated is None:
-        relocated = relocate_edges(spec)
-    return _witnesses([spec], distance_matrices([spec.g, relocated]))[0]
-
-
-def _witnesses(specs: list[RelocationSpec], dms: list[DistanceMatrix]) -> list[int | None]:
-    """find_witness of each spec, from dms: the graphs' matrices, then the relocated graphs'.
-
-    One array comparison per order: w qualifies when d_old[t, w] < d_new[t, w]
-    for every target t and w lies outside c1 and u.
+    dms holds the graphs' hop matrices, then the relocated graphs'.  One
+    array comparison per order: w qualifies when d_old[t, w] < d_new[t, w]
+    for every target t.  None when no vertex qualifies: the strict
+    inequality machinery then does not apply to that relocation.
     """
     found: list[int | None] = [None] * len(specs)
     for n in {s.g.n for s in specs}:
@@ -250,8 +224,8 @@ def _witnesses(specs: list[RelocationSpec], dms: list[DistanceMatrix]) -> list[i
         for row, s in enumerate(specs[i] for i in at):
             target[row, list(s.targets)] = True
             barred[row, [s.u, *s.c1]] = True
-        d_old = np.stack([dms[i].d for i in at])
-        d_new = np.stack([dms[len(specs) + i].d for i in at])
+        d_old = np.stack([dms[i] for i in at])
+        d_new = np.stack([dms[len(specs) + i] for i in at])
         ok = ((d_old < d_new) | ~target[..., None]).all(axis=-2) & ~barred
         for i, row in zip(at, ok.tolist()):
             found[i] = row.index(True) if True in row else None
@@ -273,8 +247,8 @@ def block_clique_closure(g: Graph) -> Graph:
     return Graph(tuple(masks))
 
 
-def distance_dominates(small, big) -> bool:
-    """True when small's distances are entrywise <= big's (same order)."""
-    if small.n != big.n:
-        raise ValueError(f"orders differ: {small.n} vs {big.n}")
-    return bool((small.d <= big.d).all())
+def distance_dominates(small: np.ndarray, big: np.ndarray) -> bool:
+    """True when the hop matrix small is entrywise <= big (same order)."""
+    if small.shape[-1] != big.shape[-1]:
+        raise ValueError(f"orders differ: {small.shape[-1]} vs {big.shape[-1]}")
+    return bool((small <= big).all())

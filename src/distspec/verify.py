@@ -8,17 +8,18 @@ brackets that overlap, yield INCONCLUSIVE; that marks the claim as untested
 here, never as falsified.
 
 Every radius is a default-width bracket, a few ulps wide.  Claims 3 and 4
-read theirs from the order's catalog table (enumeration.Level.analysed).
-Every other claim has one internal function that reports on a batch of
-instances: it builds their graphs once and has their radii bracketed
-together by spectral.perron_many (from the distance matrices when the claim
-needs them anyway), and its reports take those radii as values; names
-travel the same way, from one encode_rows call per batch.  Graft reports
-also key each distinct graph once.  A single verifier call is a batch of
-one; sweeps run serially, in runs of at most SWEEP_BATCH consecutive
-instances that may span bases and orders.  One driver, _batches, yields
-each run's reports as they are made: the public sweep_* return them as one
-list, the CLI writes each run and drops it.
+read theirs, and the cut counts that pick each class, from the order's
+catalog (enumeration.Level.analysed).  Every other claim has one internal
+function that reports on a batch of instances: it builds their graphs once
+and has their radii bracketed together by spectral.perron_many (from the
+hop matrices when the claim needs them anyway), and its reports take those
+radii as values, which no call keeps; names travel the same way, from one
+encode_rows call per batch.  Graft reports also key each distinct graph
+once.  A single verifier call is a batch of one; sweeps run serially, in
+runs of at most SWEEP_BATCH consecutive instances that may span bases and
+orders.  One driver, _batches, yields each run's reports as they are made:
+the public sweep_* return them as one list, the CLI writes each run and
+drops it.
 The width and jobs parameters are deprecated and ignored.
 """
 
@@ -29,12 +30,13 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Iterator
 
+import numpy as np
+
 from .enumeration import catalog, connected_graphs
 from .graph6 import encode_rows
 from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, block_masks, keys_from_masks
 from .jsonio import dumps
 from .spectral import (
-    DistanceMatrix,
     PerronResult,
     Relation,
     _by_order,
@@ -379,8 +381,8 @@ def _bound_reports(pairs: list[tuple[Graph, Graph]], tol: float) -> list[Verific
 def _bound_report(
     g_old: Graph,
     g_new: Graph,
-    d_old: DistanceMatrix,
-    d_new: DistanceMatrix,
+    d_old: np.ndarray,
+    d_new: np.ndarray,
     radius: dict,
     name: dict,
     tol: float,
@@ -443,7 +445,7 @@ def _monotonicity_reports(graphs: list[Graph]) -> list[VerificationReport]:
 
 
 def _monotonicity_report(
-    g: Graph, closure: Graph, d_g: DistanceMatrix, d_closure: DistanceMatrix, radius, name
+    g: Graph, closure: Graph, d_g: np.ndarray, d_closure: np.ndarray, radius, name
 ) -> VerificationReport:
     dominated = distance_dominates(d_closure, d_g)
     # blocks partition the edges, so this holds iff every block is complete
@@ -482,7 +484,7 @@ def _monotonicity_report(
 # edges, are the unique radius minimizers at desk scale.
 
 
-# theorem -> (index of its count in a Level's cut counts, target family, noun)
+# theorem -> (column of its count in a Level's cut table, target family, noun)
 _MIN_CLAIMS = {
     "min-cut-vertices": (0, g_nk, "vertices"),
     "min-cut-edges": (1, k_nk, "edges"),
@@ -492,8 +494,8 @@ _MIN_CLAIMS = {
 def _min_reports(theorem: str, n: int, ks: list[int]) -> Iterator[VerificationReport]:
     """Certify the claim's target as the unique minimizer of its class, for each k.
 
-    Members' cut counts and brackets are read from the catalog table by
-    index; the targets and minimizers are keyed in one batch, and the
+    Members' cut counts and brackets are read from the catalog by index;
+    the targets and minimizers are keyed in one batch, and the
     graphs the reports name are encoded from their rows in another.
     """
     which, target_of, noun = _MIN_CLAIMS[theorem]
@@ -502,7 +504,7 @@ def _min_reports(theorem: str, n: int, ks: list[int]) -> Iterator[VerificationRe
     cuts, radii = level.analysed()
     ranked = []
     for k in ks:
-        picked = [i for i, c in enumerate(cuts) if c[which] == k]
+        picked = np.flatnonzero(cuts[:, which] == k).tolist()
         if not picked:
             raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
         ranked.append(sorted(picked, key=lambda i: radii[i].value))  # stable: ties keep key order
@@ -709,8 +711,8 @@ def _monotonicity_batches(max_n: int):
 
 def _min_batches(theorem: str, n: int):
     """One batch: a report per k, ascending, that some class of the order's catalog has."""
-    which = _MIN_CLAIMS[theorem][0]
-    ks = sorted({c[which] for c in catalog(n).analysed()[0]})
+    # the counts present, ascending; np.unique would import numpy.ma (0.8 MB)
+    ks = np.flatnonzero(np.bincount(catalog(n).cuts[:, _MIN_CLAIMS[theorem][0]])).tolist()
     return _batches([ks], lambda batch: list(_min_reports(theorem, n, batch[0])))
 
 

@@ -19,7 +19,7 @@ import networkx as nx
 from distspec.enumeration import connected_graphs
 from distspec.graphs import build_graph
 from distspec.spectral import perron_of
-from distspec.transforms import make_base, make_relocation_spec
+from distspec.transforms import RelocationSpec, make_base
 from distspec.verify import (
     report_json,
     sweep_graft,
@@ -161,7 +161,7 @@ def test_criterion_05_graft_shift_sweep():
 def test_criterion_06_relocation_sweep():
     t0 = time.monotonic()
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    gap_report = verify_relocation(make_relocation_spec(star, 0, 1, (2,)))
+    gap_report = verify_relocation(RelocationSpec(star, 0, 1, frozenset({1}), (2,)))
     expected_gap = math.sqrt(10) - math.sqrt(7)
     gap_ok = (
         gap_report.outcome == "PASS"

@@ -12,12 +12,12 @@ import tracemalloc
 
 import pytest
 
-from distspec import cli, spectral, verify
+from distspec import cli, verify
 from distspec.cli import main
 from distspec.graph6 import decode_graph6
 from distspec.graphs import GraphError
-from distspec.spectral import DEFAULT_BRACKET_WIDTH, BracketError
-from distspec.transforms import GraftSite, graft, make_base, make_relocation_spec
+from distspec.spectral import BracketError
+from distspec.transforms import GraftSite, RelocationSpec, graft, make_base
 from distspec.verify import report_json
 
 
@@ -235,7 +235,7 @@ def test_repeated_runs_identical(capsys):
 
 # theorem -> (verify arguments of one instance, the in-process verifier's report)
 K3_SITE = GraftSite(base=decode_graph6("Bw"), u=0, v=1, k=2, l=1)
-DROPPING = make_relocation_spec(decode_graph6("Es`_"), 0, 3, (1,))  # the radius drops: FAIL
+DROPPING = RelocationSpec(decode_graph6("Es`_"), 0, 3, frozenset({3}), (1,))  # radius drops: FAIL
 VERIFIES = {
     "1": (["--base", "Bw", "--u", "0", "--v", "1", "--k", "2", "--l", "1"],
           lambda: verify.verify_graft_monotonicity(K3_SITE)),
@@ -373,23 +373,6 @@ def test_sweep_error_after_the_first_batch_leaves_a_truncated_array(capsys, monk
     assert out and full.startswith(out) and out != full
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
-
-
-def test_cli_sweeps_leave_perron_of_within_its_bound(monkeypatch):
-    # the four sweeps the benchmark runs, in one process: radii travel as
-    # values, so perron_of's cache holds at most its bound afterwards
-    monkeypatch.setattr(sys, "stdout", Discard())
-    for argv, code in (
-        (["sweep", "--theorem", "1", "--max-base-n", "5", "--jobs", "2"], 1),
-        (["sweep", "--theorem", "2", "--jobs", "2"], 1),
-        (["sweep", "--theorem", "bound", "--jobs", "2"], 0),
-        (["sweep", "--theorem", "mono", "--max-n", "7", "--jobs", "2"], 0),
-    ):
-        assert main(argv) == code
-    info = spectral.perron_of.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-    g = make_base("cycle", 5)
-    assert spectral.perron_of(g) is spectral.perron_of(g, DEFAULT_BRACKET_WIDTH)
 
 
 def test_in_process_main_leaves_the_heap_unfrozen(capsys):

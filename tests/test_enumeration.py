@@ -34,7 +34,6 @@ from distspec.graphs import (
     _refine_many,
     _refinement_classes,
     build_graph,
-    canonical_key,
     cut_counts,
     edges_of,
     is_connected,
@@ -78,7 +77,7 @@ def test_frozen_counts():
 def test_enumerated_graphs_are_valid_and_sorted():
     for n in range(1, 7):
         graphs = list(connected_graphs(n))
-        keys = [canonical_key(g) for g in graphs]
+        keys = [key_from_masks(n, g.masks) for g in graphs]
         assert all(g.n == n for g in graphs)
         assert all(is_connected(g) for g in graphs)
         assert keys == sorted(keys)
@@ -175,18 +174,61 @@ def test_catalog_keys_and_cut_counts():
         level = catalog(n)
         assert len(_level(n)) == count_connected(n) == len(level.masks)
         graphs = list(level.graphs())
-        keys = [canonical_key(g) for g in graphs]
+        keys = [key_from_masks(n, g.masks) for g in graphs]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         cuts, radii = level.analysed()
         assert graphs == list(connected_graphs(n))
         assert len(cuts) == len(radii) == len(graphs)
         assert level.masks.dtype == np.uint16 and level.masks.shape == (len(graphs), n)
-        for g, row, counts, res in zip(graphs, level.masks.tolist(), cuts, radii):
+        rows = level.masks.tolist()
+        for g, row, counts, res in zip(graphs, rows, map(tuple, cuts.tolist()), radii):
             assert row == masks_of(g)
             assert counts == cut_counts(row)
             if n <= 6:
                 assert counts == brute_force_cut_counts(g)
             assert fields(res) == fields(perron(distance_matrix(g)))
+
+
+def test_cut_table_is_one_read_only_array_per_order(monkeypatch):
+    # the cut filters and the claim table read one (classes, 2) uint8 array,
+    # built once per order and without a bracket
+    def unbracketed(*args):
+        raise AssertionError("the cut table bracketed a graph")
+
+    for n in range(1, 9):
+        level = Level(catalog(n).masks)
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "brackets", unbracketed)
+            cuts = level.cuts
+        assert cuts.dtype == np.uint8 and cuts.shape == (len(level), 2)
+        assert not cuts.flags.writeable
+        assert cuts.tolist() == [list(cut_counts(row)) for row in level.masks.tolist()]
+        assert level.cuts is cuts
+    assert level.analysed()[0] is cuts
+
+
+def test_filtered_graphs_match_a_per_row_filter(monkeypatch):
+    def unbracketed(*args):
+        raise AssertionError("the cut filters bracketed a graph")
+
+    monkeypatch.setattr(enumeration, "brackets", unbracketed)
+    for n in range(1, 8):
+        rows = catalog(n).masks.tolist()
+        for k in range(-1, n + 1):
+            for filt in (
+                EnumFilter(cut_vertex_count=k),
+                EnumFilter(cut_edge_count=k),
+                EnumFilter(cut_vertex_count=k, cut_edge_count=k),
+                EnumFilter(cut_vertex_count=k, cut_edge_count=n - 1 - k),
+            ):
+                want = [
+                    Graph(tuple(row))
+                    for row in rows
+                    if filt.cut_vertex_count in (None, cut_counts(row)[0])
+                    and filt.cut_edge_count in (None, cut_counts(row)[1])
+                ]
+                assert list(filtered_graphs(n, filt)) == want, (n, filt)
+        assert list(filtered_graphs(n, EnumFilter())) == list(connected_graphs(n))
 
 
 def test_cache_clear_drops_the_catalog():
@@ -206,7 +248,7 @@ def test_catalog_golden_bytes():
     h = hashlib.sha256()
     for n in range(1, 8):
         for g in _level(n).graphs():
-            h.update(canonical_key(g) + b"\0" + encode_graph6(g).encode() + b"\n")
+            h.update(key_from_masks(n, g.masks) + b"\0" + encode_graph6(g).encode() + b"\n")
         h.update(b"--\n")
     assert h.hexdigest() == "e6046a39ae7c3a353fe99b891a9c27e5fefdd44f7060b4be530e572457915828"
 

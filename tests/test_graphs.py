@@ -21,7 +21,6 @@ from distspec.graphs import (
     _refinement_classes,
     block_masks,
     build_graph,
-    canonical_key,
     cut_counts,
     is_connected,
     key_from_masks,
@@ -57,7 +56,7 @@ def test_build_graph_basic():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert g.n == 4
     assert g.m == 3
-    assert g.adjacency[1] == (0, 2)
+    assert g.neighbors(1) == (0, 2)
     assert g.degrees == (1, 2, 2, 1)
     assert g.has_edge(2, 1)
     assert not g.has_edge(0, 3)
@@ -99,7 +98,7 @@ def test_distance_rows_path_and_disconnected():
     # hop distances are the rows of the distance matrix; a disconnected
     # graph has none, where a BFS would mark the unreached vertices
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert distance_matrix(g).d[0].tolist() == [0, 1, 2, 3]
+    assert distance_matrix(g)[0].tolist() == [0, 1, 2, 3]
     g2 = build_graph(4, [(0, 1), (2, 3)])
     assert not is_connected(g2)
     with pytest.raises(GraphError, match="not connected"):
@@ -200,17 +199,17 @@ def test_canonical_key_relabel_invariant():
                 if (a, b) not in edges and rng.random() < 0.3
             ]
             g = build_graph(n, sorted(edges) + extra)
-            key = canonical_key(g)
+            key = key_from_masks(n, g.masks)
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canonical_key(relabelled(g, perm)) == key
+            assert key_from_masks(n, relabelled(g, perm).masks) == key
 
 
 def test_canonical_key_separates_nonisomorphic():
     """Equal keys exactly when networkx finds an isomorphism (n = 4, 5)."""
     for n in (4, 5):
         graphs = list(labeled_connected_graphs(n))
-        keys = [canonical_key(g) for g in graphs]
+        keys = [key_from_masks(n, g.masks) for g in graphs]
         nxg = [to_nx(g) for g in graphs]
         rng = random.Random(7)
         idx = list(range(len(graphs)))
@@ -220,12 +219,6 @@ def test_canonical_key_separates_nonisomorphic():
         }
         for a, b in sorted(pairs):
             assert (keys[a] == keys[b]) == nx.is_isomorphic(nxg[a], nxg[b])
-
-
-def test_canonical_key_order_cap():
-    g = build_graph(11, [(i, i + 1) for i in range(10)])
-    with pytest.raises(GraphError, match="supports n"):
-        canonical_key(g)
 
 
 def path_masks(n):
@@ -382,9 +375,9 @@ def edge_stack_blocks(g):
         if i == 0:
             disc[u] = low[u] = counter
             counter += 1
-        if i < len(g.adjacency[u]):
+        if i < len(g.neighbors(u)):
             stack[-1] = (u, i + 1)
-            w = g.adjacency[u][i]
+            w = g.neighbors(u)[i]
             if disc[w] < 0:
                 parent[w] = u
                 estack.append((u, w))

@@ -46,7 +46,7 @@ def eig_radius(g):
 def mp_radius(dm):
     """Largest eigenvalue of the distance matrix to 50 digits."""
     with mpmath.workdps(50):
-        return max(mpmath.eigsy(mpmath.matrix(dm.d.tolist()), eigvals_only=True))
+        return max(mpmath.eigsy(mpmath.matrix(dm.tolist()), eigvals_only=True))
 
 
 def encloses(res, lam):
@@ -70,7 +70,7 @@ def test_distance_matrix_values():
     p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     dm = distance_matrix(p4)
     expected = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]
-    assert dm.d.tolist() == expected
+    assert dm.tolist() == expected
 
 
 @pytest.mark.parametrize("n", [62, 63, 64, 65])
@@ -79,7 +79,7 @@ def test_distance_matrix_across_the_mask_dtype_boundary(n):
     path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
     star = build_graph(n, [(0, i) for i in range(1, n)])
     for g in (path, star):
-        d = distance_matrix(g).d
+        d = distance_matrix(g)
         assert d.tolist() == bfs_rows(g)
 
 
@@ -91,16 +91,16 @@ def test_distance_matrices_of_a_mixed_order_batch():
     ]
     batch = distance_matrices(graphs[::-1] + graphs)
     for g, dm in zip(graphs[::-1] + graphs, batch):
-        assert dm.n == g.n
-        assert np.array_equal(dm.d, distance_matrix(g).d)
+        assert dm.shape == (g.n, g.n)
+        assert np.array_equal(dm, distance_matrix(g))
 
 
 def test_floyd_warshall_matches_bfs_on_every_small_graph():
     for n in range(1, 8):
         graphs = list(connected_graphs(n))
         for g, dm in zip(graphs, distance_matrices(graphs)):
-            assert dm.d.dtype == np.int64 and not dm.d.flags.writeable
-            assert dm.d.tolist() == bfs_rows(g), g.edges
+            assert dm.dtype == np.int64 and not dm.flags.writeable
+            assert dm.tolist() == bfs_rows(g), g.edges
 
 
 @st.composite
@@ -123,7 +123,20 @@ def same_order_connected_graphs(draw):
 @given(same_order_connected_graphs())
 def test_floyd_warshall_matches_bfs_up_to_order_70(graphs):
     for g, dm in zip(graphs, distance_matrices(graphs)):
-        assert dm.d.tolist() == bfs_rows(g)
+        assert dm.tolist() == bfs_rows(g)
+
+
+def test_distance_matrices_are_read_only_rows_of_the_hop_stack():
+    graphs = list(connected_graphs(6))
+    stack = spectral._hop_counts(spectral._adjacency(catalog(6).masks.astype(np.int64)))
+    dms = distance_matrices(graphs)
+    for d, ref in zip(dms, stack):
+        assert type(d) is np.ndarray and d.dtype == np.int64 and d.shape == (6, 6)
+        assert np.array_equal(d, ref)
+    with pytest.raises(ValueError, match="read-only"):
+        dms[0][0, 1] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        distance_matrix(graphs[0])[0, 1] = 5
 
 
 def test_distance_matrix_requires_connected():
@@ -157,7 +170,7 @@ def test_bracket_and_residual_invariants():
             # ops, so allow a few ulp around the certified bracket
             slack = 8 * np.spacing(max(res.value, 1.0))
             x = res.vector
-            rq = float(x @ (dm.d @ x)) / float(x @ x)
+            rq = float(x @ (dm @ x)) / float(x @ x)
             assert res.lower - slack <= rq <= res.upper + slack
             assert res.residual <= 1e-9 * max(res.value, 1.0)
             assert res.vector.min() > 0
@@ -178,32 +191,11 @@ def test_single_vertex():
     assert res.vector.tolist() == [1.0]
 
 
-def test_perron_of_caches():
-    # at the default width a miss is a batch of one for perron_many, and a
-    # hit returns the cached object; the cache is bounded and evicts the
-    # least recently used graph
-    perron_of.cache_clear()
-    g = make_base("cycle", 6)
-    res = perron_of(g, 1e-10)
-    size = perron_of.cache_info().maxsize
-    assert isinstance(size, int) and perron_of.cache_info() == (0, 1, size, 1)
-    assert fields(perron_many([g])[0]) == fields(res)
-    assert perron_of(g) is res
-    assert perron_of.cache_info() == (1, 1, size, 1)
-    for h in [h for n in (5, 6, 7) for h in connected_graphs(n)][:size]:
-        perron_of(h)
-    assert perron_of.cache_info().currsize == size
-    assert perron_of(g) is not res
-    perron_of.cache_clear()
-
-
 def test_perron_of_other_width_is_computed_not_cached():
-    perron_of.cache_clear()
     g = make_base("path", 7)
     res = perron_of(g, 1e-4)
     assert fields(res) == fields(perron(distance_matrix(g), bracket_width=1e-4))
     assert perron_of(g, 1e-4) is not res
-    assert perron_of.cache_info() == (0, 0, perron_of.cache_info().maxsize, 0)
 
 
 def test_bracket_width_request():
@@ -316,7 +308,7 @@ def test_refinement_on_sign_mixed_eigenvector(monkeypatch):
     for g in connected_graphs(5):
         dm = distance_matrix(g)
         res = perron(dm)
-        if len(set(dm.d.sum(axis=1).tolist())) > 1:
+        if len(set(dm.sum(axis=1).tolist())) > 1:
             assert res.iterations > 1
             refined += 1
         assert res.width <= 1e-10
@@ -430,7 +422,6 @@ def oracle_graphs():
 def test_perron_many_matches_scalar_path_exactly():
     # the array step (float ratios, exact division only near a row's extremes,
     # limb sums) gives the reference's bits on every entry point
-    perron_of.cache_clear()
     graphs = oracle_graphs()
     assert len(graphs) == 20811
     ref = reference_by_graph(graphs)
@@ -451,7 +442,7 @@ def test_exact_division_settles_ratios_one_float_apart(monkeypatch):
     # the float max (vertex 5) rounds exactly to one ulp below the true max
     # (vertex 3), so the candidate window must hold both
     c6 = make_base("cycle", 6)
-    d6 = distance_matrix(c6).d
+    d6 = distance_matrix(c6)
     xs = [2**50 - e for e in (0, 3, 6, 8, 1, 9)]
     ys = [sum(map(operator.mul, row, xs)) for row in d6.tolist()]
     floats = [float(y) / x for y, x in zip(ys, xs)]
@@ -477,21 +468,22 @@ def test_exact_division_settles_ratios_one_float_apart(monkeypatch):
     assert fields(perron(distance_matrix(c6))) == ref[0]
 
 
-def test_perron_many_leaves_perron_of_cache_alone():
-    # perron_many keeps nothing: a second batch brackets the graphs again,
-    # to the same bits, and perron_of's cache sees neither batch
-    perron_of.cache_clear()
-    perron_of(make_base("cycle", 6))
-    info = perron_of.cache_info()
+def test_perron_of_and_perron_many_keep_nothing():
+    # a second call brackets the graphs again, to the same bits: no radius
+    # outlives the call that computed it
+    g = make_base("cycle", 6)
+    first = perron_of(g)
+    again = perron_of(g)
+    assert again is not first and fields(again) == fields(first)
+    assert fields(first) == fields(perron_many([g])[0]) == fields(perron(distance_matrix(g)))
+    assert not hasattr(perron_of, "cache_info")
     graphs = list(connected_graphs(5))
     batch = perron_many(graphs)
     again = perron_many(graphs)
-    assert perron_of.cache_info() == info
     assert all(a is not b and fields(a) == fields(b) for a, b in zip(again, batch))
 
 
 def test_perron_many_mixed_orders_duplicates_and_single_vertex():
-    perron_of.cache_clear()
     k1, p3, c5 = build_graph(1, []), make_base("path", 3), make_base("cycle", 5)
     graphs = [c5, k1, p3, c5, p3, k1]
     out = perron_many(graphs)
@@ -502,7 +494,6 @@ def test_perron_many_mixed_orders_duplicates_and_single_vertex():
 
 
 def test_perron_many_rejects_disconnected_graph():
-    perron_of.cache_clear()
     graphs = [make_base("path", 4), build_graph(4, [(0, 1), (2, 3)])]
     with pytest.raises(GraphError, match="not connected"):
         perron_many(graphs)
@@ -512,10 +503,9 @@ def test_perron_many_falls_back_when_first_step_is_too_wide(monkeypatch):
     # eigh hands one graph a sign-alternating vector, alone (2-D, perron())
     # or in a stack (3-D, perron_many()); |v| = ones certifies only a wide
     # bracket, so the bracket loop refines that graph by power iteration
-    perron_of.cache_clear()
     graphs = list(connected_graphs(5))
     victim = 7
-    d_victim = distance_matrix(graphs[victim]).d
+    d_victim = distance_matrix(graphs[victim])
     assert len(set(d_victim.sum(axis=1).tolist())) > 1
     unpatched = [fields(perron(distance_matrix(g))) for g in graphs]
     real_eigh = np.linalg.eigh

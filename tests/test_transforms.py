@@ -12,11 +12,11 @@ from distspec.graph6 import decode_graph6
 from distspec.graphs import (
     GraphError,
     build_graph,
-    canonical_key,
     cut_counts,
     is_connected,
+    key_from_masks,
 )
-from distspec.spectral import distance_matrix
+from distspec.spectral import distance_matrices, distance_matrix
 from distspec.transforms import (
     GraftSite,
     HypothesisError,
@@ -24,15 +24,29 @@ from distspec.transforms import (
     block_clique_closure,
     component_without,
     distance_dominates,
-    find_witness,
+    _witnesses,
     g_nk,
     graft,
     k_nk,
     make_base,
-    make_relocation_spec,
     relocate_edges,
+    validate_relocation,
 )
 from distspec.verify import relocation_specs
+
+
+def relocation_spec(g, u, v, targets):
+    """A RelocationSpec with its c1 filled in, checked by validate_relocation."""
+    c1 = component_without(g, u, v) if g.has_edge(u, v) else frozenset()
+    spec = RelocationSpec(g=g, u=u, v=v, c1=c1, targets=tuple(sorted(set(targets))))
+    validate_relocation(spec)
+    return spec
+
+
+def witness(spec, relocated=None):
+    """The relocation witness of one spec, as a batch of one."""
+    moved = relocate_edges(spec) if relocated is None else relocated
+    return _witnesses([spec], distance_matrices([spec.g, moved]))[0]
 
 
 def test_make_base():
@@ -60,7 +74,7 @@ def test_graft_and_family_shapes():
 
 def test_grafted_graphs_equal_build_graph():
     # graft extends the base's adjacency in place of build_graph; the result
-    # must be the same Graph value, adjacency lists sorted
+    # must be the same Graph value, neighbour tuples sorted
     for n in range(2, 5):
         for base in connected_graphs(n):
             for u, v in sorted(base.edges):
@@ -75,7 +89,9 @@ def test_grafted_graphs_equal_build_graph():
                             edges += [(n + k + i, n + k + i + 1) for i in range(l - 1)]
                             ref = build_graph(n + k + l, edges)
                             assert g == ref
-                            assert (g.adjacency, g.degrees) == (ref.adjacency, ref.degrees)
+                            assert [(g.neighbors(w), g.degrees[w]) for w in range(g.n)] == [
+                                (ref.neighbors(w), ref.degrees[w]) for w in range(ref.n)
+                            ]
 
 
 def test_graft_site_validation():
@@ -132,8 +148,8 @@ def test_shift_distance_template():
         for w in rest:
             sigma[w] = w
 
-        dm = distance_matrix(member).d
-        dsh = distance_matrix(shifted).d
+        dm = distance_matrix(member)
+        dsh = distance_matrix(shifted)
         du = dm[site.u]
         dv = dm[site.v]
         long_side = set(chain_m[: site.k + 1])
@@ -165,7 +181,7 @@ def test_g_nk_invariants():
             assert g.n == n
             assert cut_counts(g.masks)[0] == k
     assert g_nk(5, 0).edges == make_base("complete", 5).edges
-    assert canonical_key(g_nk(6, 4)) == canonical_key(make_base("path", 6))
+    assert key_from_masks(6, g_nk(6, 4).masks) == key_from_masks(6, make_base("path", 6).masks)
     with pytest.raises(GraphError):
         g_nk(5, 4)
     with pytest.raises(GraphError):
@@ -187,7 +203,8 @@ def test_k_nk_invariants():
             g = k_nk(n, k)
             assert g.n == n
             assert cut_counts(g.masks)[1] == k
-    assert canonical_key(k_nk(5, 4)) == canonical_key(build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))
+    star = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    assert key_from_masks(5, k_nk(5, 4).masks) == key_from_masks(5, star.masks)
     with pytest.raises(GraphError, match="n-2"):
         k_nk(5, 3)
     with pytest.raises(GraphError):
@@ -196,50 +213,50 @@ def test_k_nk_invariants():
 
 def test_relocation_star_to_path():
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    spec = make_relocation_spec(star, 0, 1, (2,))
+    spec = relocation_spec(star, 0, 1, (2,))
     assert spec.c1 == frozenset({1})
     moved = relocate_edges(spec)
     assert moved.edges == frozenset({(0, 1), (1, 2), (0, 3)})
-    assert find_witness(spec, moved) == 3
+    assert witness(spec, moved) == 3
 
-    both = make_relocation_spec(star, 0, 1, (2, 3))
+    both = relocation_spec(star, 0, 1, (2, 3))
     rehung = relocate_edges(both)
     assert rehung.edges == frozenset({(0, 1), (1, 2), (1, 3)})
-    assert find_witness(both, rehung) is None
+    assert witness(both, rehung) is None
 
 
 def test_relocation_hypothesis_errors():
     p4 = make_base("path", 4)
     with pytest.raises(HypothesisError) as err:
-        make_relocation_spec(p4, 0, 2, (1,))
+        relocation_spec(p4, 0, 2, (1,))
     assert err.value.clause == "adjacency"
 
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(HypothesisError) as err:
-        make_relocation_spec(star, 0, 1, ())
+        relocation_spec(star, 0, 1, ())
     assert err.value.clause == "targets"
     with pytest.raises(HypothesisError) as err:
-        make_relocation_spec(p4, 1, 2, (3,))  # target inside c1
+        relocation_spec(p4, 1, 2, (3,))  # target inside c1
     assert err.value.clause == "targets"
 
     # u outside the graph fails the adjacency clause, as v outside it does
     c4 = decode_graph6("Cr")
     for u, v in ((9, 0), (-1, 0), (0, 9)):
         with pytest.raises(HypothesisError) as err:
-            make_relocation_spec(c4, u, v, [1])
+            relocation_spec(c4, u, v, [1])
         assert err.value.clause == "adjacency"
 
     # v keeps a c1 neighbor that u lacks: mirror condition broken
     g = build_graph(4, [(0, 1), (1, 2), (0, 3)])
     with pytest.raises(HypothesisError) as err:
-        make_relocation_spec(g, 0, 1, (3,))
+        relocation_spec(g, 0, 1, (3,))
     assert err.value.clause == "neighborhood"
 
 
 def test_relocation_no_witness_on_path():
     p3 = make_base("path", 3)
-    spec = make_relocation_spec(p3, 1, 0, (2,))
-    assert find_witness(spec) is None
+    spec = relocation_spec(p3, 1, 0, (2,))
+    assert witness(spec) is None
 
 
 def to_nx(g):
@@ -270,7 +287,7 @@ def test_find_witness_matches_networkx_distances():
             ),
             None,
         )
-        assert find_witness(spec) == brute, spec
+        assert witness(spec) == brute, spec
         seen[brute is None] += 1
     assert sum(seen.values()) == 643 and min(seen.values()) > 0, seen
 
@@ -282,11 +299,11 @@ def test_relocation_preserves_connectivity():
             for v in range(g.n):
                 if g.degrees[v] != 1:
                     continue
-                u = g.adjacency[v][0]
-                rest = [t for t in g.adjacency[u] if t != v]
+                u = g.neighbors(v)[0]
+                rest = [t for t in g.neighbors(u) if t != v]
                 if not rest:
                     continue
-                spec = make_relocation_spec(g, u, v, (rest[0],))
+                spec = relocation_spec(g, u, v, (rest[0],))
                 assert is_connected(relocate_edges(spec))
                 count += 1
     assert count > 20

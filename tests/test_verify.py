@@ -20,7 +20,6 @@ from distspec.transforms import (
     block_clique_closure,
     graft,
     make_base,
-    make_relocation_spec,
 )
 from distspec.verify import (
     pendant_report_for_site,
@@ -130,14 +129,14 @@ def test_pendant_sum_pass_and_validation():
 
 def test_relocation_star_instance():
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    rep = verify_relocation(make_relocation_spec(star, 0, 1, (2,)))
+    rep = verify_relocation(RelocationSpec(g=star, u=0, v=1, c1=frozenset({1}), targets=(2,)))
     assert rep.outcome == "PASS"
     assert abs(rep.certified_gap - (math.sqrt(10) - math.sqrt(7))) < 1e-6
 
 
 def test_relocation_inconclusive_without_witness():
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    rep = verify_relocation(make_relocation_spec(star, 0, 1, (2, 3)))
+    rep = verify_relocation(RelocationSpec(g=star, u=0, v=1, c1=frozenset({1}), targets=(2, 3)))
     assert rep.outcome == "INCONCLUSIVE"
     assert rep.witness["failed_clause"] == "witness"
 
@@ -164,7 +163,7 @@ def test_relocation_counterexample_fails_honestly():
     assert g.edges == frozenset(
         {(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5)}
     )
-    spec = make_relocation_spec(g, 0, 3, (1,))
+    spec = RelocationSpec(g=g, u=0, v=3, c1=frozenset({3}), targets=(1,))
     rep = verify_relocation(spec)
     assert rep.outcome == "FAIL"
     assert (
@@ -211,11 +210,9 @@ def test_bound_and_monotonicity_build_each_distance_matrix_once(monkeypatch):
         return real(masks)
 
     monkeypatch.setattr(spectral, "_adjacency", counting)
-    spectral.perron_of.cache_clear()
     assert verify_perturbation_bound(make_base("path", 4), make_base("cycle", 4)).outcome == "PASS"
     assert len(built) == 2
     built.clear()
-    spectral.perron_of.cache_clear()
     rep = verify_distance_monotonicity(make_base("cycle", 5))
     assert rep.witness["relation_original_vs_closure"] == "GREATER"
     assert len(built) == 2
@@ -357,10 +354,15 @@ def holds_graph(value):
     return isinstance(value, (tuple, list)) and any(map(holds_graph, value))
 
 
-def test_min_sweeps_read_the_catalog_table_not_the_memo():
-    spectral.perron_of.cache_clear()
+def test_min_sweeps_read_the_catalog_table_not_the_memo(monkeypatch):
+    # claims 3 and 4 read every radius from the catalog's brackets, none
+    # through perron_of
+    def untouched(*args):
+        raise AssertionError("a radius was read through perron_of")
+
+    monkeypatch.setattr(verify, "perron_of", untouched)
+    monkeypatch.setattr(spectral, "perron_of", untouched)
     assert sweep_min_cut_vertices(6) and sweep_min_cut_edges(6)
-    assert spectral.perron_of.cache_info().currsize == 0
     level = catalog(6)
     assert len(level.analysed()[1]) == len(level) == 112
     assert not any(holds_graph(getattr(level, f.name)) for f in dataclasses.fields(level))
@@ -371,7 +373,6 @@ def test_graft_sweep_reports_golden_bytes(monkeypatch):
     # one per line: the bracket-first isomorphism test must not move a
     # byte, nor must batches that span bases or split one
     for batch in (verify.SWEEP_BATCH, 7, 1):
-        spectral.perron_of.cache_clear()
         monkeypatch.setattr(verify, "SWEEP_BATCH", batch)
         lines = [report_json(r) for r in sweep_graft(5, 4)]
         lines += [report_json(r) for r in sweep_pendant(5, 4)]
@@ -418,7 +419,6 @@ def test_graft_sweep_builds_names_and_brackets_each_graph_once(monkeypatch):
     def untouched(*args):
         raise AssertionError("a radius was read through perron_of")
 
-    spectral.perron_of.cache_clear()
     monkeypatch.setattr(verify, "encode_rows", encode)
     monkeypatch.setattr(spectral, "_bracket_stack", stack)
     monkeypatch.setattr(verify, "_graft_reports", batch)
@@ -474,7 +474,6 @@ def test_relocation_bound_and_mono_sweep_reports_golden_bytes(monkeypatch):
     digest = hashlib.sha256("\n".join(full).encode()).hexdigest()
     assert digest == "efc82c407a73ea2dab39d2b7fa289740de42e4565fa4bc1ae9f966c33366e868"
     for batch in (7, 1):
-        spectral.perron_of.cache_clear()
         monkeypatch.setattr(verify, "SWEEP_BATCH", batch)
         assert lines() == full, batch
 
@@ -533,9 +532,9 @@ def test_graft_overlap_distinct_shift_inconclusive(overlapping_brackets):
 
 
 def test_relocation_overlap_inconclusive(overlapping_brackets):
-    # the report reads the brackets the batch computed, not perron_of's cache
+    # the report reads the brackets the batch computed, not perron_of's
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    rep = verify_relocation(make_relocation_spec(star, 0, 1, (2,)))
+    rep = verify_relocation(RelocationSpec(g=star, u=0, v=1, c1=frozenset({1}), targets=(2,)))
     assert rep.outcome == "INCONCLUSIVE"
     assert rep.certified_gap is None
     assert rep.witness["needs_exact_followup"] is True
@@ -549,9 +548,7 @@ def test_sweeps_take_their_radii_as_values(monkeypatch):
     def untouched(*args):
         raise AssertionError("a radius was read through perron_of")
 
-    spectral.perron_of.cache_clear()
     expected = sweeps()
-    spectral.perron_of.cache_clear()
     monkeypatch.setattr(verify, "perron_of", untouched)
     assert sweeps() == expected
 
