@@ -23,7 +23,6 @@ from .transforms import (
     GraftSite,
     HypothesisError,
     RelocationSpec,
-    component_without,
     graft,
     g_nk,
     k_nk,
@@ -124,10 +123,8 @@ def _req(args, name: str):
 
 
 def _site_from(args) -> GraftSite:
-    if args.base is None:
-        raise GraphError("missing required flag --base")
     return GraftSite(
-        base=decode_graph6(args.base),
+        base=decode_graph6(_req(args, "base")),
         u=_req(args, "u"),
         v=_req(args, "v"),
         k=_req(args, "k"),
@@ -136,18 +133,11 @@ def _site_from(args) -> GraftSite:
 
 
 def _spec_from(args) -> RelocationSpec:
-    g = _read_graph(args)
-    targets = tuple(int(s) for s in _req(args, "targets").split(","))
     # Unvalidated on purpose: verify_relocation reports a failed
     # hypothesis as INCONCLUSIVE instead of erroring out.
-    return RelocationSpec(
-        g=g,
-        u=_req(args, "u"),
-        v=_req(args, "v"),
-        c1=component_without(g, args.u, args.v),
-        targets=tuple(sorted(set(targets))),
-        witness=args.witness,
-    )
+    g = _read_graph(args)
+    targets = tuple(sorted({int(s) for s in _req(args, "targets").split(",")}))
+    return RelocationSpec(g, _req(args, "u"), _req(args, "v"), targets, args.witness)
 
 
 def _pair_from(args):

@@ -176,13 +176,17 @@ def edges_of(masks) -> list[tuple[int, int]]:
 class PendantPath:
     """Path v0 v1 .. vs hanging off the rest of the graph at v0.
 
-    root is v0 with degree > 2, vertices holds v1..vs in walk order where
-    interior vertices have degree 2 and the tip vs degree 1, length is s >= 1.
+    root is v0, of any degree (cor1 sites on A_ have roots of degree 2);
+    vertices holds v1..vs in walk order, interior degree 2, tip vs degree 1;
+    length is s >= 1.  pendant_paths lists only the paths at roots of degree > 2.
     """
 
     root: int
     vertices: tuple[int, ...]
-    length: int
+
+    @property
+    def length(self) -> int:
+        return len(self.vertices)
 
 
 def pendant_paths(g: Graph) -> list[PendantPath]:
@@ -207,9 +211,8 @@ def pendant_paths(g: Graph) -> list[PendantPath]:
                 prev, cur = cur, (masks[cur] & ~(1 << prev)).bit_length() - 1
                 walk.append(cur)
             if cur != r and degrees[cur] == 1:
-                out.append(PendantPath(root=r, vertices=tuple(walk), length=len(walk)))
-    out.sort(key=lambda p: (p.root, p.vertices[0]))
-    return out
+                out.append(PendantPath(root=r, vertices=tuple(walk)))
+    return out  # already by root, then first vertex
 
 
 # Largest order keys_from_masks batches (its sums are exact up to it), and so

@@ -8,13 +8,14 @@ are deterministic and easy to cross-reference.  Each edits the adjacency
 bitmasks of its input and builds the result with Graph(masks), unchecked:
 the inputs are validated up front, and every edit keeps the masks
 symmetric and loop-free.  A relocation is a RelocationSpec checked by
-validate_relocation; its witness is read from the hop matrices of
-spectral's Floyd-Warshall stack, a batch of relocations at a time.
+validate_relocation; c1 is derived, and a witness, searched or given,
+passes one test on spectral's hop matrices, a batch at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,17 +136,20 @@ def k_nk(n: int, k: int) -> Graph:
 class RelocationSpec:
     """Move the edges u-t (t in targets) to v-t.
 
-    c1 is the component of g - u containing v; targets live outside c1.
-    witness, when set, is a vertex outside c1 and u whose distance to every
-    target strictly drops back in g compared to the relocated graph.
+    c1, the component of g - u containing v, is derived once per spec;
+    targets live outside it.  witness, when set, must pass the test that
+    picks a witness: outside c1 and u, each target nearer in g than after.
     """
 
     g: Graph
     u: int
     v: int
-    c1: frozenset[int]
     targets: tuple[int, ...]
     witness: int | None = None
+
+    @cached_property
+    def c1(self) -> frozenset[int]:
+        return component_without(self.g, self.u, self.v)
 
 
 def component_without(g: Graph, removed: int, seed: int) -> frozenset[int]:
@@ -158,17 +162,13 @@ def component_without(g: Graph, removed: int, seed: int) -> frozenset[int]:
 
 
 def validate_relocation(spec: RelocationSpec) -> None:
-    """Check every hypothesis of the relocation move, naming the failed clause."""
+    """Check the move's hypotheses, naming the failed clause; adjacency before the derived c1."""
     g, u, v = spec.g, spec.u, spec.v
     if not (0 <= u < g.n and 0 <= v < g.n) or u == v or not g.has_edge(u, v):
         raise HypothesisError("adjacency", f"u={u} and v={v} must be distinct adjacent vertices")
     if not is_connected(g):
         raise HypothesisError("adjacency", "graph must be connected")
-    c1 = component_without(g, u, v)
-    if spec.c1 != c1:
-        raise HypothesisError(
-            "component", f"c1 must be the component of g - {u} containing {v}: {sorted(c1)}"
-        )
+    c1 = spec.c1
     if not spec.targets:
         raise HypothesisError("targets", "at least one target is required")
     nu = set(g.neighbors(u))
@@ -186,10 +186,8 @@ def validate_relocation(spec: RelocationSpec) -> None:
             f"u and v must see the same c1 vertices apart from v itself: "
             f"{sorted((nu & c1) - {v})} vs {sorted(nv & c1)}",
         )
-    if spec.witness is not None:
-        w = spec.witness
-        if not (0 <= w < g.n) or w == u or w in c1:
-            raise HypothesisError("witness", f"witness {w} must lie outside c1 and u")
+    if spec.witness is not None and not 0 <= spec.witness < g.n:  # _witnesses tests the rest
+        raise HypothesisError("witness", f"witness {spec.witness} is not a vertex of g")
 
 
 def relocate_edges(spec: RelocationSpec) -> Graph:
@@ -214,8 +212,8 @@ def _witnesses(specs: list[RelocationSpec], dms: list[np.ndarray]) -> list[int |
 
     dms holds the graphs' hop matrices, then the relocated graphs'.  One
     array comparison per order: w qualifies when d_old[t, w] < d_new[t, w]
-    for every target t.  None when no vertex qualifies: the strict
-    inequality machinery then does not apply to that relocation.
+    for every target t, in an override's column only.  None when no vertex
+    qualifies: the strict inequality machinery then does not apply to it.
     """
     found: list[int | None] = [None] * len(specs)
     for n in {s.g.n for s in specs}:
@@ -224,6 +222,8 @@ def _witnesses(specs: list[RelocationSpec], dms: list[np.ndarray]) -> list[int |
         for row, s in enumerate(specs[i] for i in at):
             target[row, list(s.targets)] = True
             barred[row, [s.u, *s.c1]] = True
+            if s.witness is not None:
+                barred[row, np.arange(n) != s.witness] = True
         d_old = np.stack([dms[i] for i in at])
         d_new = np.stack([dms[len(specs) + i] for i in at])
         ok = ((d_old < d_new) | ~target[..., None]).all(axis=-2) & ~barred

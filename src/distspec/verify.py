@@ -212,8 +212,10 @@ def verify_pendant_sum(
 
     Sums the Perron vector over each path including its root and requires
     the longer path's sum to exceed the shorter's by more than a first-order
-    allowance for bracket width and residual.  Root-excluded sums are
-    reported alongside for reference.  width is deprecated and ignored.
+    allowance for bracket width and residual; root-excluded sums are also
+    reported.  GraphError unless both paths hang off g at their roots (each
+    vertex adjacent to the one before, interior degree 2, tip degree 1) and
+    share no vertex.  width is deprecated and ignored.
     """
     if not g.has_edge(p_long.root, p_short.root):
         raise GraphError(f"roots {p_long.root} and {p_short.root} must be adjacent")
@@ -222,6 +224,14 @@ def verify_pendant_sum(
             f"need a strictly longer first path, got lengths "
             f"{p_long.length} and {p_short.length}"
         )
+    deg = g.degrees
+    walks = [(p.root, *p.vertices) for p in (p_long, p_short)]
+    for w in walks:
+        want = [2] * (len(w) - 2) + [1]  # the degrees of the interior, then of the tip
+        if not all(map(g.has_edge, w, w[1:])) or [deg[x] for x in w[1:]] != want:
+            raise GraphError(f"{list(w[1:])} is no pendant path of g at root {w[0]}")
+    if len({*walks[0], *walks[1]}) < len(walks[0]) + len(walks[1]):
+        raise GraphError("the paths must not share or repeat a vertex")
     return _pendant_sum(g, p_long, p_short, perron_of(g), encode_rows([g.masks])[0])
 
 
@@ -283,7 +293,7 @@ def verify_relocation(spec: RelocationSpec, width=None) -> VerificationReport:
 def _relocation_reports(specs: list[RelocationSpec]) -> list[VerificationReport]:
     """Relocation reports; each distance matrix built, each reported graph named, once per batch.
 
-    The matrices give the open witnesses (_witnesses) and the compared pairs' brackets.
+    The matrices give every witness (_witnesses) and the compared pairs' brackets.
     """
     moved: list = []  # the relocated graph, or why the claim does not apply
     for s in specs:
@@ -295,7 +305,6 @@ def _relocation_reports(specs: list[RelocationSpec]) -> list[VerificationReport]
     graphs = [specs[i].g for i in live] + [moved[i] for i in live]
     dms = distance_matrices(graphs)
     vertex = dict(zip(live, _witnesses([specs[i] for i in live], dms)))
-    vertex.update((i, specs[i].witness) for i in live if specs[i].witness is not None)
     paired = [j for j, i in enumerate(live) if vertex[i] is not None]
     paired += [len(live) + j for j in paired]
     radius = _radii([graphs[j] for j in paired], [dms[j] for j in paired])
@@ -639,7 +648,7 @@ def _pendant_reports(sites: list[GraftSite]) -> list[VerificationReport]:
 
 
 def _path(root: int, first: int, length: int) -> PendantPath:
-    return PendantPath(root=root, vertices=tuple(range(first, first + length)), length=length)
+    return PendantPath(root=root, vertices=tuple(range(first, first + length)))
 
 
 def sweep_pendant(
@@ -668,9 +677,7 @@ def relocation_specs(max_n: int):
                 rest = [t for t in g.neighbors(u) if t != v]
                 for sub in range(1, 1 << len(rest)):
                     targets = tuple(rest[i] for i in range(len(rest)) if (sub >> i) & 1)
-                    yield RelocationSpec(
-                        g=g, u=u, v=v, c1=frozenset({v}), targets=targets
-                    )
+                    yield RelocationSpec(g=g, u=u, v=v, targets=targets)
 
 
 def sweep_relocation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:

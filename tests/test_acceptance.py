@@ -161,7 +161,7 @@ def test_criterion_05_graft_shift_sweep():
 def test_criterion_06_relocation_sweep():
     t0 = time.monotonic()
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    gap_report = verify_relocation(RelocationSpec(star, 0, 1, frozenset({1}), (2,)))
+    gap_report = verify_relocation(RelocationSpec(star, 0, 1, (2,)))
     expected_gap = math.sqrt(10) - math.sqrt(7)
     gap_ok = (
         gap_report.outcome == "PASS"

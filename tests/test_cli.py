@@ -145,6 +145,33 @@ def test_verify_relocation_exit_codes(capsys):
     assert json.loads(out)["outcome"] == "FAIL"
 
 
+def test_verify_relocation_checks_the_witness_override(capsys):
+    # on Cu no vertex qualifies for u=0, v=2, target 1, so neither does the
+    # override 1; 9 is not a vertex at all
+    base = ["verify", "--theorem", "2", "--g6", "Cu", "--u", "0", "--v", "2", "--targets", "1"]
+    for extra in ([], ["--witness", "1"], ["--witness", "9"]):
+        code, out, _ = run(capsys, base + extra)
+        assert code == 3
+        rep = json.loads(out)
+        assert rep["outcome"] == "INCONCLUSIVE"
+        assert rep["witness"]["failed_clause"] == "witness"
+    # on the star Ds_ the search picks 3; the override 4 qualifies as well
+    star = ["verify", "--theorem", "2", "--g6", "Ds_", "--u", "0", "--v", "1", "--targets", "2"]
+    for extra, w in (([], 3), (["--witness", "4"], 4)):
+        code, out, _ = run(capsys, star + extra)
+        assert code == 0
+        assert json.loads(out)["witness"]["witness_vertex"] == w
+
+
+@pytest.mark.parametrize("u, v", [(0, 0), (0, 9), (-1, 0)])
+def test_verify_relocation_bad_roots_are_inconclusive(capsys, u, v):
+    args = ["verify", "--theorem", "2", "--g6", "Cu", "--u", str(u), "--v", str(v),
+            "--targets", "1"]
+    code, out, err = run(capsys, args)
+    assert (code, err) == (3, "")
+    assert json.loads(out)["witness"]["failed_clause"] == "adjacency"
+
+
 @pytest.mark.parametrize("k, code, outcome", [(5, 1, "FAIL"), (8, 3, "INCONCLUSIVE")])
 def test_verify_graft_shift_past_the_catalog_cap(capsys, k, code, outcome):
     # the member and both shifts are the (2k+2)-vertex path: FAIL by
@@ -235,7 +262,7 @@ def test_repeated_runs_identical(capsys):
 
 # theorem -> (verify arguments of one instance, the in-process verifier's report)
 K3_SITE = GraftSite(base=decode_graph6("Bw"), u=0, v=1, k=2, l=1)
-DROPPING = RelocationSpec(decode_graph6("Es`_"), 0, 3, frozenset({3}), (1,))  # radius drops: FAIL
+DROPPING = RelocationSpec(decode_graph6("Es`_"), 0, 3, (1,))  # radius drops: FAIL
 VERIFIES = {
     "1": (["--base", "Bw", "--u", "0", "--v", "1", "--k", "2", "--l", "1"],
           lambda: verify.verify_graft_monotonicity(K3_SITE)),

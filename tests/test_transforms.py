@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 
+from distspec import verify
 from distspec.enumeration import connected_graphs
 from distspec.graph6 import decode_graph6
 from distspec.graphs import (
@@ -36,9 +39,8 @@ from distspec.verify import relocation_specs
 
 
 def relocation_spec(g, u, v, targets):
-    """A RelocationSpec with its c1 filled in, checked by validate_relocation."""
-    c1 = component_without(g, u, v) if g.has_edge(u, v) else frozenset()
-    spec = RelocationSpec(g=g, u=u, v=v, c1=c1, targets=tuple(sorted(set(targets))))
+    """A RelocationSpec checked by validate_relocation."""
+    spec = RelocationSpec(g=g, u=u, v=v, targets=tuple(sorted(set(targets))))
     validate_relocation(spec)
     return spec
 
@@ -275,6 +277,7 @@ def test_find_witness_matches_networkx_distances():
     # smallest qualifying vertex by networkx shortest-path lengths
     seen = {True: 0, False: 0}
     for spec in relocation_specs(6):
+        assert spec.c1 == component_without(spec.g, spec.u, spec.v)
         old = dict(nx.all_pairs_shortest_path_length(to_nx(spec.g)))
         new = dict(nx.all_pairs_shortest_path_length(to_nx(relocate_edges(spec))))
         brute = next(
@@ -290,6 +293,35 @@ def test_find_witness_matches_networkx_distances():
         assert witness(spec) == brute, spec
         seen[brute is None] += 1
     assert sum(seen.values()) == 643 and min(seen.values()) > 0, seen
+
+
+def test_witness_override_passes_the_search_rule():
+    # every vertex as the override of every spec the relocation sweep makes
+    # up to n = 6: a report names the override exactly when it lies outside
+    # c1 and u and networkx distances to every target grow there; otherwise
+    # the claim does not apply (INCONCLUSIVE, failed clause "witness")
+    overridden, qualifies = [], []
+    for spec in relocation_specs(6):
+        old = dict(nx.all_pairs_shortest_path_length(to_nx(spec.g)))
+        new = dict(nx.all_pairs_shortest_path_length(to_nx(relocate_edges(spec))))
+        for w in range(spec.g.n):
+            overridden.append(dataclasses.replace(spec, witness=w))
+            qualifies.append(
+                w != spec.u
+                and w not in spec.c1
+                and all(old[t][w] < new[t][w] for t in spec.targets)
+            )
+    batches = verify._batches(overridden, verify._relocation_reports)
+    reports = [r for batch in batches for r in batch]
+    verdicts = Counter()
+    for spec, ok, rep in zip(overridden, qualifies, reports):
+        if ok:
+            assert rep.witness["witness_vertex"] == spec.witness, spec
+            verdicts[rep.outcome] += 1
+        else:
+            assert rep.outcome == "INCONCLUSIVE", spec
+            assert rep.witness["failed_clause"] == "witness", spec
+    assert len(reports) == len(overridden) and verdicts["PASS"] and verdicts["FAIL"], verdicts
 
 
 def test_relocation_preserves_connectivity():

@@ -118,8 +118,8 @@ def test_pendant_sum_pass_and_validation():
     with pytest.raises(GraphError, match="adjacent"):
         verify_pendant_sum(
             member,
-            PendantPath(root=2, vertices=(3, 4), length=2),
-            PendantPath(root=0, vertices=(5,), length=1),
+            PendantPath(root=2, vertices=(3, 4)),
+            PendantPath(root=0, vertices=(5,)),
         )
     with pytest.raises(GraphError, match="k > l"):
         pendant_report_for_site(
@@ -127,25 +127,46 @@ def test_pendant_sum_pass_and_validation():
         )
 
 
+def test_pendant_sum_checks_its_paths():
+    # F{CI?: a triangle 0-1-2, the pendant path 3-4-5 at 0 and 6 at 1
+    g = decode_graph6("F{CI?")
+    short = PendantPath(root=1, vertices=(6,))
+    assert verify_pendant_sum(g, PendantPath(root=0, vertices=(3, 4, 5)), short).outcome == "PASS"
+    for cut in ((2, 1), (3, 4)):  # the tip 1 has degree 3, the tip 4 degree 2
+        with pytest.raises(GraphError, match="no pendant path"):
+            verify_pendant_sum(g, PendantPath(root=0, vertices=cut), short)
+    # on the path 0-1-2-3-4 each hangs off its root, but they overlap
+    with pytest.raises(GraphError, match="share"):
+        verify_pendant_sum(
+            make_base("path", 5),
+            PendantPath(root=1, vertices=(2, 3, 4)),
+            PendantPath(root=2, vertices=(1, 0)),
+        )
+    # roots of degree 2 qualify: the cor1 site on A_ reports the same either way
+    site = GraftSite(base=decode_graph6("A_"), u=0, v=1, k=2, l=1)
+    paths = PendantPath(root=0, vertices=(2, 3)), PendantPath(root=1, vertices=(4,))
+    assert report_json(verify_pendant_sum(graft(site), *paths)) == report_json(
+        pendant_report_for_site(site)
+    )
+
+
 def test_relocation_star_instance():
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    rep = verify_relocation(RelocationSpec(g=star, u=0, v=1, c1=frozenset({1}), targets=(2,)))
+    rep = verify_relocation(RelocationSpec(g=star, u=0, v=1, targets=(2,)))
     assert rep.outcome == "PASS"
     assert abs(rep.certified_gap - (math.sqrt(10) - math.sqrt(7))) < 1e-6
 
 
 def test_relocation_inconclusive_without_witness():
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    rep = verify_relocation(RelocationSpec(g=star, u=0, v=1, c1=frozenset({1}), targets=(2, 3)))
+    rep = verify_relocation(RelocationSpec(g=star, u=0, v=1, targets=(2, 3)))
     assert rep.outcome == "INCONCLUSIVE"
     assert rep.witness["failed_clause"] == "witness"
 
 
 def test_relocation_inconclusive_on_bad_hypothesis():
     g = build_graph(4, [(0, 1), (1, 2), (0, 3)])
-    spec = RelocationSpec(
-        g=g, u=0, v=1, c1=frozenset({1, 2}), targets=(3,), witness=None
-    )
+    spec = RelocationSpec(g=g, u=0, v=1, targets=(3,), witness=None)
     rep = verify_relocation(spec)
     assert rep.outcome == "INCONCLUSIVE"
     assert rep.witness["failed_clause"] == "neighborhood"
@@ -163,7 +184,7 @@ def test_relocation_counterexample_fails_honestly():
     assert g.edges == frozenset(
         {(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5)}
     )
-    spec = RelocationSpec(g=g, u=0, v=3, c1=frozenset({3}), targets=(1,))
+    spec = RelocationSpec(g=g, u=0, v=3, targets=(1,))
     rep = verify_relocation(spec)
     assert rep.outcome == "FAIL"
     assert (
@@ -534,7 +555,7 @@ def test_graft_overlap_distinct_shift_inconclusive(overlapping_brackets):
 def test_relocation_overlap_inconclusive(overlapping_brackets):
     # the report reads the brackets the batch computed, not perron_of's
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    rep = verify_relocation(RelocationSpec(g=star, u=0, v=1, c1=frozenset({1}), targets=(2,)))
+    rep = verify_relocation(RelocationSpec(g=star, u=0, v=1, targets=(2,)))
     assert rep.outcome == "INCONCLUSIVE"
     assert rep.certified_gap is None
     assert rep.witness["needs_exact_followup"] is True
