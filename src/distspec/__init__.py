@@ -24,7 +24,6 @@ from .graphs import (
     PendantPath,
     build_graph,
     is_connected,
-    pendant_paths,
 )
 from .jsonio import dumps
 from .spectral import (
@@ -112,7 +111,6 @@ __all__ = [
     "k_nk",
     "make_base",
     "max_order",
-    "pendant_paths",
     "perron",
     "perron_json",
     "perron_many",

@@ -25,17 +25,18 @@ child met with a new key is its class's representative, the only row kept.
 Each order is built once into a Level, the catalog of that order: one
 representative per isomorphism class, as the adjacency bitmasks it was
 keyed by, sorted by that key, which lives only inside the build.  The next
-order's parents, the cut table (each class's cut counts, computed once for
-the cut filters and claims 3 and 4) and the radius brackets read the masks;
-no Graph or graph6 string is made unless a caller names a graph, and a
-Graph is then its row's masks, Graph(masks), with nothing converted or
-validated.
+order's parents and the claim table read the masks: Level.cuts (each
+class's cut counts, for the cut filters and claims 3 and 4) and
+Level.radii (each class's bracket, for claims 3 and 4), each computed on
+first use and kept with the level.  No Graph or graph6 string is made
+unless a caller names a graph, and a Graph is then its row's masks,
+Graph(masks), with nothing converted or validated.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
@@ -76,12 +77,11 @@ class Level:
     """Catalog of one order: a representative per isomorphism class, in key order.
 
     masks[i] holds class i's adjacency bitmasks (a read-only uint16 array of
-    shape (classes, n), rows sorted by canonical key); cuts and analysed()
-    add the claim table.
+    shape (classes, n), rows sorted by canonical key); cuts and radii add
+    the claim table.
     """
 
     masks: np.ndarray
-    _radii: list[PerronResult] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -101,16 +101,14 @@ class Level:
         cuts.setflags(write=False)
         return cuts
 
-    def analysed(self) -> tuple[np.ndarray, list[PerronResult]]:
-        """The cut table and each class's certified radius, by index.
+    @cached_property
+    def radii(self) -> list[PerronResult]:
+        """Each class's certified radius, by index.
 
-        The radii are bracketed on first use from the mask array, TABLE_CHUNK
-        rows to a stack.
+        Bracketed on first use from the mask array, TABLE_CHUNK rows to a stack.
         """
-        if self._radii is None:
-            chunks = range(0, len(self), TABLE_CHUNK)
-            self._radii = [r for lo in chunks for r in brackets(self.masks[lo:lo + TABLE_CHUNK])]
-        return self.cuts, self._radii
+        chunks = range(0, len(self), TABLE_CHUNK)
+        return [r for lo in chunks for r in brackets(self.masks[lo:lo + TABLE_CHUNK])]
 
 
 def twin_classes(masks: Sequence[int]) -> list[list[int]]:

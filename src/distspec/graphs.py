@@ -178,7 +178,7 @@ class PendantPath:
 
     root is v0, of any degree (cor1 sites on A_ have roots of degree 2);
     vertices holds v1..vs in walk order, interior degree 2, tip vs degree 1;
-    length is s >= 1.  pendant_paths lists only the paths at roots of degree > 2.
+    length is s >= 1.
     """
 
     root: int
@@ -187,32 +187,6 @@ class PendantPath:
     @property
     def length(self) -> int:
         return len(self.vertices)
-
-
-def pendant_paths(g: Graph) -> list[PendantPath]:
-    """All pendant paths, sorted by (root, first vertex).
-
-    A path graph has no vertex of degree > 2 and therefore no pendant paths.
-    """
-    if not is_connected(g):
-        raise GraphError("graph is not connected")
-    masks, degrees = g.masks, g.degrees
-    out = []
-    for r in range(g.n):
-        if degrees[r] <= 2:
-            continue
-        for w in _bits(masks[r]):
-            if degrees[w] > 2:
-                continue
-            walk = [w]
-            prev, cur = r, w
-            while degrees[cur] == 2 and cur != r:
-                # the neighbour of cur other than prev
-                prev, cur = cur, (masks[cur] & ~(1 << prev)).bit_length() - 1
-                walk.append(cur)
-            if cur != r and degrees[cur] == 1:
-                out.append(PendantPath(root=r, vertices=tuple(walk)))
-    return out  # already by root, then first vertex
 
 
 # Largest order keys_from_masks batches (its sums are exact up to it), and so

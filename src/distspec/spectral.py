@@ -10,16 +10,14 @@ ratio Y_i/X_i, correctly rounded and moved two ulps outward, give a rigorous
 bracket a few ulps wide, with no tolerance behind it (Rump, "Verification
 methods", Acta Numerica 19, 2010).
 
-The step is array code over a stack.  A float ratio fl(fl(Y_i)/X_i) lies
-within 2u (u = 2^-53) of Y_i/X_i, so only the ratios within a factor
-1 +- 2^-50 of a row's float min or max can hold its exact min or max; just
-those are divided as Python ints, and as rounding is monotone the extremes
-are the bits that dividing every ratio would give.  x.x and x.y are summed
-as Python ints over object arrays, exact at every order (int64 limb sums
-measured no faster at n <= 9), and one division per matrix gives the
-Rayleigh quotient.  Hop counts come from Floyd-Warshall on the stack (Floyd,
-CACM 5(6), 1962): n add/minimum steps in a narrow unsigned type, n marking
-an unreached pair, cheaper than a boolean matrix product per hop.
+The step is array code over a stack.  Every ratio Y_i/X_i is divided as
+Python ints, so each is correctly rounded, and each row's extremes are
+moved two ulps out.  x.x and x.y are summed as Python ints over object
+arrays, exact at every order (int64 limb sums measured no faster at
+n <= 9), and one division per matrix gives the Rayleigh quotient.  Hop
+counts come from Floyd-Warshall on the stack (Floyd, CACM 5(6), 1962):
+n add/minimum steps in a narrow unsigned type, n marking an unreached
+pair, cheaper than a boolean matrix product per hop.
 
 One loop brackets a stack of same-order matrices: one stacked eigh, the
 step, and, for a matrix still wider than requested, power iteration with
@@ -200,20 +198,15 @@ def _step(d: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
     Each row of x is scaled to max 2^50 and truncated to an integer vector
     X <= 2^50 (any positive integer vector certifies); Y = DX is exact in
     d's dtype.  Returns the mask of the rows whose X stayed positive and,
-    for those, X, Y and the bracket from the ratios near each row's extremes.
+    for those, X, Y and the bracket from every ratio Y_i/X_i.
     """
     big = (x / x.max(axis=1, keepdims=True) * 2.0**50).astype(np.int64)
     ok = big.min(axis=1) >= 1
     y = np.matmul(d, big.astype(d.dtype, copy=False)[:, :, None])[ok, :, 0]
     big = big[ok]
-    r = y.astype(np.float64) / big
-    near = r <= r.min(axis=1, keepdims=True) * (1 + 2.0**-50)
-    near |= r >= r.max(axis=1, keepdims=True) * (1 - 2.0**-50)
-    rows, cols = np.nonzero(near)
-    q = np.array([yi / xi for yi, xi in zip(y[rows, cols].tolist(), big[rows, cols].tolist())])
-    starts = np.searchsorted(rows, np.arange(len(big)))
-    lower = _ulps(np.minimum.reduceat(q, starts), -np.inf)
-    return ok, big, y, lower, _ulps(np.maximum.reduceat(q, starts), np.inf)
+    q = np.array([yi / xi for yi, xi in zip(y.ravel().tolist(), big.ravel().tolist())])
+    q = q.reshape(big.shape)
+    return ok, big, y, _ulps(q.min(axis=1), -np.inf), _ulps(q.max(axis=1), np.inf)
 
 
 def _results(

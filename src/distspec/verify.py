@@ -9,17 +9,17 @@ here, never as falsified.
 
 Every radius is a default-width bracket, a few ulps wide.  Claims 3 and 4
 read theirs, and the cut counts that pick each class, from the order's
-catalog (enumeration.Level.analysed).  Every other claim has one internal
-function that reports on a batch of instances: it builds their graphs once
-and has their radii bracketed together by spectral.perron_many (from the
-hop matrices when the claim needs them anyway), and its reports take those
-radii as values, which no call keeps; names travel the same way, from one
-encode_rows call per batch.  Graft reports also key each distinct graph
-once.  A single verifier call is a batch of one; sweeps run serially, in
-runs of at most SWEEP_BATCH consecutive instances that may span bases and
-orders.  One driver, _batches, yields each run's reports as they are made:
-the public sweep_* return them as one list, the CLI writes each run and
-drops it.
+catalog (enumeration.Level.cuts and Level.radii).  Every other claim has
+one internal function that reports on a batch of instances: it builds
+their graphs once and has their radii bracketed together by
+spectral.perron_many (from the hop matrices when the claim needs them
+anyway), and its reports take those radii as values, which no call keeps;
+names travel the same way, from one encode_rows call per batch.  Graft
+reports also key each distinct graph of a batch once.  A single verifier
+call is a batch of one; sweeps run serially, in runs of at most
+SWEEP_BATCH consecutive instances that may span bases and orders.  One
+driver, _batches, yields each run's reports as they are made: the public
+sweep_* return them as one list, the CLI writes each run and drops it.
 The width and jobs parameters are deprecated and ignored.
 """
 
@@ -120,16 +120,15 @@ def verify_graft_monotonicity(site: GraftSite, width=None, jobs=1) -> Verificati
     """
     if not site.k >= site.l >= 1:
         raise GraphError(f"graft verification needs k >= l >= 1, got k={site.k}, l={site.l}")
-    return _graft_reports([site], {})[0]
+    return _graft_reports([site])[0]
 
 
-def _graft_reports(sites: list[GraftSite], names: dict) -> list[VerificationReport]:
+def _graft_reports(sites: list[GraftSite]) -> list[VerificationReport]:
     """Graft-shift reports for sites with k >= l >= 1, each distinct graph handled once.
 
     Members and shifts to u are bracketed as one batch, the shifts to v the
     reports need as a second; overlapping pairs are keyed in one batch per
-    order up to MAX_KEY_N, and a larger pair gets no key.  names (masks ->
-    graph6) is shared by a sweep's batches.
+    order up to MAX_KEY_N, and a larger pair gets no key.
     """
     _check_sites(sites)
     fams = [(s, _at(s, s.k, s.l), [("shift_to_u", _at(s, s.k + 1, s.l - 1))]) for s in sites]
@@ -149,8 +148,7 @@ def _graft_reports(sites: list[GraftSite], names: dict) -> list[VerificationRepo
         if n <= MAX_KEY_N:
             rows = [g.masks for g in gs]
             key.update(zip(rows, keys_from_masks(n, rows)))
-    named = [s.base for s in sites] + [g for p in pairs for g in p]
-    names.update(_names(g.masks for g in named if g.masks not in names))
+    names = _names([s.base.masks for s in sites] + [g.masks for p in pairs for g in p])
     return [_graft_report(s, m, sh, radius, names, key) for s, m, sh in fams]
 
 
@@ -510,7 +508,7 @@ def _min_reports(theorem: str, n: int, ks: list[int]) -> Iterator[VerificationRe
     which, target_of, noun = _MIN_CLAIMS[theorem]
     targets = [target_of(n, k) for k in ks]
     level = catalog(n)
-    cuts, radii = level.analysed()
+    cuts, radii = level.cuts, level.radii
     ranked = []
     for k in ks:
         picked = np.flatnonzero(cuts[:, which] == k).tolist()
@@ -621,9 +619,7 @@ def sweep_graft(
 
 
 def _graft_batches(max_base_n: int, max_total: int, equal_only: bool | None = None):
-    sites = graft_sites(max_base_n, max_total, equal_only)
-    names: dict = {}  # graph6 of every graph the sweep's reports name
-    return _batches(sites, lambda batch: _graft_reports(batch, names))
+    return _batches(graft_sites(max_base_n, max_total, equal_only), _graft_reports)
 
 
 def pendant_report_for_site(site: GraftSite, width=None):
@@ -720,7 +716,7 @@ def _min_batches(theorem: str, n: int):
     """One batch: a report per k, ascending, that some class of the order's catalog has."""
     # the counts present, ascending; np.unique would import numpy.ma (0.8 MB)
     ks = np.flatnonzero(np.bincount(catalog(n).cuts[:, _MIN_CLAIMS[theorem][0]])).tolist()
-    return _batches([ks], lambda batch: list(_min_reports(theorem, n, batch[0])))
+    yield list(_min_reports(theorem, n, ks))
 
 
 def sweep_min_cut_vertices(n: int, width=None, jobs=1) -> list[VerificationReport]:

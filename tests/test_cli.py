@@ -342,9 +342,9 @@ def test_sweep_writes_each_batch_before_building_the_next(monkeypatch):
     events = []
     real = verify._graft_reports
 
-    def batch(sites, names):
+    def batch(sites):
         events.append("batch")
-        return real(sites, names)
+        return real(sites)
 
     monkeypatch.setattr(verify, "_graft_reports", batch)
     monkeypatch.setattr(verify, "SWEEP_BATCH", 7)
@@ -388,11 +388,11 @@ def test_sweep_error_after_the_first_batch_leaves_a_truncated_array(capsys, monk
     full = run(capsys, argv)[1]
     real, calls = verify._graft_reports, []
 
-    def failing(sites, names):
+    def failing(sites):
         calls.append(len(sites))
         if len(calls) == 2:
             raise GraphError("second batch")
-        return real(sites, names)
+        return real(sites)
 
     monkeypatch.setattr(verify, "_graft_reports", failing)
     code, out, err = run(capsys, argv)

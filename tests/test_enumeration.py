@@ -176,7 +176,7 @@ def test_catalog_keys_and_cut_counts():
         graphs = list(level.graphs())
         keys = [key_from_masks(n, g.masks) for g in graphs]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        cuts, radii = level.analysed()
+        cuts, radii = level.cuts, level.radii
         assert graphs == list(connected_graphs(n))
         assert len(cuts) == len(radii) == len(graphs)
         assert level.masks.dtype == np.uint16 and level.masks.shape == (len(graphs), n)
@@ -204,7 +204,8 @@ def test_cut_table_is_one_read_only_array_per_order(monkeypatch):
         assert not cuts.flags.writeable
         assert cuts.tolist() == [list(cut_counts(row)) for row in level.masks.tolist()]
         assert level.cuts is cuts
-    assert level.analysed()[0] is cuts
+    assert len(level.radii) == len(level)
+    assert level.cuts is cuts
 
 
 def test_filtered_graphs_match_a_per_row_filter(monkeypatch):

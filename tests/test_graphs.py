@@ -25,7 +25,6 @@ from distspec.graphs import (
     is_connected,
     key_from_masks,
     keys_from_masks,
-    pendant_paths,
 )
 from distspec.spectral import distance_matrix
 
@@ -161,26 +160,6 @@ def test_single_vertex_block():
     assert block_sets(g) == (frozenset({0}),)
     assert cut_sets(g) == (frozenset(), frozenset())
     assert cut_counts(g.masks) == (0, 0)
-
-
-def test_pendant_paths_spider():
-    # center 0 with legs of lengths 1, 2, 3
-    g = build_graph(
-        7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]
-    )
-    paths = pendant_paths(g)
-    assert [(p.root, p.length) for p in paths] == [(0, 1), (0, 2), (0, 3)]
-    assert paths[2].vertices == (4, 5, 6)
-    seen = set()
-    for p in paths:
-        assert seen.isdisjoint(p.vertices)
-        seen.update(p.vertices)
-
-
-def test_pendant_paths_need_branch_root():
-    # a bare path has no vertex of degree > 2, hence no pendant path
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert pendant_paths(g) == []
 
 
 def test_canonical_key_relabel_invariant():

@@ -420,8 +420,8 @@ def oracle_graphs():
 
 
 def test_perron_many_matches_scalar_path_exactly():
-    # the array step (float ratios, exact division only near a row's extremes,
-    # limb sums) gives the reference's bits on every entry point
+    # the array step (every ratio divided exactly over the stack, object-array
+    # sums) gives the reference's bits on every entry point
     graphs = oracle_graphs()
     assert len(graphs) == 20811
     ref = reference_by_graph(graphs)
@@ -440,7 +440,7 @@ def test_exact_division_settles_ratios_one_float_apart(monkeypatch):
     # On the 6-cycle this X puts the float ratios of vertices 3 and 5 one ulp
     # apart at the row's max, in the opposite order to their exact quotients:
     # the float max (vertex 5) rounds exactly to one ulp below the true max
-    # (vertex 3), so the candidate window must hold both
+    # (vertex 3), so only exact division of every ratio finds the true max
     c6 = make_base("cycle", 6)
     d6 = distance_matrix(c6)
     xs = [2**50 - e for e in (0, 3, 6, 8, 1, 9)]

@@ -191,12 +191,17 @@ def test_g_nk_invariants():
 
 
 def test_g_nk_balanced_paths():
-    # 5 = 3 paths over a K_3: lengths 2, 2, 1
+    # 5 = 3 paths over a K_3: lengths 2, 2, 1, each walked from its tip to
+    # the first vertex of degree > 2
     g = g_nk(8, 5)
-    from distspec.graphs import pendant_paths
-
-    lengths = sorted(p.length for p in pendant_paths(g))
-    assert lengths == [1, 2, 2]
+    lengths = []
+    for tip in (v for v in range(g.n) if g.degrees[v] == 1):
+        prev, cur, length = None, tip, 0
+        while g.degrees[cur] <= 2:
+            prev, cur = cur, next(w for w in g.neighbors(cur) if w != prev)
+            length += 1
+        lengths.append(length)
+    assert sorted(lengths) == [1, 2, 2]
 
 
 def test_k_nk_invariants():

@@ -103,7 +103,7 @@ def test_graft_site_checks_match_the_builders(site, message):
             check(site)
     valid = GraftSite(base=make_base("path", 3), u=0, v=1, k=2, l=1)
     with pytest.raises(GraphError, match=message):
-        verify._graft_reports([valid, site], {})
+        verify._graft_reports([valid, site])
     with pytest.raises(GraphError, match=message):
         verify._pendant_reports([valid, site])
 
@@ -385,8 +385,8 @@ def test_min_sweeps_read_the_catalog_table_not_the_memo(monkeypatch):
     monkeypatch.setattr(spectral, "perron_of", untouched)
     assert sweep_min_cut_vertices(6) and sweep_min_cut_edges(6)
     level = catalog(6)
-    assert len(level.analysed()[1]) == len(level) == 112
-    assert not any(holds_graph(getattr(level, f.name)) for f in dataclasses.fields(level))
+    assert len(level.radii) == len(level) == 112
+    assert not any(map(holds_graph, vars(level).values()))
 
 
 def test_graft_sweep_reports_golden_bytes(monkeypatch):
@@ -412,8 +412,8 @@ def test_graft_sweep_equal_only_splits_the_full_sweep():
 
 
 def test_graft_sweep_builds_names_and_brackets_each_graph_once(monkeypatch):
-    # one sweep_graft(5, 4): every distinct graph is encoded once, in one
-    # array call per batch; each batch brackets an order in at most two
+    # one sweep_graft(5, 4): every distinct graph of a batch is encoded once,
+    # in one array call per batch; each batch brackets an order in at most two
     # stacks (members with shifts to u, then the shifts to v the reports
     # need), never one shift at a time; and no radius is read through
     # perron_of
@@ -425,7 +425,7 @@ def test_graft_sweep_builds_names_and_brackets_each_graph_once(monkeypatch):
     )
 
     def encode(rows):
-        encoded.extend(rows)
+        encoded.append(rows)
         encode_calls.append(len(batches))
         return real_encode(rows)
 
@@ -445,14 +445,43 @@ def test_graft_sweep_builds_names_and_brackets_each_graph_once(monkeypatch):
     monkeypatch.setattr(verify, "_graft_reports", batch)
     monkeypatch.setattr(verify, "perron_of", untouched)
     assert len(sweep_graft(5, 4)) == sum(batches) == 1288
-    assert len(encoded) == len(set(encoded)) == 1737
+    assert all(len(rows) == len(set(rows)) for rows in encoded)
+    assert sum(map(len, encoded)) == 1790
     assert sorted(encode_calls) == list(range(1, len(batches) + 1))
     assert stacks and max(stacks.values()) <= 2
 
 
+def test_each_graft_batch_names_exactly_its_own_graphs(monkeypatch):
+    # no name outlives its batch: with 7 sites to a batch, each batch encodes
+    # the distinct masks of the graphs its reports name (the base, the member
+    # and every shift), and nothing else
+    encoded, named = [], []
+    real_encode, real_batch = verify.encode_rows, verify._graft_reports
+
+    def encode(rows):
+        encoded.append(rows)
+        return real_encode(rows)
+
+    def batch(sites, *args):
+        reports = real_batch(sites, *args)
+        labels = ("member", "shift_to_u", "shift_to_v")
+        g6s = [r.instance["base"] for r in reports]
+        g6s += [r.witness[x] for r in reports for x in labels if x in r.witness]
+        named.append({decode_graph6(g6).masks for g6 in g6s})
+        return reports
+
+    monkeypatch.setattr(verify, "encode_rows", encode)
+    monkeypatch.setattr(verify, "_graft_reports", batch)
+    monkeypatch.setattr(verify, "SWEEP_BATCH", 7)
+    assert len(sweep_graft(4, 4)) == 248
+    assert len(encoded) == len(named) == 36
+    for rows, masks in zip(encoded, named):
+        assert len(rows) == len(set(rows)) and set(rows) == masks
+
+
 def test_every_batch_names_its_graphs_in_one_encoder_call(monkeypatch):
-    # names travel like radii: each batch of every claim but graft (tested
-    # above) encodes its graphs in one encode_rows call, never per report
+    # names travel like radii: each batch of every claim encodes its graphs
+    # in one encode_rows call, never per report
     calls = []
     real = verify.encode_rows
 
@@ -465,6 +494,7 @@ def test_every_batch_names_its_graphs_in_one_encoder_call(monkeypatch):
     assert not hasattr(verify, "encode_graph6")
     seen = []
     for batches in (
+        verify._graft_batches(4, 4),
         verify._pendant_batches(4, 4),
         verify._relocation_batches(5),
         verify._bound_batches(5),
