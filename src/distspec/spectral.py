@@ -3,7 +3,7 @@
 For an irreducible nonnegative matrix D and any positive vector x, the
 Collatz-Wielandt ratios (Dx)_i/x_i enclose the Perron value from both sides.
 The certification step scales |x| of a dense symmetric eigensolver's top
-eigenvector to a positive integer vector X with max X = 2^50 and forms
+eigenvector to an integer vector 1 <= X <= 2^50 with max X = 2^50 and forms
 Y = DX exactly: in int64 for n <= 64, where D holds hop counts below 64 and
 no sum can overflow, and in Python ints beyond.  The least and greatest
 ratio Y_i/X_i, correctly rounded and moved two ulps outward, give a rigorous
@@ -19,14 +19,14 @@ counts come from Floyd-Warshall on the stack (Floyd, CACM 5(6), 1962):
 n add/minimum steps in a narrow unsigned type, n marking an unreached
 pair, cheaper than a boolean matrix product per hop.
 
-One loop brackets a stack of same-order matrices: one stacked eigh, the
-step, and, for a matrix still wider than requested, power iteration with
-every refined vector certified the same way.  perron() runs it on one
-matrix, perron_many() on each order's distinct graphs of a batch, and
-brackets() on a catalog's adjacency bitmask rows; none keeps a radius.  A
-hop matrix is a plain read-only int64 array, its order its last axis.  A
-matrix gets the same bits in any stack: the stacked eigh makes the same
-LAPACK call on each matrix, and the step is exact.
+A stack of same-order matrices (each order's distinct graphs of a batch in
+perron_many(), a catalog's rows in brackets()) takes one stacked eigh and
+one step.  Only perron() iterates: power iteration, every vector certified
+the same way, refines one matrix still wider than requested, and a stack
+hands it each matrix its step leaves wider than the default.  None keeps a
+radius.  A hop matrix is a plain read-only int64 array, its order its last
+axis.  A matrix gets the same bits in any stack: the stacked eigh makes the
+same LAPACK call on each matrix, and the step is exact.
 Comparisons are made only between disjoint brackets; overlapping brackets
 are reported as indistinguishable instead of being resolved by an epsilon.
 """
@@ -131,60 +131,51 @@ class PerronResult:
 def perron(
     d: np.ndarray, bracket_width: float = DEFAULT_BRACKET_WIDTH, max_iter: int = MAX_ITER
 ) -> PerronResult:
-    """Certified bracket of one hop matrix d: the bracket loop on a stack of one.
+    """Certified bracket of one hop matrix d, refined by the one power-iteration loop.
 
-    BracketError carries the bracket reached when the vector cycles or max_iter steps end.
+    While the intersection of the steps is wider than bracket_width, the
+    vector is refined; iterations counts the steps.  A vector equal to the
+    one saved at the last power-of-two step (Brent, BIT 20, 1980) starts a
+    cycle: BracketError carries the bracket then, or after max_iter steps.
+    The loop runs on (1, n) rows, as a stack does, so the bits are the same.
     """
     if not bracket_width > 0:
         raise ValueError(f"bracket width must be positive, got {bracket_width}")
-    return _bracket_stack(d, bracket_width, max_iter)[0]
-
-
-def _bracket_stack(
-    d: np.ndarray, bracket_width: float = DEFAULT_BRACKET_WIDTH, max_iter: int = MAX_ITER
-) -> list[PerronResult]:
-    """Certified brackets of a stack d of same-order matrices; a 2-D d is a stack of one.
-
-    Each matrix's first step certifies its top eigenvector from one stacked
-    eigh.  While its bracket, the intersection of its steps, is wider than
-    bracket_width, power iteration refines the vector; iterations counts
-    the steps.  A refined vector equal to the one saved at the last
-    power-of-two step (Brent, BIT 20, 1980) starts a cycle of brackets
-    already taken: BracketError then carries that matrix's bracket and the
-    steps made, and after max_iter steps the first one still too wide.
-    """
     n = d.shape[-1]
-    stack = d.reshape(-1, n, n)
     if n == 1:  # D = [0]: radius exactly 0
         one = np.ones(1)
         one.setflags(write=False)
-        return [PerronResult(0.0, 0.0, 0.0, 0.0, 0, one)] * len(stack)
-    x = np.abs(np.linalg.eigh(d)[1][..., -1]).reshape(-1, n)
+        return PerronResult(0.0, 0.0, 0.0, 0.0, 0, one)
+    stack = d.reshape(1, n, n)
     exact = _exact(stack)
-    out: list = [None] * len(stack)
-    lower, upper = np.full(len(stack), -np.inf), np.full(len(stack), np.inf)
-    todo = np.arange(len(stack))
+    x = np.abs(np.linalg.eigh(d)[1][..., -1]).reshape(1, n)
+    lower, upper = np.full(1, -np.inf), np.full(1, np.inf)
     for it in range(1, max_iter + 1):
-        ok, xs, ys, lo, hi = _step(exact[todo], x[todo])
-        t = todo[ok]
-        lower[t] = np.maximum(lower[t], lo)
-        upper[t] = np.minimum(upper[t], hi)
-        done = upper[t] - lower[t] <= bracket_width
-        t = t[done]
-        if t.size:
-            for i, res in zip(t.tolist(), _results(xs[done], ys[done], lower[t], upper[t], it)):
-                out[i] = res
-            todo = todo[upper[todo] - lower[todo] > bracket_width]
-            if not todo.size:
-                return out
+        xs, ys, lo, hi = _step(exact, x)
+        lower, upper = np.maximum(lower, lo), np.minimum(upper, hi)
+        if upper[0] - lower[0] <= bracket_width:
+            return _results(xs, ys, lower, upper, it)[0]
         if it & (it - 1) == 0:
-            saved = x.copy()
-        y = np.matmul(stack[todo], x[todo][:, :, None])[:, :, 0]
-        x[todo] = y / y.max(axis=1, keepdims=True)
-        cycled = todo[(x[todo] == saved[todo]).all(axis=1)]
-        if cycled.size:
-            raise BracketError(float(lower[cycled[0]]), float(upper[cycled[0]]), it)
-    raise BracketError(float(lower[todo[0]]), float(upper[todo[0]]), max_iter)
+            saved = x  # x is rebound below, never written
+        y = np.matmul(stack, x[:, :, None])[:, :, 0]
+        x = y / y.max(axis=1, keepdims=True)
+        if (x == saved).all():
+            raise BracketError(float(lower[0]), float(upper[0]), it)
+    raise BracketError(float(lower[0]), float(upper[0]), max_iter)
+
+
+def _bracket_stack(d: np.ndarray) -> list[PerronResult]:
+    """Default-width brackets of a stack d of same-order matrices.
+
+    One stacked eigh and one exact step certify every matrix; one whose
+    bracket is wider than DEFAULT_BRACKET_WIDTH is handed to perron().
+    """
+    if d.shape[-1] == 1:
+        return [perron(d[0])] * len(d)
+    xs, ys, lo, hi = _step(_exact(d), np.abs(np.linalg.eigh(d)[1][..., -1]))
+    narrow = hi - lo <= DEFAULT_BRACKET_WIDTH
+    first = iter(_results(xs[narrow], ys[narrow], lo[narrow], hi[narrow], 1))
+    return [next(first) if w else perron(m) for w, m in zip(narrow.tolist(), d)]
 
 
 def _exact(d: np.ndarray) -> np.ndarray:
@@ -195,18 +186,16 @@ def _exact(d: np.ndarray) -> np.ndarray:
 def _step(d: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """One exact Collatz-Wielandt step per matrix of the stack d, at the rows of x.
 
-    Each row of x is scaled to max 2^50 and truncated to an integer vector
-    X <= 2^50 (any positive integer vector certifies); Y = DX is exact in
-    d's dtype.  Returns the mask of the rows whose X stayed positive and,
-    for those, X, Y and the bracket from every ratio Y_i/X_i.
+    Each row of x is scaled to max 2^50, truncated and raised to at least 1
+    (any positive integer vector certifies; only a broken eigh vector leaves
+    a 0, and its bracket is then wide).  Y = DX is exact in d's dtype.
+    Returns X, Y and the bracket from every ratio Y_i/X_i.
     """
-    big = (x / x.max(axis=1, keepdims=True) * 2.0**50).astype(np.int64)
-    ok = big.min(axis=1) >= 1
-    y = np.matmul(d, big.astype(d.dtype, copy=False)[:, :, None])[ok, :, 0]
-    big = big[ok]
+    big = np.maximum((x / x.max(axis=1, keepdims=True) * 2.0**50).astype(np.int64), 1)
+    y = np.matmul(d, big.astype(d.dtype, copy=False)[:, :, None])[:, :, 0]
     q = np.array([yi / xi for yi, xi in zip(y.ravel().tolist(), big.ravel().tolist())])
     q = q.reshape(big.shape)
-    return ok, big, y, _ulps(q.min(axis=1), -np.inf), _ulps(q.max(axis=1), np.inf)
+    return big, y, _ulps(q.min(axis=1), -np.inf), _ulps(q.max(axis=1), np.inf)
 
 
 def _results(

@@ -43,7 +43,6 @@ from .spectral import (
     certified_compare,
     distance_matrices,
     perron_many,
-    perron_of,
     quadratic_form_delta,
 )
 from .transforms import (
@@ -230,7 +229,7 @@ def verify_pendant_sum(
             raise GraphError(f"{list(w[1:])} is no pendant path of g at root {w[0]}")
     if len({*walks[0], *walks[1]}) < len(walks[0]) + len(walks[1]):
         raise GraphError("the paths must not share or repeat a vertex")
-    return _pendant_sum(g, p_long, p_short, perron_of(g), encode_rows([g.masks])[0])
+    return _pendant_sum(g, p_long, p_short, perron_many([g])[0], encode_rows([g.masks])[0])
 
 
 def _pendant_sum(

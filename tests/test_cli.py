@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from distspec import cli, verify
+from distspec import cli, spectral, verify
 from distspec.cli import main
 from distspec.graph6 import decode_graph6
 from distspec.graphs import GraphError
@@ -211,7 +211,7 @@ def test_verify_bound_rejects_unchecked_tolerance(capsys, monkeypatch, tol):
     def untouched(*args):
         raise AssertionError("computed before the tolerance was checked")
 
-    monkeypatch.setattr(verify, "perron_of", untouched)
+    monkeypatch.setattr(spectral, "perron_of", untouched)
     code, out, err = run(
         capsys,
         ["verify", "--theorem", "bound", "--old", "Cs", "--new", "C~", "--tol", tol],

@@ -376,9 +376,8 @@ def reference_fields(d):
     todo = list(range(len(d)))
     for it in range(1, spectral.MAX_ITER + 1):
         big = (x[todo] / x[todo].max(axis=1, keepdims=True) * 2.0**50).astype(np.int64)
-        for i, xs in zip(todo, big.tolist()):
-            if min(xs) < 1:
-                continue
+        for i, row in zip(todo, big.tolist()):
+            xs = [max(v, 1) for v in row]
             ys = [sum(map(operator.mul, row, xs)) for row in d[i].tolist()]
             ratios = [yi / xi for yi, xi in zip(ys, xs)]
             lower = max(bounds[i][0], two_ulps(min(ratios), -math.inf))
@@ -502,7 +501,7 @@ def test_perron_many_rejects_disconnected_graph():
 def test_perron_many_falls_back_when_first_step_is_too_wide(monkeypatch):
     # eigh hands one graph a sign-alternating vector, alone (2-D, perron())
     # or in a stack (3-D, perron_many()); |v| = ones certifies only a wide
-    # bracket, so the bracket loop refines that graph by power iteration
+    # bracket, so the stack hands that graph to perron(), which refines it alone
     graphs = list(connected_graphs(5))
     victim = 7
     d_victim = distance_matrix(graphs[victim])
@@ -523,6 +522,35 @@ def test_perron_many_falls_back_when_first_step_is_too_wide(monkeypatch):
     assert out[victim].iterations > 1
     assert out[victim].width <= spectral.DEFAULT_BRACKET_WIDTH
     assert fields(out[victim]) == fields(perron(distance_matrix(graphs[victim])))
+    for i, res in enumerate(out):
+        if i != victim:
+            assert fields(res) == unpatched[i]
+
+
+def test_truncated_eigenvector_entry_is_raised_to_one(monkeypatch):
+    # eigh hands one graph the top vector e_0: every other entry truncates to
+    # 0, is raised to 1, and the first step certifies a valid but wide
+    # bracket, so perron() refines that graph from |e_0| alone
+    graphs = list(connected_graphs(5))
+    victim = 7
+    d_victim = distance_matrix(graphs[victim])
+    unpatched = [fields(perron(distance_matrix(g))) for g in graphs]
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        w, v = real_eigh(a)
+        n = a.shape[-1]
+        for m, vecs in zip(a.reshape(-1, n, n), v if a.ndim == 3 else v[None]):
+            if np.array_equal(m, d_victim):
+                vecs[:, -1] = np.eye(n)[0]
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    out = perron_many(graphs)
+    assert out[victim].iterations > 1
+    assert out[victim].width <= spectral.DEFAULT_BRACKET_WIDTH
+    assert encloses(out[victim], mp_radius(d_victim))
+    assert fields(out[victim]) == fields(perron(d_victim))
     for i, res in enumerate(out):
         if i != victim:
             assert fields(res) == unpatched[i]

@@ -214,7 +214,7 @@ def test_perturbation_bound_rejects_unchecked_tolerance(tol, monkeypatch):
     def untouched(*args):
         raise AssertionError("computed before the tolerance was checked")
 
-    for name in ("perron_of", "perron_many", "distance_matrices"):
+    for name in ("perron_many", "distance_matrices"):
         monkeypatch.setattr(verify, name, untouched)
     with pytest.raises(ValueError, match="tol"):
         verify_perturbation_bound(make_base("path", 4), make_base("cycle", 4), tol=tol)
@@ -381,7 +381,6 @@ def test_min_sweeps_read_the_catalog_table_not_the_memo(monkeypatch):
     def untouched(*args):
         raise AssertionError("a radius was read through perron_of")
 
-    monkeypatch.setattr(verify, "perron_of", untouched)
     monkeypatch.setattr(spectral, "perron_of", untouched)
     assert sweep_min_cut_vertices(6) and sweep_min_cut_edges(6)
     level = catalog(6)
@@ -443,7 +442,7 @@ def test_graft_sweep_builds_names_and_brackets_each_graph_once(monkeypatch):
     monkeypatch.setattr(verify, "encode_rows", encode)
     monkeypatch.setattr(spectral, "_bracket_stack", stack)
     monkeypatch.setattr(verify, "_graft_reports", batch)
-    monkeypatch.setattr(verify, "perron_of", untouched)
+    monkeypatch.setattr(spectral, "perron_of", untouched)
     assert len(sweep_graft(5, 4)) == sum(batches) == 1288
     assert all(len(rows) == len(set(rows)) for rows in encoded)
     assert sum(map(len, encoded)) == 1790
@@ -600,7 +599,7 @@ def test_sweeps_take_their_radii_as_values(monkeypatch):
         raise AssertionError("a radius was read through perron_of")
 
     expected = sweeps()
-    monkeypatch.setattr(verify, "perron_of", untouched)
+    monkeypatch.setattr(spectral, "perron_of", untouched)
     assert sweeps() == expected
 
 
