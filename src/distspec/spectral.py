@@ -20,13 +20,13 @@ n add/minimum steps in a narrow unsigned type, n marking an unreached
 pair, cheaper than a boolean matrix product per hop.
 
 A stack of same-order matrices (each order's distinct graphs of a batch in
-perron_many(), a catalog's rows in brackets()) takes one stacked eigh and
-one step.  Only perron() iterates: power iteration, every vector certified
-the same way, refines one matrix still wider than requested, and a stack
-hands it each matrix its step leaves wider than the default.  None keeps a
-radius.  A hop matrix is a plain read-only int64 array, its order its last
-axis.  A matrix gets the same bits in any stack: the stacked eigh makes the
-same LAPACK call on each matrix, and the step is exact.
+perron_many(), a catalog's rows in brackets(), one matrix in perron())
+takes one stacked eigh and one step.  Power iteration, every vector
+certified the same way, refines a matrix wider than requested, but stops at
+a step that does not narrow its bracket, a few ulps of the radius wide.  None
+keeps a radius.  A hop matrix is a plain read-only int64 array, its order
+its last axis.  A matrix gets the same bits in any stack: the stacked eigh
+makes the same LAPACK call on each matrix, and the step is exact.
 Comparisons are made only between disjoint brackets; overlapping brackets
 are reported as indistinguishable instead of being resolved by an epsilon.
 """
@@ -131,51 +131,48 @@ class PerronResult:
 def perron(
     d: np.ndarray, bracket_width: float = DEFAULT_BRACKET_WIDTH, max_iter: int = MAX_ITER
 ) -> PerronResult:
-    """Certified bracket of one hop matrix d, refined by the one power-iteration loop.
-
-    While the intersection of the steps is wider than bracket_width, the
-    vector is refined; iterations counts the steps.  A vector equal to the
-    one saved at the last power-of-two step (Brent, BIT 20, 1980) starts a
-    cycle: BracketError carries the bracket then, or after max_iter steps.
-    The loop runs on (1, n) rows, as a stack does, so the bits are the same.
-    """
+    """Certified bracket of one hop matrix d, a stack of one; BracketError if wider than asked."""
     if not bracket_width > 0:
         raise ValueError(f"bracket width must be positive, got {bracket_width}")
-    n = d.shape[-1]
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be positive, got {max_iter}")
+    res = _bracket_stack(d[None], bracket_width, max_iter)[0]
+    if res.width > bracket_width:
+        raise BracketError(res.lower, res.upper, res.iterations)
+    return res
+
+
+def _bracket_stack(
+    d: np.ndarray, width: float = DEFAULT_BRACKET_WIDTH, max_iter: int = MAX_ITER
+) -> list[PerronResult]:
+    """Certified brackets of a stack d of same-order matrices; never raises.
+
+    One stacked eigh and one exact step certify every matrix.  One wider
+    than width goes on from its own vector by power iteration, each vector
+    certified the same way, and stops once the intersection of its steps
+    is width wide, once a step does not narrow it (in exact arithmetic the
+    bounds only narrow: that step marks the float limit), or after max_iter
+    steps.  One that stops wider keeps its last step's vector, its value
+    clamped into the intersection.
+    """
+    count, n = d.shape[:2]
     if n == 1:  # D = [0]: radius exactly 0
-        one = np.ones(1)
-        one.setflags(write=False)
-        return PerronResult(0.0, 0.0, 0.0, 0.0, 0, one)
-    stack = d.reshape(1, n, n)
-    exact = _exact(stack)
-    x = np.abs(np.linalg.eigh(d)[1][..., -1]).reshape(1, n)
-    lower, upper = np.full(1, -np.inf), np.full(1, np.inf)
+        return [PerronResult(0.0, 0.0, 0.0, 0.0, 0, np.broadcast_to(1.0, 1))] * count
+    out: dict[int, PerronResult] = {}
+    rows, exact = np.arange(count), _exact(d)
+    x = np.abs(np.linalg.eigh(d)[1][..., -1])
+    lower, upper = -np.inf, np.inf
     for it in range(1, max_iter + 1):
         xs, ys, lo, hi = _step(exact, x)
-        lower, upper = np.maximum(lower, lo), np.minimum(upper, hi)
-        if upper[0] - lower[0] <= bracket_width:
-            return _results(xs, ys, lower, upper, it)[0]
-        if it & (it - 1) == 0:
-            saved = x  # x is rebound below, never written
-        y = np.matmul(stack, x[:, :, None])[:, :, 0]
+        lo, hi = np.maximum(lower, lo), np.minimum(upper, hi)
+        done = (hi - lo <= width) | ((lo == lower) & (hi == upper)) | (it == max_iter)
+        out.update(zip(rows[done].tolist(), _results(xs[done], ys[done], lo[done], hi[done], it)))
+        if done.all():
+            break
+        rows, d, exact, x, lower, upper = (a[~done] for a in (rows, d, exact, x, lo, hi))
+        y = np.matmul(d, x[:, :, None])[:, :, 0]
         x = y / y.max(axis=1, keepdims=True)
-        if (x == saved).all():
-            raise BracketError(float(lower[0]), float(upper[0]), it)
-    raise BracketError(float(lower[0]), float(upper[0]), max_iter)
-
-
-def _bracket_stack(d: np.ndarray) -> list[PerronResult]:
-    """Default-width brackets of a stack d of same-order matrices.
-
-    One stacked eigh and one exact step certify every matrix; one whose
-    bracket is wider than DEFAULT_BRACKET_WIDTH is handed to perron().
-    """
-    if d.shape[-1] == 1:
-        return [perron(d[0])] * len(d)
-    xs, ys, lo, hi = _step(_exact(d), np.abs(np.linalg.eigh(d)[1][..., -1]))
-    narrow = hi - lo <= DEFAULT_BRACKET_WIDTH
-    first = iter(_results(xs[narrow], ys[narrow], lo[narrow], hi[narrow], 1))
-    return [next(first) if w else perron(m) for w, m in zip(narrow.tolist(), d)]
+    return [out[i] for i in range(count)]
 
 
 def _exact(d: np.ndarray) -> np.ndarray:
@@ -230,7 +227,7 @@ def perron_of(g: Graph, bracket_width: float = DEFAULT_BRACKET_WIDTH) -> PerronR
 def perron_many(
     graphs: Iterable[Graph], dms: Sequence[np.ndarray] | None = None
 ) -> list[PerronResult]:
-    """Default-width brackets of many graphs, kept nowhere after the call.
+    """Certified brackets of many graphs, kept nowhere after the call.
 
     The distinct graphs are bracketed once, as one stack per order: of
     their matrices in dms when given, else straight from their masks.
@@ -245,7 +242,7 @@ def perron_many(
 
 
 def brackets(masks: np.ndarray) -> list[PerronResult]:
-    """Default-width brackets of a nonempty (graphs, n) bitmask array, as one stack, uncached."""
+    """Certified brackets of a nonempty (graphs, n) bitmask array, as one stack, uncached."""
     return _bracket_stack(_hop_counts(_adjacency(masks)))
 
 

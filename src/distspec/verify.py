@@ -7,7 +7,7 @@ exact entrywise matrix comparison.  A hypothesis that does not hold, or
 brackets that overlap, yield INCONCLUSIVE; that marks the claim as untested
 here, never as falsified.
 
-Every radius is a default-width bracket, a few ulps wide.  Claims 3 and 4
+Every radius is a certified bracket, a few ulps of it wide.  Claims 3 and 4
 read theirs, and the cut counts that pick each class, from the order's
 catalog (enumeration.Level.cuts and Level.radii).  Every other claim has
 one internal function that reports on a batch of instances: it builds
@@ -255,6 +255,8 @@ def _pendant_sum(
         "short_sum_without_root": short_mass - float(res.vector[p_short.root]),
         "tolerance": tol,
     }
+    if outcome == INCONCLUSIVE:
+        witness["needs_exact_followup"] = True
     return VerificationReport(
         theorem="pendant-mass",
         instance={

@@ -208,9 +208,11 @@ def test_bracket_width_request():
 
 
 def test_nan_width_rejected():
+    # as is a step count below 1, before any step is taken
     dm = distance_matrix(make_base("path", 4))
-    with pytest.raises(ValueError, match="positive"):
-        perron(dm, bracket_width=float("nan"), max_iter=3)
+    for width, max_iter in ((float("nan"), 3), (1e-10, 0)):
+        with pytest.raises(ValueError, match="positive"):
+            perron(dm, bracket_width=width, max_iter=max_iter)
 
 
 def test_certified_compare():
@@ -289,31 +291,44 @@ def test_one_certification_step_to_ulp_width():
             assert res.width <= 1e-12
 
 
-def alternating_eigh(real_eigh):
-    """eigh whose top eigenvector is replaced by +1, -1, +1, ...; |v| is then
-    the all-ones vector, a Perron vector only when every row of D has the
-    same sum."""
+def alternating(n):
+    """+1, -1, +1, ...: |v| is the all-ones vector, a Perron vector only when
+    every row of D has the same sum."""
+    return [(-1) ** i for i in range(n)]
+
+
+def first_unit(n):
+    """e_0: its first step raises every other entry of X to 1."""
+    return np.eye(n)[0]
+
+
+def eigh_with_top(real_eigh, top):
+    """eigh whose top eigenvector, of each matrix of a stack, is top(n)."""
 
     def eigh(a):
         w, v = real_eigh(a)
-        v[:, -1] = [(-1) ** i for i in range(len(w))]
+        v[..., -1] = top(a.shape[-1])
         return w, v
 
     return eigh
 
 
 def test_refinement_on_sign_mixed_eigenvector(monkeypatch):
-    monkeypatch.setattr(np.linalg, "eigh", alternating_eigh(np.linalg.eigh))
-    refined = 0
-    for g in connected_graphs(5):
-        dm = distance_matrix(g)
-        res = perron(dm)
-        if len(set(dm.sum(axis=1).tolist())) > 1:
-            assert res.iterations > 1
-            refined += 1
-        assert res.width <= 1e-10
-        assert encloses(res, mp_radius(dm)), g.edges
-    assert refined == 19
+    # from |v| = ones, and from |e_0|, every step narrows the bracket until it
+    # is the default width: perron() raises on a refinement that stops early
+    real_eigh = np.linalg.eigh
+    for top, want in ((alternating, 19), (first_unit, 21)):
+        monkeypatch.setattr(np.linalg, "eigh", eigh_with_top(real_eigh, top))
+        refined = 0
+        for g in connected_graphs(5):
+            dm = distance_matrix(g)
+            res = perron(dm)
+            if len(set(dm.sum(axis=1).tolist())) > 1 or top is first_unit:
+                assert res.iterations > 1
+                refined += 1
+            assert res.width <= 1e-10
+            assert encloses(res, mp_radius(dm)), g.edges
+        assert refined == want
 
 
 def test_exact_step_beyond_int64_order(monkeypatch):
@@ -323,7 +338,7 @@ def test_exact_step_beyond_int64_order(monkeypatch):
     assert res.iterations == 1
     assert res.width <= 1e-10
     assert encloses(res, lam)
-    monkeypatch.setattr(np.linalg, "eigh", alternating_eigh(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", eigh_with_top(np.linalg.eigh, alternating))
     res = perron(dm)
     assert res.iterations > 1
     assert res.width <= 1e-10
@@ -343,15 +358,33 @@ def test_unreachable_width_raises_certified_bracket():
 
 
 def test_cycling_vector_raises_within_a_few_steps():
-    # power iteration on this graph's vector repeats bit for bit at step 5,
-    # after which no bracket can narrow: the loop stops there instead of
-    # running MAX_ITER steps, with the bracket those would have ended on
+    # step 3 does not narrow this graph's bracket, the float limit: the loop
+    # stops there instead of running MAX_ITER steps, with the bracket those
+    # would have ended on
     dm = distance_matrix(decode_graph6("G{CI?C"))
     with pytest.raises(BracketError) as err:
         perron(dm, bracket_width=2e-14)
     assert err.value.iterations <= 20
     assert (err.value.lower, err.value.upper) == (18.80340747096862, 18.803407470968654)
     assert encloses(err.value, mp_radius(dm))
+
+
+def test_long_path_settles_where_perron_raises():
+    # P_400's radius is 55,585: no step brings its bracket down to the
+    # absolute default width, so a stack settles a few ulps of the radius
+    # wide at the first step that does not narrow, and perron() raises there
+    p400 = make_base("path", 400)
+    res = perron_many([p400])[0]
+    assert res.iterations > 1
+    assert res.width <= 1e-14 * res.upper
+    assert res.lower <= res.value <= res.upper
+    with pytest.raises(BracketError) as err:
+        perron(distance_matrix(p400))
+    assert (err.value.lower, err.value.upper, err.value.iterations) == (
+        res.lower,
+        res.upper,
+        res.iterations,
+    )
 
 
 def fields(res):
@@ -499,9 +532,9 @@ def test_perron_many_rejects_disconnected_graph():
 
 
 def test_perron_many_falls_back_when_first_step_is_too_wide(monkeypatch):
-    # eigh hands one graph a sign-alternating vector, alone (2-D, perron())
-    # or in a stack (3-D, perron_many()); |v| = ones certifies only a wide
-    # bracket, so the stack hands that graph to perron(), which refines it alone
+    # eigh hands one graph a sign-alternating vector, alone (perron()) or in
+    # a stack (perron_many()); |v| = ones certifies only a wide bracket, so
+    # that row alone goes on by power iteration, to the bits perron() gives
     graphs = list(connected_graphs(5))
     victim = 7
     d_victim = distance_matrix(graphs[victim])
@@ -530,7 +563,7 @@ def test_perron_many_falls_back_when_first_step_is_too_wide(monkeypatch):
 def test_truncated_eigenvector_entry_is_raised_to_one(monkeypatch):
     # eigh hands one graph the top vector e_0: every other entry truncates to
     # 0, is raised to 1, and the first step certifies a valid but wide
-    # bracket, so perron() refines that graph from |e_0| alone
+    # bracket, so that row alone goes on by power iteration from |e_0|
     graphs = list(connected_graphs(5))
     victim = 7
     d_victim = distance_matrix(graphs[victim])

@@ -8,6 +8,7 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from distspec import enumeration, spectral, verify
@@ -148,6 +149,18 @@ def test_pendant_sum_checks_its_paths():
     assert report_json(verify_pendant_sum(graft(site), *paths)) == report_json(
         pendant_report_for_site(site)
     )
+
+
+def test_pendant_sum_tie_needs_exact_followup():
+    # masses that tie are within any tolerance: INCONCLUSIVE, and it says why
+    g = decode_graph6("F{CI?")
+    vector = np.array([0.25, 0.5, 0.1, 0.25, 0.25, 0.25, 0.5])
+    res = spectral.PerronResult(3.0, 3.0, 3.0, 0.0, 1, vector)
+    paths = PendantPath(root=0, vertices=(3, 4, 5)), PendantPath(root=1, vertices=(6,))
+    rep = verify._pendant_sum(g, *paths, res, "F{CI?")
+    assert rep.witness["long_sum_with_root"] == rep.witness["short_sum_with_root"] == 1.0
+    assert rep.outcome == "INCONCLUSIVE"
+    assert rep.witness["needs_exact_followup"] is True
 
 
 def test_relocation_star_instance():
