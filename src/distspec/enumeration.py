@@ -17,15 +17,14 @@ isomorphic to S's and that the loop has already visited; so a skipped
 subset is never the first encounter of its class, and each class keeps the
 representative the unpruned loop would give it.
 
-Children are built KEY_CHUNK at a time, in loop order, as one int64 mask
-array from their parents' rows and subsets, and keyed by
-graphs.keys_from_masks (the key key_from_masks would give); the first
+Children are built KEY_CHUNK (parent, subset) pairs at a time, in loop
+order, as one int64 mask array keyed by graphs.keys_from_masks; the first
 child met with a new key is its class's representative, the only row kept.
 
 Each order is built once into a Level, the catalog of that order: one
 representative per isomorphism class, as the adjacency bitmasks it was
-keyed by, sorted by that key, which lives only inside the build.  The next
-order's parents and the claim table read the masks: Level.cuts (each
+keyed by, sorted by that key, which the level keeps beside the masks.  The
+next order's parents and the claim table read the masks: Level.cuts (each
 class's cut counts, for the cut filters and claims 3 and 4) and
 Level.radii (each class's bracket, for claims 3 and 4), each computed on
 first use and kept with the level.  No Graph or graph6 string is made
@@ -38,6 +37,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -77,11 +77,13 @@ class Level:
     """Catalog of one order: a representative per isomorphism class, in key order.
 
     masks[i] holds class i's adjacency bitmasks (a read-only uint16 array of
-    shape (classes, n), rows sorted by canonical key); cuts and radii add
-    the claim table.
+    shape (classes, n)), keys[i] its canonical key (read-only int64, strictly
+    ascending: np.searchsorted finds a graph's row); cuts and radii add the
+    claim table.
     """
 
     masks: np.ndarray
+    keys: np.ndarray
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -156,41 +158,34 @@ TABLE_CHUNK = 256
 def _level(n: int) -> Level:
     """Catalog of all connected graphs on n vertices."""
     if n == 1:
-        return Level(np.frombuffer(bytes(2), np.uint16).reshape(1, 1))  # K1
-    # canonical key -> index in rows of the class's first child met
-    reps: dict[bytes, int] = {}
+        k1 = np.frombuffer(bytes(2), np.uint16).reshape(1, 1)
+        return Level(k1, np.frombuffer(bytes(8), np.int64))  # K1, key 0
+    # canonical key of each class, in the order of the class's row: its first child met
+    reps: dict[int, None] = {}
     rows = bytearray()
     new = n - 1
     parents = _level(new).masks.astype(np.int64)
     bits = np.arange(new)
-
-    def keep(owners: list[int], subsets: list[int]) -> None:
-        subs = np.array(subsets)
+    subsets = (_twin_pruned_subsets(twin_classes(m)) for m in map(np.ndarray.tolist, parents))
+    pairs = ((p, sub) for p, subs in enumerate(subsets) for sub in subs)
+    while chunk := list(islice(pairs, KEY_CHUNK)):
+        owners, subs = np.array(chunk).T
         children = np.column_stack((parents[owners] | (subs[:, None] >> bits & 1) << new, subs))
         fresh = []
         for i, key in enumerate(keys_from_masks(n, children)):
             if key not in reps:
-                reps[key] = len(reps)
+                reps[key] = None
                 fresh.append(i)
         rows.extend(children[fresh].astype(np.uint16).tobytes())
-
-    owners, subsets = [], []  # parent index and subset of each child not yet keyed
-    for p, masks in enumerate(map(np.ndarray.tolist, parents)):
-        found = _twin_pruned_subsets(twin_classes(masks))
-        owners += [p] * len(found)
-        subsets += found
-        while len(subsets) >= KEY_CHUNK:
-            keep(owners[:KEY_CHUNK], subsets[:KEY_CHUNK])
-            del owners[:KEY_CHUNK], subsets[:KEY_CHUNK]
-    if subsets:
-        keep(owners, subsets)
     # the key tables are per order, and no later level reads this order's
     _ordering_table.cache_clear()
-    order = [reps[key] for key in sorted(reps)]
+    keys = np.fromiter(reps, np.int64, len(reps))
     reps.clear()  # before the sorted copy is made
-    masks = np.frombuffer(rows, dtype=np.uint16).reshape(-1, n)[order]
+    order = np.argsort(keys, kind="stable")  # keys_from_masks's kind: no more sort code paged in
+    keys, masks = keys[order], np.frombuffer(rows, dtype=np.uint16).reshape(-1, n)[order]
+    keys.setflags(write=False)
     masks.setflags(write=False)
-    return Level(masks)
+    return Level(masks, keys)
 
 
 def catalog(n: int) -> Level:

@@ -8,13 +8,14 @@ ones on those masks: reach for connectivity, one lowpoint DFS for the
 blocks and the cut counts.  Hop distances come from spectral's hop stack.
 
 A canonical key is the minimal graph6 bit string over the vertex orderings
-that list the 1-WL refinement classes in class order.  Two evaluators give
-it byte for byte: key_from_masks searches one graph's orderings level by
-level, keeping every tie; keys_from_masks, for a mask array of one order,
-refines every row at once (each round's signature one matrix-vector
-product per row) and takes each minimum over a cached table of all such
-orderings, handing a graph with too many orderings (a regular one has n!)
-and orders above MAX_CANONICAL_N to key_from_masks.
+that list the 1-WL refinement classes in class order, as one integer (first
+pair most significant; K1's is 0) that names a class only within its order.
+Two evaluators give the same integer: key_from_masks searches one graph's
+orderings level by level, keeping every tie; keys_from_masks, for a mask
+array of one order, refines every row at once and takes each minimum over
+a cached table of all such orderings, handing a graph with too many
+orderings (a regular one has n!) and orders above MAX_CANONICAL_N to
+key_from_masks.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _refinement_classes(n: int, masks) -> list[int]:
         sigs = [(colors[v], *sorted(colors[u] for u in _bits(masks[v]))) for v in range(n)]
 
 
-def key_from_masks(n: int, masks) -> bytes:
+def key_from_masks(n: int, masks) -> int:
     """Canonical key from adjacency bitmasks (masks[v] bit u set iff uv edge).
 
     Orderings are restricted to list the refinement classes in class order
@@ -229,7 +230,7 @@ def key_from_masks(n: int, masks) -> bytes:
     if n > MAX_KEY_N:
         raise GraphError(f"key_from_masks packs vertex ids in 4 bits: n <= {MAX_KEY_N}, got {n}")
     if n == 1:
-        return bytes([1, 0])
+        return 0
     colors = _refinement_classes(n, masks)
     placement = sorted(range(n), key=lambda v: (colors[v], v))
     # cands[level] = how many leading state entries share the current class.
@@ -265,8 +266,7 @@ def key_from_masks(n: int, masks) -> bytes:
     acc = 0
     for level in range(1, n):
         acc = (acc << level) | key_cols[level]
-    nbits = n * (n - 1) // 2
-    return bytes([n]) + acc.to_bytes((nbits + 7) // 8 or 1, "big")
+    return acc
 
 
 # A row whose class-respecting orderings times n(n-1)/2 exceed this goes to
@@ -274,7 +274,7 @@ def key_from_masks(n: int, masks) -> bytes:
 KEY_TABLE_BUDGET = 1 << 16
 
 
-def keys_from_masks(n: int, rows) -> list[bytes]:
+def keys_from_masks(n: int, rows) -> list[int]:
     """key_from_masks for many graphs of one order, as one batched computation.
 
     rows is a (rows, n) integer array of bitmask rows, or anything
@@ -320,8 +320,7 @@ def keys_from_masks(n: int, rows) -> list[bytes]:
         for at in range(0, len(members), step):
             chunk = members[at:at + step]
             best[chunk] = (bits[chunk] @ table).min(axis=1)
-    head, nbytes = bytes([n]), (n * (n - 1) // 2 + 7) // 8
-    keys = [head + value.to_bytes(nbytes, "big") for value in best.tolist()]
+    keys = best.tolist()
     for b in scalar:
         keys[b] = key_from_masks(n, rows[b].tolist())
     return keys

@@ -8,19 +8,20 @@ brackets that overlap, yield INCONCLUSIVE; that marks the claim as untested
 here, never as falsified.
 
 Every radius is a certified bracket, a few ulps of it wide.  Claims 3 and 4
-read theirs, and the cut counts that pick each class, from the order's
-catalog (enumeration.Level.cuts and Level.radii).  Every other claim has
-one internal function that reports on a batch of instances: it builds
-their graphs once and has their radii bracketed together by
-spectral.perron_many (from the hop matrices when the claim needs them
-anyway), and its reports take those radii as values, which no call keeps;
-names travel the same way, from one encode_rows call per batch.  Graft
-reports also key each distinct graph of a batch once.  A single verifier
-call is a batch of one; sweeps run serially, in runs of at most
-SWEEP_BATCH consecutive instances that may span bases and orders.  One
-driver, _batches, yields each run's reports as they are made: the public
-sweep_* return them as one list, the CLI writes each run and drops it.
-The width and jobs parameters are deprecated and ignored.
+read theirs, the cut counts that pick each class and the minimizers' keys
+from the order's catalog (enumeration.Level.cuts, .radii and .keys), and
+key only their targets.  Every other claim has one internal function that
+reports on a batch of instances: it builds their graphs once and has their
+radii bracketed together by spectral.perron_many (from the hop matrices
+when the claim needs them anyway), and its reports take those radii as
+values, which no call keeps; names travel the same way, from one
+encode_rows call per batch.  Graft reports also key each distinct graph of
+a batch's overlapping pairs once.  A single verifier call is a batch of
+one; sweeps run serially, in runs of at most SWEEP_BATCH consecutive
+instances that may span bases and orders.  One driver, _batches, yields
+each run's reports as they are made: the public sweep_* return them as one
+list, the CLI writes each run and drops it.  The width and jobs parameters
+are deprecated and ignored.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ import numpy as np
 
 from .enumeration import catalog, connected_graphs
 from .graph6 import encode_rows
-from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, block_masks, keys_from_masks
+from .graphs import MAX_KEY_N, Graph, GraphError, PendantPath, block_masks, key_from_masks
 from .jsonio import dumps
 from .spectral import (
     PerronResult,
     Relation,
-    _by_order,
     certified_compare,
     distance_matrices,
     perron_many,
@@ -126,8 +126,8 @@ def _graft_reports(sites: list[GraftSite]) -> list[VerificationReport]:
     """Graft-shift reports for sites with k >= l >= 1, each distinct graph handled once.
 
     Members and shifts to u are bracketed as one batch, the shifts to v the
-    reports need as a second; overlapping pairs are keyed in one batch per
-    order up to MAX_KEY_N, and a larger pair gets no key.
+    reports need as a second; each distinct graph of an overlapping pair is
+    keyed once, up to MAX_KEY_N vertices, and a larger pair gets no key.
     """
     _check_sites(sites)
     fams = [(s, _at(s, s.k, s.l), [("shift_to_u", _at(s, s.k + 1, s.l - 1))]) for s in sites]
@@ -142,11 +142,8 @@ def _graft_reports(sites: list[GraftSite]) -> list[VerificationReport]:
     radius.update(_radii([sh[1][1] for _, _, sh in fams if len(sh) > 1]))
     pairs = [(m, x) for _, m, sh in fams for _, x in sh]
     tied = [p for p in pairs if relation(*p) is Relation.INDISTINGUISHABLE]
-    key = {}
-    for n, gs in _by_order({g.masks: g for p in tied for g in p}.values()).items():
-        if n <= MAX_KEY_N:
-            rows = [g.masks for g in gs]
-            key.update(zip(rows, keys_from_masks(n, rows)))
+    keyed = {g.masks for p in tied for g in p if g.n <= MAX_KEY_N}
+    key = {masks: key_from_masks(len(masks), masks) for masks in keyed}
     names = _names([s.base.masks for s in sites] + [g.masks for p in pairs for g in p])
     return [_graft_report(s, m, sh, radius, names, key) for s, m, sh in fams]
 
@@ -502,9 +499,9 @@ _MIN_CLAIMS = {
 def _min_reports(theorem: str, n: int, ks: list[int]) -> Iterator[VerificationReport]:
     """Certify the claim's target as the unique minimizer of its class, for each k.
 
-    Members' cut counts and brackets are read from the catalog by index;
-    the targets and minimizers are keyed in one batch, and the
-    graphs the reports name are encoded from their rows in another.
+    Members' cut counts, brackets and keys are read from the catalog by
+    index; only the targets are keyed, and the graphs the reports name are
+    encoded from their rows in one batch.
     """
     which, target_of, noun = _MIN_CLAIMS[theorem]
     targets = [target_of(n, k) for k in ks]
@@ -516,11 +513,10 @@ def _min_reports(theorem: str, n: int, ks: list[int]) -> Iterator[VerificationRe
         if not picked:
             raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
         ranked.append(sorted(picked, key=lambda i: radii[i].value))  # stable: ties keep key order
-    keys = keys_from_masks(n, [t.masks for t in targets] + [level.masks[r[0]] for r in ranked])
     row = {i: tuple(level.masks[i].tolist()) for r in ranked for i in r[:2]}
     name = _names([t.masks for t in targets] + list(row.values()))
-    for k, target, (cand, *others), tkey, key in zip(ks, targets, ranked, keys, keys[len(ks):]):
-        isomorphic = key == tkey
+    for k, target, (cand, *others) in zip(ks, targets, ranked):
+        isomorphic = key_from_masks(n, target.masks) == int(level.keys[cand])
         witness = {
             "target": name[target.masks],
             "minimizer": name[row[cand]],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import networkx as nx
 import numpy as np
@@ -41,6 +42,8 @@ from distspec.graphs import (
     keys_from_masks,
 )
 from distspec.spectral import distance_matrix, perron
+from distspec.transforms import g_nk
+from distspec.verify import sweep_graft, sweep_min_cut_edges, sweep_min_cut_vertices
 
 
 def brute_force_count(n):
@@ -196,7 +199,7 @@ def test_cut_table_is_one_read_only_array_per_order(monkeypatch):
         raise AssertionError("the cut table bracketed a graph")
 
     for n in range(1, 9):
-        level = Level(catalog(n).masks)
+        level = Level(catalog(n).masks, catalog(n).keys)
         with monkeypatch.context() as m:
             m.setattr(enumeration, "brackets", unbracketed)
             cuts = level.cuts
@@ -242,6 +245,11 @@ def test_cache_clear_drops_the_catalog():
     assert _level.cache_info().currsize == 6
 
 
+def packed(n, key):
+    """A key as the bytes the catalog digests were recorded over: n, then the key big-endian."""
+    return bytes([n]) + key.to_bytes((n * (n - 1) // 2 + 7) // 8 or 1, "big")
+
+
 def test_catalog_golden_bytes():
     # sha256 of every level's keys and graph6, from its graphs, for
     # n = 1..7, recorded before twin pruning: pruning may skip subsets but
@@ -249,7 +257,8 @@ def test_catalog_golden_bytes():
     h = hashlib.sha256()
     for n in range(1, 8):
         for g in _level(n).graphs():
-            h.update(key_from_masks(n, g.masks) + b"\0" + encode_graph6(g).encode() + b"\n")
+            key = packed(n, key_from_masks(n, g.masks))
+            h.update(key + b"\0" + encode_graph6(g).encode() + b"\n")
         h.update(b"--\n")
     assert h.hexdigest() == "e6046a39ae7c3a353fe99b891a9c27e5fefdd44f7060b4be530e572457915828"
 
@@ -259,7 +268,7 @@ def test_catalog_golden_bytes_n8():
     rows = catalog(8).masks.tolist()
     h = hashlib.sha256()
     for key, row in zip(keys_from_masks(8, rows), rows):
-        h.update(key + b"\0" + encode_graph6(Graph(tuple(row))).encode() + b"\n")
+        h.update(packed(8, key) + b"\0" + encode_graph6(Graph(tuple(row))).encode() + b"\n")
     h.update(b"--\n")
     assert h.hexdigest() == "4cb837a25d57285e9c5371da38466b2f69a93842f70933925e87ee6f74678dfd"
 
@@ -293,11 +302,38 @@ def test_level_build_encodes_no_graph6(monkeypatch):
 
 
 def test_level_build_drops_its_key_tables():
-    # the key tables are per order, so none outlives the level build
+    # the key tables are per order, so none outlives the level build, and
+    # the claim and graft sweeps after it key single graphs, without tables
     _level.cache_clear()
     _level(7)
     assert _ordering_table.cache_info().currsize == 0
+    sweep_min_cut_vertices(7)
+    sweep_min_cut_edges(7)
+    sweep_graft(4, 4)
+    assert _ordering_table.cache_info().currsize == 0
     test_catalog_golden_bytes()
+
+
+def test_catalog_keeps_its_sorted_keys():
+    # each catalog keeps the integer keys its build computed, one per row and
+    # ascending, so any graph of the order finds its row by binary search
+    for n in range(1, 9):
+        level = catalog(n)
+        keys = level.keys
+        assert keys.dtype == np.int64 and keys.shape == (len(level),)
+        assert not keys.flags.writeable
+        assert np.all(keys[1:] > keys[:-1])
+        assert keys.tolist() == keys_from_masks(n, level.masks)
+    level, rng = catalog(8), random.Random(8)
+    reports = sweep_min_cut_vertices(8)
+    assert [r.instance["k"] for r in reports] == list(range(7))
+    for r in reports:
+        perm = list(range(8))
+        rng.shuffle(perm)
+        key = key_from_masks(8, relabelled(g_nk(8, r.instance["k"]), perm).masks)
+        row = np.searchsorted(level.keys, key)
+        assert level.keys[row] == key
+        assert encode_graph6(Graph(tuple(level.masks[row].tolist()))) == r.witness["minimizer"]
 
 
 def masks_of(g):
@@ -322,7 +358,9 @@ def unpruned_level(parents, n):
                 if sub >> i & 1:
                     masks[i] |= 1 << new
             reps.setdefault(key_from_masks(n, masks), masks)
-    return Level(masks=np.array([reps[key] for key in sorted(reps)], dtype=np.uint16))
+    keys = sorted(reps)
+    masks = np.array([reps[key] for key in keys], dtype=np.uint16)
+    return Level(masks=masks, keys=np.array(keys, dtype=np.int64))
 
 
 def test_twin_pruning_matches_unpruned_build():

@@ -292,22 +292,23 @@ def test_min_sweeps_cover_expected_grid():
     assert all(r.outcome == "PASS" for r in cv + ce)
 
 
-def test_min_sweep_keys_targets_and_minimizers_in_one_batch(monkeypatch):
+def test_min_sweep_keys_only_its_targets(monkeypatch):
+    # each minimizer's key is read from the catalog, so only the targets are keyed
     calls = []
-    real = verify.keys_from_masks
+    real = verify.key_from_masks
 
-    def many(n, rows):
-        calls.append((n, len(rows)))
-        return real(n, rows)
+    def one(n, masks):
+        calls.append(n)
+        return real(n, masks)
 
-    monkeypatch.setattr(verify, "keys_from_masks", many)
+    monkeypatch.setattr(verify, "key_from_masks", one)
     for sweep in (sweep_min_cut_vertices, sweep_min_cut_edges):
         calls.clear()
         assert len(sweep(7)) == 6
-        assert calls == [(7, 12)]  # six targets, six minimizers
+        assert calls == [7] * 6
     calls.clear()
     assert verify_min_cut_vertices(7, 2).outcome == "PASS"
-    assert calls == [(7, 2)]
+    assert calls == [7]
 
 
 def test_min_cut_vertex_sweep_covers_k1():
@@ -618,16 +619,36 @@ def test_sweeps_take_their_radii_as_values(monkeypatch):
 
 def test_graft_sweep_keys_only_overlapping_brackets(monkeypatch):
     calls = []
-    real = verify.keys_from_masks
+    real = verify.key_from_masks
 
-    def many(n, rows):
-        calls.extend(rows)
-        return real(n, rows)
+    def one(n, masks):
+        calls.append(masks)
+        return real(n, masks)
 
-    monkeypatch.setattr(verify, "keys_from_masks", many)
+    monkeypatch.setattr(verify, "key_from_masks", one)
     reports = sweep_graft(5, 4)
     flags = sum(
         key.endswith("_isomorphic_to_member") for r in reports for key in r.witness
     )
     assert flags > 0
     assert len(calls) <= 2 * flags
+
+
+def test_every_inconclusive_report_names_its_reason():
+    # an untested instance says why: a hypothesis clause that failed, or a
+    # tie of brackets that needs an exact follow-up
+    reports = (
+        sweep_graft(2, 18)
+        + sweep_relocation(6)
+        + sweep_pendant(4, 4)
+        + sweep_perturbation(5)
+        + sweep_monotonicity(6)
+        + sweep_min_cut_vertices(7)
+        + sweep_min_cut_edges(7)
+    )
+    inconclusive = [r for r in reports if r.outcome == "INCONCLUSIVE"]
+    assert Counter(r.theorem for r in inconclusive) == {"graft-shift": 64, "edge-relocation": 387}
+    for r in inconclusive:
+        followups = [key for key in r.witness if key.endswith("needs_exact_followup")]
+        assert "failed_clause" in r.witness or followups, report_json(r)
+        assert all(r.witness[key] is True for key in followups)
