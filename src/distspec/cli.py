@@ -15,7 +15,7 @@ import argparse
 import gc
 import sys
 
-from .enumeration import EnumFilter, connected_graphs, filtered_graphs
+from .enumeration import EnumFilter, filtered_graphs
 from .graph6 import decode_graph6, encode_graph6, encode_rows
 from .graphs import GraphError, build_graph
 from .spectral import DEFAULT_BRACKET_WIDTH, BracketError, perron_json, perron_of
@@ -53,11 +53,11 @@ EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _read_graph(args, flag="--g6"):
+def _read_graph(args):
     if getattr(args, "g6", None) is not None:
         return decode_graph6(args.g6)
     if getattr(args, "input", None) is None:
-        raise GraphError(f"provide {flag} or --input")
+        raise GraphError("provide --g6 or --input")
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -105,12 +105,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.cut_vertices is not None or args.cut_edges is not None:
-        filt = EnumFilter(cut_vertex_count=args.cut_vertices, cut_edge_count=args.cut_edges)
-        stream = filtered_graphs(args.n, filt)
-    else:
-        stream = connected_graphs(args.n)
-    for names in _batches((g.masks for g in stream), encode_rows):
+    filt = EnumFilter(cut_vertex_count=args.cut_vertices, cut_edge_count=args.cut_edges)
+    for names in _batches((g.masks for g in filtered_graphs(args.n, filt)), encode_rows):
         print("\n".join(names))
     return EXIT_PASS
 

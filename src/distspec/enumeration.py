@@ -27,9 +27,9 @@ keyed by, sorted by that key, which the level keeps beside the masks.  The
 next order's parents and the claim table read the masks: Level.cuts (each
 class's cut counts, for the cut filters and claims 3 and 4) and
 Level.radii (each class's bracket, for claims 3 and 4), each computed on
-first use and kept with the level.  No Graph or graph6 string is made
-unless a caller names a graph, and a Graph is then its row's masks,
-Graph(masks), with nothing converted or validated.
+first use and kept with the level.  Rows leave the catalog as Graphs by
+one route, filtered_graphs (connected_graphs is its unfiltered case): one
+Graph per kept row, its masks taken as they are, built as it is taken.
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ class Level:
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def graphs(self) -> Iterator[Graph]:
-        """The graphs in key order, one Graph per mask row, built one row at a time."""
-        return (Graph(tuple(row.tolist())) for row in self.masks)
 
     @cached_property
     def cuts(self) -> np.ndarray:
@@ -201,7 +197,7 @@ def catalog(n: int) -> Level:
 
 def connected_graphs(n: int) -> Iterator[Graph]:
     """Stream one representative per isomorphism class, sorted by key."""
-    yield from catalog(n).graphs()
+    return filtered_graphs(n, EnumFilter())
 
 
 def count_connected(n: int) -> int:
@@ -218,11 +214,11 @@ class EnumFilter:
 
 
 def filtered_graphs(n: int, filt: EnumFilter) -> Iterator[Graph]:
-    """Stream the enumerated graphs matching the filter, order preserved, building only those."""
+    """Stream the graphs matching the filter, in key order, each built when it is taken."""
     level = catalog(n)
     keep = np.ones(len(level), dtype=bool)
     for column, count in enumerate((filt.cut_vertex_count, filt.cut_edge_count)):
         if count is not None:
             keep &= level.cuts[:, column] == count
-    for masks in level.masks[keep].tolist():
-        yield Graph(tuple(masks))
+    for row in level.masks[keep]:
+        yield Graph(tuple(row.tolist()))

@@ -9,19 +9,21 @@ here, never as falsified.
 
 Every radius is a certified bracket, a few ulps of it wide.  Claims 3 and 4
 read theirs, the cut counts that pick each class and the minimizers' keys
-from the order's catalog (enumeration.Level.cuts, .radii and .keys), and
-key only their targets.  Every other claim has one internal function that
-reports on a batch of instances: it builds their graphs once and has their
-radii bracketed together by spectral.perron_many (from the hop matrices
-when the claim needs them anyway), and its reports take those radii as
-values, which no call keeps; names travel the same way, from one
-encode_rows call per batch.  Graft reports also key each distinct graph of
-a batch's overlapping pairs once.  A single verifier call is a batch of
-one; sweeps run serially, in runs of at most SWEEP_BATCH consecutive
-instances that may span bases and orders.  One driver, _batches, yields
-each run's reports as they are made: the public sweep_* return them as one
-list, the CLI writes each run and drops it.  The width and jobs parameters
-are deprecated and ignored.
+from the order's catalog (enumeration.Level.cuts, .radii and .keys), all in
+_min_reports, and key only their targets.  The other sweeps take their
+graphs from one stream, _graphs, the catalog graphs of a range of orders.
+Every other claim has one internal function that reports on a batch of
+instances: it builds their graphs once and has their radii bracketed
+together by spectral.perron_many (from the hop matrices when the claim
+needs them anyway), and its reports take those radii as values, which no
+call keeps; names travel the same way, from one encode_rows call per
+batch.  Graft reports also key each distinct graph of a batch's
+overlapping pairs once.  A single verifier call is a batch of one; sweeps
+run serially, in runs of at most SWEEP_BATCH consecutive instances that
+may span bases and orders.  One driver, _batches, yields each run's
+reports as they are made: the public sweep_* return them as one list, the
+CLI writes each run and drops it.  The width and jobs parameters are
+deprecated and ignored.
 """
 
 from __future__ import annotations
@@ -85,15 +87,8 @@ class VerificationReport:
 
 
 def report_json(rep: VerificationReport) -> str:
-    return dumps(
-        {
-            "theorem": rep.theorem,
-            "instance": rep.instance,
-            "outcome": rep.outcome,
-            "certified_gap": rep.certified_gap,
-            "witness": rep.witness,
-        }
-    )
+    """The report as one JSON object, its fields written in declaration order."""
+    return dumps(vars(rep))
 
 
 def _bracket(res: PerronResult) -> dict:
@@ -496,14 +491,17 @@ _MIN_CLAIMS = {
 }
 
 
-def _min_reports(theorem: str, n: int, ks: list[int]) -> Iterator[VerificationReport]:
+def _min_reports(theorem: str, n: int, ks=None) -> Iterator[VerificationReport]:
     """Certify the claim's target as the unique minimizer of its class, for each k.
 
+    ks defaults to every count that the order's cut table holds, ascending.
     Members' cut counts, brackets and keys are read from the catalog by
     index; only the targets are keyed, and the graphs the reports name are
     encoded from their rows in one batch.
     """
     which, target_of, noun = _MIN_CLAIMS[theorem]
+    if ks is None:  # np.unique would import numpy.ma (0.8 MB)
+        ks = np.flatnonzero(np.bincount(catalog(n).cuts[:, which])).tolist()
     targets = [target_of(n, k) for k in ks]
     level = catalog(n)
     cuts, radii = level.cuts, level.radii
@@ -586,11 +584,12 @@ def _batches(items, reports) -> Iterator[list[VerificationReport]]:
         yield reports(batch)
 
 
-def _orders(lo: int, hi: int) -> range:
-    """lo..hi, with hi's catalog built first: above the cap, a sweep fails before any report."""
+def _graphs(lo: int, hi: int) -> Iterator[Graph]:
+    """The graphs of orders lo..hi, hi's catalog built first: above the cap, no report is made."""
     if hi >= lo:
         catalog(hi)
-    return range(lo, hi + 1)
+    for n in range(lo, hi + 1):
+        yield from connected_graphs(n)
 
 
 def graft_sites(max_base_n: int, max_total: int, equal_only: bool | None = None):
@@ -599,14 +598,13 @@ def graft_sites(max_base_n: int, max_total: int, equal_only: bool | None = None)
     equal_only=None yields every k >= l >= 1 with k+l <= max_total;
     True restricts to k = l, False to k > l.
     """
-    for nb in _orders(2, max_base_n):
-        for base in connected_graphs(nb):
-            for u, v in sorted(base.edges):
-                for a, b in ((u, v), (v, u)):
-                    for k in range(1, max_total):
-                        for l in range(1, min(k, max_total - k) + 1):
-                            if equal_only in (None, k == l):
-                                yield GraftSite(base=base, u=a, v=b, k=k, l=l)
+    for base in _graphs(2, max_base_n):
+        for u, v in sorted(base.edges):
+            for a, b in ((u, v), (v, u)):
+                for k in range(1, max_total):
+                    for l in range(1, min(k, max_total - k) + 1):
+                        if equal_only in (None, k == l):
+                            yield GraftSite(base=base, u=a, v=b, k=k, l=l)
 
 
 def sweep_graft(
@@ -661,16 +659,15 @@ def relocation_specs(max_n: int):
     neighborhood hypothesis hold automatically; targets range over all
     nonempty subsets of u's other neighbors.
     """
-    for n in _orders(2, max_n):
-        for g in connected_graphs(n):
-            for v, mv in enumerate(g.masks):
-                if mv.bit_count() != 1:
-                    continue
-                u = mv.bit_length() - 1
-                rest = [t for t in g.neighbors(u) if t != v]
-                for sub in range(1, 1 << len(rest)):
-                    targets = tuple(rest[i] for i in range(len(rest)) if (sub >> i) & 1)
-                    yield RelocationSpec(g=g, u=u, v=v, targets=targets)
+    for g in _graphs(2, max_n):
+        for v, mv in enumerate(g.masks):
+            if mv.bit_count() != 1:
+                continue
+            u = mv.bit_length() - 1
+            rest = [t for t in g.neighbors(u) if t != v]
+            for sub in range(1, 1 << len(rest)):
+                targets = tuple(rest[i] for i in range(len(rest)) if (sub >> i) & 1)
+                yield RelocationSpec(g=g, u=u, v=v, targets=targets)
 
 
 def sweep_relocation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
@@ -683,13 +680,12 @@ def _relocation_batches(max_n: int):
 
 def edge_addition_pairs(max_n: int):
     """Every (connected graph, graph plus one absent edge) pair, n <= max_n."""
-    for n in _orders(2, max_n):
-        for g in connected_graphs(n):
-            for a, b in combinations(range(n), 2):
-                if not g.has_edge(a, b):
-                    masks = list(g.masks)
-                    masks[a], masks[b] = masks[a] | 1 << b, masks[b] | 1 << a
-                    yield g, Graph(tuple(masks))
+    for g in _graphs(2, max_n):
+        for a, b in combinations(range(g.n), 2):
+            if not g.has_edge(a, b):
+                masks = list(g.masks)
+                masks[a], masks[b] = masks[a] | 1 << b, masks[b] | 1 << a
+                yield g, Graph(tuple(masks))
 
 
 def sweep_perturbation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
@@ -705,15 +701,12 @@ def sweep_monotonicity(max_n: int = 7, width=None, jobs=1) -> list[VerificationR
 
 
 def _monotonicity_batches(max_n: int):
-    graphs = (g for n in _orders(1, max_n) for g in connected_graphs(n))
-    return _batches(graphs, _monotonicity_reports)
+    return _batches(_graphs(1, max_n), _monotonicity_reports)
 
 
 def _min_batches(theorem: str, n: int):
     """One batch: a report per k, ascending, that some class of the order's catalog has."""
-    # the counts present, ascending; np.unique would import numpy.ma (0.8 MB)
-    ks = np.flatnonzero(np.bincount(catalog(n).cuts[:, _MIN_CLAIMS[theorem][0]])).tolist()
-    yield list(_min_reports(theorem, n, ks))
+    yield list(_min_reports(theorem, n))
 
 
 def sweep_min_cut_vertices(n: int, width=None, jobs=1) -> list[VerificationReport]:

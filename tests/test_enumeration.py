@@ -10,7 +10,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from distspec import enumeration
+from distspec import cli, enumeration
 from distspec.enumeration import (
     DEFAULT_MAX_N,
     ENV_MAX_N,
@@ -176,11 +176,10 @@ def test_catalog_keys_and_cut_counts():
     for n in range(1, 8):
         level = catalog(n)
         assert len(_level(n)) == count_connected(n) == len(level.masks)
-        graphs = list(level.graphs())
+        graphs = list(connected_graphs(n))
         keys = [key_from_masks(n, g.masks) for g in graphs]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         cuts, radii = level.cuts, level.radii
-        assert graphs == list(connected_graphs(n))
         assert len(cuts) == len(radii) == len(graphs)
         assert level.masks.dtype == np.uint16 and level.masks.shape == (len(graphs), n)
         rows = level.masks.tolist()
@@ -245,6 +244,20 @@ def test_cache_clear_drops_the_catalog():
     assert _level.cache_info().currsize == 6
 
 
+def test_unfiltered_streams_build_no_cut_table(monkeypatch, capsys):
+    # connected_graphs and the CLI's enumerate without cut flags share the
+    # filtered stream, which reads the cut table only for a set count
+    def uncounted(*args):
+        raise AssertionError("an unfiltered stream built the cut table")
+
+    _level.cache_clear()
+    monkeypatch.setattr(enumeration, "cut_counts", uncounted)
+    graphs = list(connected_graphs(7))
+    assert len(graphs) == 853
+    assert cli.main(["enumerate", "--n", "7"]) == 0
+    assert capsys.readouterr().out.split() == [encode_graph6(g) for g in graphs]
+
+
 def packed(n, key):
     """A key as the bytes the catalog digests were recorded over: n, then the key big-endian."""
     return bytes([n]) + key.to_bytes((n * (n - 1) // 2 + 7) // 8 or 1, "big")
@@ -256,7 +269,7 @@ def test_catalog_golden_bytes():
     # never move a byte
     h = hashlib.sha256()
     for n in range(1, 8):
-        for g in _level(n).graphs():
+        for g in connected_graphs(n):
             key = packed(n, key_from_masks(n, g.masks))
             h.update(key + b"\0" + encode_graph6(g).encode() + b"\n")
         h.update(b"--\n")
@@ -349,8 +362,8 @@ def unpruned_level(parents, n):
     """The level build without twin pruning: every nonempty subset of every parent."""
     reps = {}
     new = n - 1
-    for parent in parents.graphs():
-        pmasks = masks_of(parent) + [0]
+    for row in parents.masks.tolist():
+        pmasks = row + [0]
         for sub in range(1, 1 << new):
             masks = pmasks.copy()
             masks[new] = sub
@@ -401,8 +414,8 @@ def test_keys_from_masks_on_every_level_child():
     # scalar key and, for its colours, against the scalar refinement
     for n in range(2, 8):
         children = []
-        for parent in _level(n - 1).graphs():
-            pmasks = masks_of(parent) + [0]
+        for row in _level(n - 1).masks.tolist():
+            pmasks = row + [0]
             for sub in range(1, 1 << n - 1):
                 masks = pmasks.copy()
                 masks[n - 1] = sub

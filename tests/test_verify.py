@@ -76,6 +76,19 @@ def test_graft_two_vertex_base_fails_by_isomorphism():
     assert strict.outcome == "FAIL"
 
 
+def test_graft_holds_on_every_base_of_three_or_more_vertices():
+    # the amended statement at small scale: every FAIL of the grid is on the
+    # one-edge base A_, where each shift is the member's path again
+    reports = sweep_graft(5, 8)
+    wide = [r for r in reports if decode_graph6(r.instance["base"]).n >= 3]
+    assert len(wide) == 5120
+    assert all(r.outcome == "PASS" for r in wide)
+    assert min(r.certified_gap for r in wide) > 0.1
+    fails = [r for r in reports if r.outcome == "FAIL"]
+    assert len(fails) == 32
+    assert {r.instance["base"] for r in fails} == {"A_"}
+
+
 def test_graft_requires_positive_budgets():
     with pytest.raises(GraphError):
         verify_graft_monotonicity(
