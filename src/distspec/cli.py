@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from pathlib import Path
 
 from .enumeration import EnumFilter, filtered_graphs
 from .graph6 import decode_graph6, encode_graph6, encode_rows
@@ -54,26 +55,31 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _read_graph(args):
-    if getattr(args, "g6", None) is not None:
+    if args.g6 is not None:
         return decode_graph6(args.g6)
-    if getattr(args, "input", None) is None:
+    if args.input is None:
         raise GraphError("provide --g6 or --input")
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="ascii") as fh:
-            text = fh.read()
+    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text("ascii")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphError("empty input")
     if args.format == "graph6":
+        if len(lines) > 1:
+            raise GraphError(f"expected one graph6 line, got {len(lines)}")
         return decode_graph6(lines[0])
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        a, b = ln.split()
-        edges.append((int(a), int(b)))
-    return build_graph(n, edges)
+    (n,) = _int_line(lines[0], 1, "the vertex count")
+    return build_graph(n, [_int_line(ln, 2, "an edge 'u v'") for ln in lines[1:]])
+
+
+def _int_line(line: str, count: int, what: str) -> tuple:
+    """The `count` integers on an edge-list line, or a GraphError quoting the line."""
+    fields = line.split()
+    try:
+        if len(fields) == count:
+            return tuple(map(int, fields))
+    except ValueError:
+        pass
+    raise GraphError(f"expected {what}, got {line!r}")
 
 
 def _exit_code(outcomes: set) -> int:
@@ -190,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def add_graph_flags(sp):
-        sp.add_argument("--g6", help="graph as an inline graph6 string")
-        sp.add_argument("--input", help="path to a graph file, or - for stdin")
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("--g6", help="graph as an inline graph6 string")
+        source.add_argument("--input", help="path to a graph file, or - for stdin")
         sp.add_argument(
             "--format",
             choices=("graph6", "edges"),

@@ -20,42 +20,25 @@ def fmt_float(x: float) -> str:
 
 def dumps(obj) -> str:
     """Serialize dicts, sequences and scalars with deterministic float text."""
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
-
-
-def _emit(obj, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    if isinstance(obj, str):
         # escapes the quote, the backslash and U+0000-U+001F (RFC 8259) only
-        parts.append(encode_basestring(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(fmt_float(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                parts.append(", ")
-            if not isinstance(k, str):
-                raise ValueError(f"JSON object keys must be strings, got {k!r}")
-            _emit(k, parts)
-            parts.append(": ")
-            _emit(v, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                parts.append(", ")
-            _emit(v, parts)
-        parts.append("]")
-    else:
-        raise ValueError(f"cannot serialize {type(obj).__name__}")
+        return encode_basestring(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join([_key(k) + ": " + dumps(v) for k, v in obj.items()]) + "}"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(dumps, obj)) + "]"
+    raise ValueError(f"cannot serialize {type(obj).__name__}")
+
+
+def _key(k) -> str:
+    if not isinstance(k, str):
+        raise ValueError(f"JSON object keys must be strings, got {k!r}")
+    return encode_basestring(k)

@@ -62,6 +62,33 @@ def test_compute_rejects_bad_graph6(capsys):
     assert err.startswith("error:")
 
 
+EDGES = ["--input", "-", "--format", "edges"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["--g6", "A_", "--input", "-"], "", "argument --input: not allowed with argument --g6"),
+        (["--input", "-"], "A_\nBw\n", "error: expected one graph6 line, got 2"),
+        (EDGES, "x\n0 1\n", "error: expected the vertex count, got 'x'"),
+        (EDGES, "3\n1 2 5\n", "error: expected an edge 'u v', got '1 2 5'"),
+        (EDGES, "3\n0 1\nx 2\n", "error: expected an edge 'u v', got 'x 2'"),
+    ],
+    ids=["both-sources", "two-graph6-lines", "bad-count", "three-fields", "not-integers"],
+)
+def test_bad_graph_input_is_a_usage_error(capsys, monkeypatch, argv, stdin, message):
+    """One graph per input from one source; a malformed edge-list line is quoted."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    try:
+        code = main(["compute", *argv])
+    except SystemExit as exc:  # argparse rejects the flag pair itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_unreachable_bracket_is_an_input_error(capsys, monkeypatch):
     """A width no certified step reaches is the caller's error (exit 2), not a FAIL."""
 
