@@ -138,7 +138,11 @@ def _spec_from(args) -> RelocationSpec:
     # Unvalidated on purpose: verify_relocation reports a failed
     # hypothesis as INCONCLUSIVE instead of erroring out.
     g = _read_graph(args)
-    targets = tuple(sorted({int(s) for s in _req(args, "targets").split(",")}))
+    raw = _req(args, "targets")
+    try:
+        targets = tuple(sorted({int(s) for s in raw.split(",")}))
+    except ValueError:
+        raise GraphError(f"expected comma-separated vertices, got --targets {raw!r}") from None
     return RelocationSpec(g, _req(args, "u"), _req(args, "v"), targets, args.witness)
 
 
@@ -269,8 +273,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, HypothesisError, BracketError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GraphError, HypothesisError, BracketError, ValueError, OSError, MemoryError) as exc:
+        # a MemoryError (a graph too large to bracket here) may carry no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
     finally:
         if argv is None:  # the process exits next: spare its teardown a collection of the heap

@@ -26,10 +26,10 @@ representative per isomorphism class, as the adjacency bitmasks it was
 keyed by, sorted by that key, which the level keeps beside the masks.  The
 next order's parents and the claim table read the masks: Level.cuts (each
 class's cut counts, for the cut filters and claims 3 and 4) and
-Level.radii (each class's bracket, for claims 3 and 4), each computed on
-first use and kept with the level.  Rows leave the catalog as Graphs by
-one route, filtered_graphs (connected_graphs is its unfiltered case): one
-Graph per kept row, its masks taken as they are, built as it is taken.
+Level.radii (each class's bracket ends, for claims 3 and 4), both arrays
+computed on first use and kept with the level.  Rows leave the catalog as
+Graphs by one route, filtered_graphs (connected_graphs is its unfiltered
+case): one Graph per kept row, its masks taken as is, built as it is taken.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .graphs import MAX_CANONICAL_N, Graph, GraphError, _ordering_table, keys_from_masks
 from .graphs import cut_counts
-from .spectral import PerronResult, brackets
+from .spectral import brackets
 
 DEFAULT_MAX_N = 9
 ENV_MAX_N = "DISTSPEC_MAX_N"
@@ -100,13 +100,16 @@ class Level:
         return cuts
 
     @cached_property
-    def radii(self) -> list[PerronResult]:
-        """Each class's certified radius, by index.
+    def radii(self) -> np.ndarray:
+        """Each class's (value, lower, upper), by index: a read-only float64 (classes, 3) array.
 
-        Bracketed on first use from the mask array, TABLE_CHUNK rows to a stack.
+        Bracketed on first use, TABLE_CHUNK rows to a stack; no PerronResult outlives its stack.
         """
-        chunks = range(0, len(self), TABLE_CHUNK)
-        return [r for lo in chunks for r in brackets(self.masks[lo:lo + TABLE_CHUNK])]
+        masks = np.split(self.masks, range(TABLE_CHUNK, len(self), TABLE_CHUNK))
+        ends = ((r.value, r.lower, r.upper) for m in masks for r in brackets(m))
+        radii = np.fromiter(ends, (np.float64, 3), len(self))
+        radii.setflags(write=False)
+        return radii
 
 
 def twin_classes(masks: Sequence[int]) -> list[list[int]]:

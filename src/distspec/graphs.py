@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, chain, permutations, product
 from math import factorial, prod
 from operator import index
 from typing import Iterator
@@ -389,18 +389,11 @@ def _ordering_table(n: int, shape: tuple[int, ...]) -> np.ndarray | None:
     count = prod(map(factorial, shape))
     if count * nbits > KEY_TABLE_BUDGET:
         return None
-    # itertools.product order over the classes' permutations, the first
-    # slowest; a class of one vertex has one
-    orderings = np.tile(np.arange(n), (count, 1))
-    start, before = 0, 1
-    for size in shape:
-        if size > 1:
-            perms = np.array(list(permutations(range(start, start + size))))
-            after = count // (before * len(perms))
-            block = np.repeat(perms, after, axis=0)
-            orderings[:, start:start + size] = np.tile(block, (before, 1))
-            before *= len(perms)
-        start += size
+    # one ordering a row, lexicographic: itertools.product of the classes' permutations
+    starts = accumulate(shape, initial=0)
+    classes = [permutations(range(start, start + size)) for start, size in zip(starts, shape)]
+    flat = chain.from_iterable(chain.from_iterable(product(*classes)))
+    orderings = np.fromiter(flat, np.int64, count * n).reshape(count, n)
     a, b = (orderings[:, column] for column in _pairs(n))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     table = np.zeros((nbits, count))

@@ -9,8 +9,9 @@ here, never as falsified.
 
 Every radius is a certified bracket, a few ulps of it wide.  Claims 3 and 4
 read theirs, the cut counts that pick each class and the minimizers' keys
-from the order's catalog (enumeration.Level.cuts, .radii and .keys), all in
-_min_reports, and key only their targets.  The other sweeps take their
+from the order's catalog (enumeration.Level.radii, .cuts and .keys) in
+_min_reports, rank each k's classes by one stable argsort of the values
+(ties keep key order), and key only their targets.  The other sweeps take their
 graphs from one stream, _graphs, the catalog graphs of a range of orders.
 Every other claim has one internal function that reports on a batch of
 instances: it builds their graphs once and has their radii bracketed
@@ -64,6 +65,7 @@ from .transforms import (
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
+_BRACKET = ("lambda", "lower", "upper")  # a reported bracket's value, lower and upper end
 
 # Default allowance of the perturbation-bound check.
 BOUND_TOL = 1e-8
@@ -92,7 +94,7 @@ def report_json(rep: VerificationReport) -> str:
 
 
 def _bracket(res: PerronResult) -> dict:
-    return {"lambda": res.value, "lower": res.lower, "upper": res.upper}
+    return dict(zip(_BRACKET, (res.value, res.lower, res.upper)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +509,10 @@ def _min_reports(theorem: str, n: int, ks=None) -> Iterator[VerificationReport]:
     cuts, radii = level.cuts, level.radii
     ranked = []
     for k in ks:
-        picked = np.flatnonzero(cuts[:, which] == k).tolist()
-        if not picked:
+        picked = np.flatnonzero(cuts[:, which] == k)
+        if not len(picked):
             raise GraphError(f"no connected graphs on {n} vertices have exactly {k} cut {noun}")
-        ranked.append(sorted(picked, key=lambda i: radii[i].value))  # stable: ties keep key order
+        ranked.append(picked[np.argsort(radii[picked, 0], kind="stable")].tolist())
     row = {i: tuple(level.masks[i].tolist()) for r in ranked for i in r[:2]}
     name = _names([t.masks for t in targets] + list(row.values()))
     for k, target, (cand, *others) in zip(ks, targets, ranked):
@@ -519,17 +521,17 @@ def _min_reports(theorem: str, n: int, ks=None) -> Iterator[VerificationReport]:
             "target": name[target.masks],
             "minimizer": name[row[cand]],
             "minimizer_isomorphic_to_target": isomorphic,
-            "minimizer_bracket": _bracket(radii[cand]),
+            "minimizer_bracket": dict(zip(_BRACKET, radii[cand].tolist())),
         }
         if others:
             witness["runner_up"] = name[row[others[0]]]
-            witness["runner_up_bracket"] = _bracket(radii[others[0]])
+            witness["runner_up_bracket"] = dict(zip(_BRACKET, radii[others[0]].tolist()))
         if not isomorphic:
             outcome, gap = FAIL, None
         elif not others:
             outcome, gap = PASS, None
         else:
-            gap = min(radii[i].lower for i in others) - radii[cand].upper
+            gap = float(radii[others, 1].min() - radii[cand, 2])
             if gap > 0:
                 outcome = PASS
             else:

@@ -62,25 +62,30 @@ def test_compute_rejects_bad_graph6(capsys):
     assert err.startswith("error:")
 
 
-EDGES = ["--input", "-", "--format", "edges"]
+EDGES = ["compute", "--input", "-", "--format", "edges"]
+RELOCATE = ["verify", "--theorem", "2", "--g6", "Cs", "--u", "0", "--v", "1", "--targets"]
 
 
 @pytest.mark.parametrize(
     "argv, stdin, message",
     [
-        (["--g6", "A_", "--input", "-"], "", "argument --input: not allowed with argument --g6"),
-        (["--input", "-"], "A_\nBw\n", "error: expected one graph6 line, got 2"),
+        (["compute", "--g6", "A_", "--input", "-"], "",
+         "argument --input: not allowed with argument --g6"),
+        (["compute", "--input", "-"], "A_\nBw\n", "error: expected one graph6 line, got 2"),
         (EDGES, "x\n0 1\n", "error: expected the vertex count, got 'x'"),
         (EDGES, "3\n1 2 5\n", "error: expected an edge 'u v', got '1 2 5'"),
         (EDGES, "3\n0 1\nx 2\n", "error: expected an edge 'u v', got 'x 2'"),
+        ([*RELOCATE, "1,,2"], "", "error: expected comma-separated vertices, got --targets '1,,2'"),
+        ([*RELOCATE, "x"], "", "error: expected comma-separated vertices, got --targets 'x'"),
     ],
-    ids=["both-sources", "two-graph6-lines", "bad-count", "three-fields", "not-integers"],
+    ids=["both-sources", "two-graph6-lines", "bad-count", "three-fields", "not-integers",
+         "empty-target", "non-integer-target"],
 )
 def test_bad_graph_input_is_a_usage_error(capsys, monkeypatch, argv, stdin, message):
-    """One graph per input from one source; a malformed edge-list line is quoted."""
+    """One graph per input from one source; a malformed edge-list line or target list is quoted."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     try:
-        code = main(["compute", *argv])
+        code = main(argv)
     except SystemExit as exc:  # argparse rejects the flag pair itself
         code = exc.code
     captured = capsys.readouterr()
@@ -100,6 +105,19 @@ def test_unreachable_bracket_is_an_input_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: bracket [4.0, 4.0000001] still wider")
+
+
+def test_graph_too_large_to_bracket_is_an_input_error(capsys, monkeypatch):
+    """Running out of memory on a graph is the input's error (exit 2), not a FAIL."""
+
+    def too_large(g, width):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "perron_of", too_large)
+    code, out, err = run(capsys, ["compute", "--g6", "D~{"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: MemoryError\n"
 
 
 def test_cycling_bracket_exits_early(capsys):

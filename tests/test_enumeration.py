@@ -41,7 +41,7 @@ from distspec.graphs import (
     key_from_masks,
     keys_from_masks,
 )
-from distspec.spectral import distance_matrix, perron
+from distspec.spectral import brackets, distance_matrix, perron
 from distspec.transforms import g_nk
 from distspec.verify import sweep_graft, sweep_min_cut_edges, sweep_min_cut_vertices
 
@@ -170,9 +170,6 @@ def brute_force_cut_counts(g):
 
 
 def test_catalog_keys_and_cut_counts():
-    def fields(res):
-        return (res.value, res.lower, res.upper, res.residual, res.iterations, res.vector.tolist())
-
     for n in range(1, 8):
         level = catalog(n)
         assert len(_level(n)) == count_connected(n) == len(level.masks)
@@ -183,12 +180,26 @@ def test_catalog_keys_and_cut_counts():
         assert len(cuts) == len(radii) == len(graphs)
         assert level.masks.dtype == np.uint16 and level.masks.shape == (len(graphs), n)
         rows = level.masks.tolist()
-        for g, row, counts, res in zip(graphs, rows, map(tuple, cuts.tolist()), radii):
+        for g, row, counts, ends in zip(graphs, rows, map(tuple, cuts.tolist()), radii.tolist()):
             assert row == masks_of(g)
             assert counts == cut_counts(row)
             if n <= 6:
                 assert counts == brute_force_cut_counts(g)
-            assert fields(res) == fields(perron(distance_matrix(g)))
+            res = perron(distance_matrix(g))
+            assert ends == [res.value, res.lower, res.upper]
+
+
+def test_claim_table_is_one_read_only_float_array_per_order():
+    # the claim table keeps each class's three bracket ends, the bits the
+    # catalog's own stack gives, and no PerronResult
+    for n in range(1, 9):
+        level = catalog(n)
+        radii = level.radii
+        assert radii.dtype == np.float64 and radii.shape == (len(level), 3)
+        assert not radii.flags.writeable
+        want = [[r.value, r.lower, r.upper] for r in brackets(level.masks)]
+        assert radii.tolist() == want
+        assert level.radii is radii
 
 
 def test_cut_table_is_one_read_only_array_per_order(monkeypatch):

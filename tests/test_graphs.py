@@ -321,6 +321,33 @@ def test_ordering_table_equals_the_list_built_table():
     assert within == 250
 
 
+def test_ordering_table_columns_are_the_class_respecting_orderings_in_order():
+    # brute force: the permutations of range(n) that keep every sorted
+    # position in its class, in the order itertools.permutations lists them
+    for n in range(2, 8):
+        nbits = n * (n - 1) // 2
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        for shape in compositions(n):
+            table = graphs._ordering_table(n, shape)
+            count = prod(map(factorial, shape))
+            assert (table is None) == (count * nbits > KEY_TABLE_BUDGET), (n, shape)
+            if table is None:
+                continue
+            cls = [c for c, size in enumerate(shape) for _ in range(size)]
+            orderings = [
+                p for p in itertools.permutations(range(n))
+                if all(cls[q] == cls[t] for t, q in enumerate(p))
+            ]
+            assert table.shape == (nbits, len(orderings)) == (nbits, count)
+            for column, p in zip(table.T, orderings):
+                want = np.zeros(nbits)
+                for t, (i, j) in enumerate(pairs):
+                    lo, hi = sorted((p[i], p[j]))
+                    want[hi * (hi - 1) // 2 + lo] = 2.0 ** (nbits - 1 - t)
+                assert np.array_equal(column, want), (n, shape, p)
+    graphs._ordering_table.cache_clear()
+
+
 def test_keys_from_masks_edge_cases():
     assert keys_from_masks(1, [[0], [0]]) == [0, 0]
     assert keys_from_masks(5, []) == []
