@@ -32,13 +32,17 @@ from .transforms import (
 from .verify import (
     BOUND_TOL,
     _batches,
-    _bound_batches,
-    _graft_batches,
-    _min_batches,
-    _monotonicity_batches,
-    _pendant_batches,
-    _relocation_batches,
+    _bound_reports,
+    _graft_reports,
+    _graphs,
+    _min_reports,
+    _monotonicity_reports,
+    _pendant_reports,
+    _relocation_reports,
+    edge_addition_pairs,
+    graft_sites,
     pendant_report_for_site,
+    relocation_specs,
     report_json,
     verify_distance_monotonicity,
     verify_graft_monotonicity,
@@ -156,19 +160,19 @@ def _pair_from(args):
 # parsed flags.  A new claim is one row here and its batch function in verify.
 CLAIMS = {
     "1": (lambda a: verify_graft_monotonicity(_site_from(a)),
-          lambda a: _graft_batches(a.max_base_n, a.max_total)),
+          lambda a: _batches(graft_sites(a.max_base_n, a.max_total), _graft_reports)),
     "2": (lambda a: verify_relocation(_spec_from(a)),
-          lambda a: _relocation_batches(a.max_n)),
+          lambda a: _batches(relocation_specs(a.max_n), _relocation_reports)),
     "3": (lambda a: verify_min_cut_vertices(_req(a, "n"), _req(a, "k")),
-          lambda a: _min_batches("min-cut-vertices", _req(a, "n"))),
+          lambda a: [list(_min_reports("min-cut-vertices", _req(a, "n")))]),
     "4": (lambda a: verify_min_cut_edges(_req(a, "n"), _req(a, "k")),
-          lambda a: _min_batches("min-cut-edges", _req(a, "n"))),
+          lambda a: [list(_min_reports("min-cut-edges", _req(a, "n")))]),
     "cor1": (lambda a: pendant_report_for_site(_site_from(a)),
-             lambda a: _pendant_batches(a.max_base_n, a.max_total)),
+             lambda a: _batches(graft_sites(a.max_base_n, a.max_total, False), _pendant_reports)),
     "bound": (lambda a: verify_perturbation_bound(*_pair_from(a), tol=a.tol),
-              lambda a: _bound_batches(a.max_n)),
+              lambda a: _batches(edge_addition_pairs(a.max_n), _bound_reports)),
     "mono": (lambda a: verify_distance_monotonicity(_read_graph(a)),
-             lambda a: _monotonicity_batches(a.max_n)),
+             lambda a: _batches(_graphs(1, a.max_n), _monotonicity_reports)),
 }
 THEOREMS = tuple(CLAIMS)
 
@@ -189,6 +193,17 @@ def _cmd_sweep(args) -> int:
         del batch  # dropped before the next batch is built
     sys.stdout.write("[]\n" if head == "[" else "]\n")
     return _exit_code(outcomes)
+
+
+def _count(text: str) -> int:
+    """A grid bound or cut count: an integer >= 0, or argparse's error naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="connected graphs up to isomorphism")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--cut-vertices", type=int, dest="cut_vertices")
-    sp.add_argument("--cut-edges", type=int, dest="cut_edges")
+    sp.add_argument("--cut-vertices", type=_count, dest="cut_vertices")
+    sp.add_argument("--cut-edges", type=_count, dest="cut_edges")
     sp.set_defaults(func=_cmd_enumerate)
 
     def add_verify_common(sp):
@@ -260,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="verify a grid of claim instances")
     sp.add_argument("--theorem", required=True, choices=THEOREMS)
     sp.add_argument("--n", type=int, help="order for theorem 3/4 sweeps")
-    sp.add_argument("--max-base-n", type=int, default=6, dest="max_base_n")
-    sp.add_argument("--max-total", type=int, default=4, dest="max_total")
-    sp.add_argument("--max-n", type=int, default=6, dest="max_n")
+    sp.add_argument("--max-base-n", type=_count, default=6, dest="max_base_n")
+    sp.add_argument("--max-total", type=_count, default=4, dest="max_total")
+    sp.add_argument("--max-n", type=_count, default=6, dest="max_n")
     add_verify_common(sp)
     sp.set_defaults(func=_cmd_sweep)
     return p

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,8 +68,8 @@ def distance_matrices(graphs: Sequence[Graph]) -> list[np.ndarray]:
     Raises GraphError if any of the graphs is disconnected.
     """
     built = {}
-    for gs in _by_order(dict.fromkeys(graphs)).values():
-        built.update(zip(gs, _hop_stack(gs)))
+    for gs, masks in _mask_stacks(graphs):
+        built.update(zip(gs, _hop_counts(masks)))
     return [built[g] for g in graphs]
 
 
@@ -78,25 +78,25 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return distance_matrices([g])[0]
 
 
-def _hop_stack(gs: list[Graph]) -> np.ndarray:
-    """Hop-count stack of same-order graphs (masks int64 below 63 vertices, else Python ints)."""
-    masks = np.array([g.masks for g in gs], dtype=np.int64 if gs[0].n < 63 else object)
-    return _hop_counts(_adjacency(masks))
+def _mask_stacks(graphs: Iterable[Graph]) -> Iterator[tuple[list[Graph], np.ndarray]]:
+    """Each order's distinct graphs and mask array: int64 below 63 vertices, else Python ints."""
+    by_order: dict[int, list[Graph]] = {}
+    for g in dict.fromkeys(graphs):
+        by_order.setdefault(g.n, []).append(g)
+    for n, gs in by_order.items():
+        yield gs, np.array([g.masks for g in gs], dtype=np.int64 if n < 63 else object)
 
 
-def _adjacency(masks: np.ndarray) -> np.ndarray:
-    """Boolean adjacency stack of (graphs, n) bitmasks: [i, u, w] is bit w of masks[i, u]."""
-    return (masks[:, :, None] >> np.arange(masks.shape[1]) & 1).astype(bool)
+def _hop_counts(masks: np.ndarray) -> np.ndarray:
+    """Read-only int64 stack of the hop-count matrices of a (graphs, n) bitmask array.
 
-
-def _hop_counts(a: np.ndarray) -> np.ndarray:
-    """Read-only int64 stack of the hop-count matrices of a boolean adjacency stack.
-
-    Floyd-Warshall on every graph at once: step k lets every path pass
-    through vertex k.  n marks an unreached pair, and a sum through it
-    stays at least n, so an n left in row 0 means a disconnected graph.
+    Bit w of masks[i, u] is edge uw of graph i.  Floyd-Warshall on every
+    graph at once: step k lets every path pass through vertex k.  n marks
+    an unreached pair, and a sum through it stays at least n, so an n left
+    in row 0 means a disconnected graph.
     """
-    n = a.shape[-1]
+    n = masks.shape[-1]
+    a = (masks[:, :, None] >> np.arange(n) & 1).astype(bool)
     small = np.min_scalar_type(2 * n).type
     d = np.where(a, small(1), small(n) * ~np.eye(n, dtype=bool))
     for k in range(n):
@@ -235,22 +235,15 @@ def perron_many(
     graphs = list(graphs)
     given = None if dms is None else dict(zip(graphs, dms))
     radius: dict[Graph, PerronResult] = {}
-    for gs in _by_order(dict.fromkeys(graphs)).values():
-        d = _hop_stack(gs) if given is None else np.stack([given[g] for g in gs])
+    for gs, masks in _mask_stacks(graphs):
+        d = _hop_counts(masks) if given is None else np.stack([given[g] for g in gs])
         radius.update(zip(gs, _bracket_stack(d)))
     return [radius[g] for g in graphs]
 
 
 def brackets(masks: np.ndarray) -> list[PerronResult]:
     """Certified brackets of a nonempty (graphs, n) bitmask array, as one stack, uncached."""
-    return _bracket_stack(_hop_counts(_adjacency(masks)))
-
-
-def _by_order(graphs: Iterable[Graph]) -> dict[int, list[Graph]]:
-    by_order: dict[int, list[Graph]] = {}
-    for g in graphs:
-        by_order.setdefault(g.n, []).append(g)
-    return by_order
+    return _bracket_stack(_hop_counts(masks))
 
 
 def quadratic_form_delta(d_old: np.ndarray, d_new: np.ndarray, x: np.ndarray) -> float:

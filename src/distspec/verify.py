@@ -21,9 +21,11 @@ call keeps; names travel the same way, from one encode_rows call per
 batch.  Graft reports also key each distinct graph of a batch's
 overlapping pairs once.  A single verifier call is a batch of one; sweeps
 run serially, in runs of at most SWEEP_BATCH consecutive instances that
-may span bases and orders.  One driver, _batches, yields each run's
-reports as they are made: the public sweep_* return them as one list, the
-CLI writes each run and drops it.  The width and jobs parameters are
+may span bases and orders.  The public sweep_* and the CLI call the one
+driver, _batches, directly with a claim's instance generator and batch
+function, and it yields each run's reports as they are made: the sweep_*
+return them as one list, the CLI writes each run and drops it (claims 3
+and 4 are one batch of _min_reports).  The width and jobs parameters are
 deprecated and ignored.
 """
 
@@ -364,7 +366,7 @@ def verify_perturbation_bound(
     return _bound_reports([(g_old, g_new)], tol)[0]
 
 
-def _bound_reports(pairs: list[tuple[Graph, Graph]], tol: float) -> list[VerificationReport]:
+def _bound_reports(pairs: list[tuple[Graph, Graph]], tol=BOUND_TOL) -> list[VerificationReport]:
     """Perturbation-bound reports; each distance matrix is built once.
 
     The matrices come as one stack per order and serve both the radius
@@ -612,11 +614,8 @@ def graft_sites(max_base_n: int, max_total: int, equal_only: bool | None = None)
 def sweep_graft(
     max_base_n: int = 6, max_total: int = 4, width=None, jobs=1, equal_only: bool | None = None
 ) -> list[VerificationReport]:
-    return list(chain.from_iterable(_graft_batches(max_base_n, max_total, equal_only)))
-
-
-def _graft_batches(max_base_n: int, max_total: int, equal_only: bool | None = None):
-    return _batches(graft_sites(max_base_n, max_total, equal_only), _graft_reports)
+    sites = graft_sites(max_base_n, max_total, equal_only)
+    return list(chain.from_iterable(_batches(sites, _graft_reports)))
 
 
 def pendant_report_for_site(site: GraftSite, width=None):
@@ -647,11 +646,8 @@ def _path(root: int, first: int, length: int) -> PendantPath:
 def sweep_pendant(
     max_base_n: int = 6, max_total: int = 4, width=None, jobs=1
 ) -> list[VerificationReport]:
-    return list(chain.from_iterable(_pendant_batches(max_base_n, max_total)))
-
-
-def _pendant_batches(max_base_n: int, max_total: int):
-    return _batches(graft_sites(max_base_n, max_total, equal_only=False), _pendant_reports)
+    sites = graft_sites(max_base_n, max_total, equal_only=False)
+    return list(chain.from_iterable(_batches(sites, _pendant_reports)))
 
 
 def relocation_specs(max_n: int):
@@ -673,11 +669,7 @@ def relocation_specs(max_n: int):
 
 
 def sweep_relocation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
-    return list(chain.from_iterable(_relocation_batches(max_n)))
-
-
-def _relocation_batches(max_n: int):
-    return _batches(relocation_specs(max_n), _relocation_reports)
+    return list(chain.from_iterable(_batches(relocation_specs(max_n), _relocation_reports)))
 
 
 def edge_addition_pairs(max_n: int):
@@ -691,29 +683,16 @@ def edge_addition_pairs(max_n: int):
 
 
 def sweep_perturbation(max_n: int = 6, width=None, jobs=1) -> list[VerificationReport]:
-    return list(chain.from_iterable(_bound_batches(max_n)))
-
-
-def _bound_batches(max_n: int):
-    return _batches(edge_addition_pairs(max_n), lambda batch: _bound_reports(batch, BOUND_TOL))
+    return list(chain.from_iterable(_batches(edge_addition_pairs(max_n), _bound_reports)))
 
 
 def sweep_monotonicity(max_n: int = 7, width=None, jobs=1) -> list[VerificationReport]:
-    return list(chain.from_iterable(_monotonicity_batches(max_n)))
-
-
-def _monotonicity_batches(max_n: int):
-    return _batches(_graphs(1, max_n), _monotonicity_reports)
-
-
-def _min_batches(theorem: str, n: int):
-    """One batch: a report per k, ascending, that some class of the order's catalog has."""
-    yield list(_min_reports(theorem, n))
+    return list(chain.from_iterable(_batches(_graphs(1, max_n), _monotonicity_reports)))
 
 
 def sweep_min_cut_vertices(n: int, width=None, jobs=1) -> list[VerificationReport]:
-    return list(chain.from_iterable(_min_batches("min-cut-vertices", n)))
+    return list(_min_reports("min-cut-vertices", n))
 
 
 def sweep_min_cut_edges(n: int, width=None, jobs=1) -> list[VerificationReport]:
-    return list(chain.from_iterable(_min_batches("min-cut-edges", n)))
+    return list(_min_reports("min-cut-edges", n))

@@ -94,6 +94,27 @@ def test_bad_graph_input_is_a_usage_error(capsys, monkeypatch, argv, stdin, mess
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--theorem", "1", "--max-base-n", "-3"],
+        ["sweep", "--theorem", "2", "--max-n", "-1"],
+        ["sweep", "--theorem", "cor1", "--max-total", "-2"],
+        ["sweep", "--theorem", "mono", "--max-n", "-1"],
+        ["enumerate", "--n", "6", "--cut-edges", "-2"],
+        ["enumerate", "--n", "6", "--cut-vertices", "-1"],
+    ],
+    ids=["max-base-n", "max-n", "max-total", "mono-max-n", "cut-edges", "cut-vertices"],
+)
+def test_negative_grid_or_filter_flag_is_a_usage_error(capsys, argv):
+    """A negative bound or count is an input error, not an empty grid printed as a PASS."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"argument {argv[-2]}: expected an integer >= 0, got '{argv[-1]}'" in captured.err
+
+
 def test_unreachable_bracket_is_an_input_error(capsys, monkeypatch):
     """A width no certified step reaches is the caller's error (exit 2), not a FAIL."""
 
@@ -394,7 +415,7 @@ def test_sweep_writes_each_batch_before_building_the_next(monkeypatch):
         events.append("batch")
         return real(sites)
 
-    monkeypatch.setattr(verify, "_graft_reports", batch)
+    monkeypatch.setattr(cli, "_graft_reports", batch)
     monkeypatch.setattr(verify, "SWEEP_BATCH", 7)
     monkeypatch.setattr(sys, "stdout", Discard(events))
     assert main(["sweep", "--theorem", "1", "--max-base-n", "4"]) == 1
@@ -442,7 +463,7 @@ def test_sweep_error_after_the_first_batch_leaves_a_truncated_array(capsys, monk
             raise GraphError("second batch")
         return real(sites)
 
-    monkeypatch.setattr(verify, "_graft_reports", failing)
+    monkeypatch.setattr(cli, "_graft_reports", failing)
     code, out, err = run(capsys, argv)
     assert (code, err) == (2, "error: second batch\n")
     assert out and full.startswith(out) and out != full

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -219,6 +220,38 @@ def test_relocation_counterexample_fails_honestly():
     )
 
 
+def test_verdicts_do_not_depend_on_vertex_labels():
+    """Renaming a graph's vertices, and an instance's vertices with it, keeps every verdict."""
+    rng = random.Random(37)
+
+    def relabel(g):
+        perm = rng.sample(range(g.n), g.n)
+        return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]), perm
+
+    sites = list(verify.graft_sites(4, 6))
+    moved = []
+    for s in sites:
+        base, perm = relabel(s.base)
+        moved.append(GraftSite(base=base, u=perm[s.u], v=perm[s.v], k=s.k, l=s.l))
+    assert len(sites) == 558
+    before, after = verify._graft_reports(sites), verify._graft_reports(moved)
+    assert [r.outcome for r in after] == [r.outcome for r in before]
+
+    specs = list(verify.relocation_specs(6))
+    moved = []
+    for s in specs:
+        g, perm = relabel(s.g)
+        targets = tuple(sorted(perm[t] for t in s.targets))
+        moved.append(RelocationSpec(g=g, u=perm[s.u], v=perm[s.v], targets=targets))
+    assert len(specs) == 643
+
+    def verdicts(specs):
+        reports = verify._relocation_reports(specs)
+        return [(r.outcome, r.witness.get("failed_clause")) for r in reports]
+
+    assert verdicts(moved) == verdicts(specs)
+
+
 def test_perturbation_bound_both_directions():
     p4 = make_base("path", 4)
     c4 = make_base("cycle", 4)
@@ -250,13 +283,13 @@ def test_bound_and_monotonicity_build_each_distance_matrix_once(monkeypatch):
     # one build per graph, shared by the radius bracket and by the
     # quadratic form or dominance test (4 per call when each was rebuilt)
     built = []
-    real = spectral._adjacency
+    real = spectral._hop_counts
 
     def counting(masks):
         built.extend(masks.tolist())
         return real(masks)
 
-    monkeypatch.setattr(spectral, "_adjacency", counting)
+    monkeypatch.setattr(spectral, "_hop_counts", counting)
     assert verify_perturbation_bound(make_base("path", 4), make_base("cycle", 4)).outcome == "PASS"
     assert len(built) == 2
     built.clear()
@@ -520,13 +553,13 @@ def test_every_batch_names_its_graphs_in_one_encoder_call(monkeypatch):
     assert not hasattr(verify, "encode_graph6")
     seen = []
     for batches in (
-        verify._graft_batches(4, 4),
-        verify._pendant_batches(4, 4),
-        verify._relocation_batches(5),
-        verify._bound_batches(5),
-        verify._monotonicity_batches(6),
-        verify._min_batches("min-cut-vertices", 6),
-        verify._min_batches("min-cut-edges", 6),
+        verify._batches(verify.graft_sites(4, 4), verify._graft_reports),
+        verify._batches(verify.graft_sites(4, 4, equal_only=False), verify._pendant_reports),
+        verify._batches(verify.relocation_specs(5), verify._relocation_reports),
+        verify._batches(verify.edge_addition_pairs(5), verify._bound_reports),
+        verify._batches(verify._graphs(1, 6), verify._monotonicity_reports),
+        map(list, [verify._min_reports("min-cut-vertices", 6)]),  # claims 3 and 4: one batch
+        map(list, [verify._min_reports("min-cut-edges", 6)]),
     ):
         seen.append(0)
         for reports in batches:
